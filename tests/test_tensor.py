@@ -6,6 +6,7 @@ import pytest
 from pulseformer import nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import DimensionError
+from pulseformer.gradcheck import max_relative_error
 from pulseformer.nn_ops import BatchNormState
 from pulseformer.tensor import Tensor
 
@@ -143,14 +144,12 @@ class TestNorms:
         np.testing.assert_allclose(y.data, 5.0, atol=1e-8)
 
 
-def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, bias=None):
+def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo):
     """Single-head attention via explicit softmax/matmul."""
     q = x @ wq.T + bq
     k = x @ wk.T + bk
     v = x @ wv.T + bv
     s = q @ k.T / np.sqrt(x.shape[-1])
-    if bias is not None:
-        s = s + bias
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
     return (p @ v) @ wo.T + bo
@@ -202,32 +201,44 @@ class TestAttention:
         biased = nn_ops.attention(*args, heads=heads, rel=rel)
         np.testing.assert_array_equal(plain.data, biased.data)
 
-    def test_rel_bias_matches_dense_oracle(self):
+    # blocks of 256 hold whole grids, 8 and 3 split planes into w-lines or
+    # ragged row ranges, 1 is one query row per block
+    @pytest.mark.parametrize("grid", [(3, 2, 2), (2, 3, 3), (4, 3, 5)],
+                             ids=lambda g: "x".join(map(str, g)))
+    @pytest.mark.parametrize("block", [256, 8, 3, 1], ids=lambda b: f"block{b}")
+    def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
+        monkeypatch.setattr(nn_ops, "ATTN_BLOCK", block)
         rng = np.random.default_rng(6)
-        grid = (3, 2, 2)
-        ln = 12
-        d = 2
-        ws = self._weights(rng, d)
-        x = rng.standard_normal((1, ln, d))
-        rel = nn_ops.RelativeBias(1, grid)
-        rel.table_t.data[:] = rng.standard_normal(rel.table_t.shape)
-        rel.table_h.data[:] = rng.standard_normal(rel.table_h.shape)
-        rel.table_w.data[:] = rng.standard_normal(rel.table_w.shape)
-        args = [Tensor(x)]
-        for nm in ("q", "k", "v", "o"):
-            args += [Tensor(ws[nm][0]), Tensor(ws[nm][1])]
-        y = nn_ops.attention(*args, heads=1, rel=rel)
+        n, heads, d = 2, 2, 3
+        ln = grid[0] * grid[1] * grid[2]
+        q, k, v = (Tensor(rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+                   for _ in range(3))
+        rel = nn_ops.RelativeBias(heads, grid)
+        for table in rel.tables():
+            table.data[:] = rng.standard_normal(table.shape)
+        y = nn_ops.attention_core(q, k, v, rel=rel)
 
-        ti, hi, wi = np.unravel_index(np.arange(ln), grid)
-        bias = np.zeros((ln, ln))
-        for i in range(ln):
-            for j in range(ln):
-                bias[i, j] = (rel.table_t.data[0][ti[i] - ti[j] + grid[0] - 1]
-                              + rel.table_h.data[0][hi[i] - hi[j] + grid[1] - 1]
-                              + rel.table_w.data[0][wi[i] - wi[j] + grid[2] - 1])
-        expect = attention_oracle(x[0], ws["q"][0], ws["q"][1], ws["k"][0], ws["k"][1],
-                                  ws["v"][0], ws["v"][1], ws["o"][0], ws["o"][1], bias=bias)
-        np.testing.assert_allclose(y.data[0], expect, atol=1e-12)
+        coords = np.unravel_index(np.arange(ln), grid)
+        bias = np.zeros((heads, ln, ln))
+        for hh in range(heads):
+            for i in range(ln):
+                for j in range(ln):
+                    for table, c, g in zip(rel.tables(), coords, grid):
+                        bias[hh, i, j] += table.data[hh, c[i] - c[j] + g - 1]
+        s = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(d) + bias
+        p = np.exp(s - s.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        np.testing.assert_allclose(y.data, p @ v.data, atol=1e-12)
+
+        target = Tensor(rng.standard_normal(y.shape))
+
+        def loss():
+            return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
+
+        err_tables = max_relative_error(loss, list(rel.tables()))
+        err_qkv = max_relative_error(loss, [q, k, v], sample=48,
+                                     rng=np.random.default_rng(7))
+        assert max(err_tables, err_qkv) <= 1e-5
 
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
