@@ -10,20 +10,16 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .errors import (ConfigurationError, EstimationError, InputError,
                      NumericError, PulseformerError)
 from .gradcheck import run_op_suite
-from .metrics import ExperimentResult
 from .model import ModelConfig, MultiscaleVideoTransformer, model_grad_check, stage_grids
 from .preprocess import make_example
 from .search import DesignSpace, general_config, greedy_adapt
 from .synth import PRESETS, generate_dataset
 from .training import (ModelPredictor, PerfectStub, TrainConfig, evaluate,
                        split_dataset, train_model)
-from .util import parallel_map
 
 OP_TOL = 1e-5
 E2E_TOL = 1e-4
@@ -98,12 +94,9 @@ def _load_clips(data_dir: str):
     entries, metadata = fileio.read_manifest(manifest)
     base = Path(data_dir)
 
-    def load(entry):
-        clip = fileio.read_clip(base / entry["clip_path"])
-        trace = fileio.read_trace(base / entry["trace_path"])
-        return entry, clip, trace
-
-    return parallel_map(load, entries), metadata
+    loaded = [(entry, fileio.read_clip(base / entry["clip_path"]),
+               fileio.read_trace(base / entry["trace_path"])) for entry in entries]
+    return loaded, metadata
 
 
 def _windows(loaded, cfg: ModelConfig, subjects=None):

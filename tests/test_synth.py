@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pulseformer.errors import InputError
-from pulseformer.metrics import band_power_fraction, hr_from_signal
+from pulseformer.metrics import DEFAULT_BAND, hr_from_signal, power_spectrum
 from pulseformer.preprocess import SignalTrace, diffnorm_frames, standardize
 from pulseformer.synth import (HARD, SIMPLE, SynthPreset, generate_clip,
                                generate_dataset)
@@ -62,6 +62,20 @@ class TestGenerateDataset:
         data = generate_dataset(HARD, 3, 2, (300, 8, 8), 30.0, seed=9)
         for lc in data:
             assert abs(hr_from_signal(lc.trace).bpm - lc.planted_hr) <= 1.0
+
+
+def band_power_fraction(trace, band=DEFAULT_BAND):
+    """Share of total spectral power (DC excluded) that falls inside the band.
+
+    Measures how concentrated a waveform's energy is in the pulse band;
+    drift and other out-of-band disturbances lower it.
+    """
+    freqs, spec = power_spectrum(trace.samples, trace.fps)
+    mask = (freqs >= band[0]) & (freqs <= band[1])
+    total = spec[1:].sum()
+    if total <= 0.0:
+        return 0.0
+    return float(spec[mask].sum() / total)
 
 
 class TestIlluminationMechanism:

@@ -8,15 +8,35 @@ from pulseformer.metrics import hr_from_signal
 from pulseformer.model import ModelConfig
 from pulseformer.preprocess import SignalTrace, WindowExample, make_example
 from pulseformer.synth import SIMPLE, generate_dataset
-from pulseformer.training import (AdamW, ConstantStub, LabelOffsetStub,
-                                  ModelPredictor, PerfectStub, TrainConfig,
-                                  adamw_update, evaluate, split_dataset,
-                                  train_model)
+from pulseformer.training import (AdamW, PerfectStub, TrainConfig, adamw_update,
+                                  evaluate, split_dataset, train_model)
 
 TINY_CFG = ModelConfig(input_dims=(60, 32, 32), output_format="Signal",
                        frame_format="DiffNorm", signal_norm=True,
                        pos_encoding="REL", scaling=2, base_width=8,
                        stage_depths=(1, 1, 1, 1))
+
+
+class ConstantStub:
+    output_domain = "signal"
+
+    def __init__(self, value: float):
+        self.value = float(value)
+
+    def predict_example(self, ex):
+        if ex.target.ndim == 0:
+            return np.asarray(self.value)
+        return np.full_like(ex.trace_window, self.value)
+
+
+class LabelOffsetStub:
+    """HR-output stub returning the label rate plus a fixed offset."""
+
+    def __init__(self, offset: float):
+        self.offset = float(offset)
+
+    def predict_example(self, ex):
+        return np.asarray(hr_from_signal(SignalTrace(ex.trace_window, ex.fps)).bpm + self.offset)
 
 
 def reference_adamw(p, g_seq, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.0):
@@ -150,6 +170,15 @@ class TestEvaluate:
                   for e in examples]
         expect = np.mean([abs(90.0 - l) for l in labels])
         assert abs(res.mae - expect) <= 1e-9
+
+    def test_predictor_bug_propagates(self):
+        class BuggyPredictor:
+            def predict_example(self, ex):
+                raise TypeError("bug in predictor")
+
+        cfg = TINY_CFG.copy(output_format="HR")
+        with pytest.raises(TypeError, match="bug in predictor"):
+            evaluate(BuggyPredictor(), cfg, [_hr_example(60.0)])
 
     def test_label_offset_stub(self):
         cfg = TINY_CFG.copy(output_format="HR")
