@@ -90,7 +90,6 @@ class TestBinaryFormats:
         with pytest.raises(InputError):
             fileio.read_clip(path)
 
-
     @pytest.mark.parametrize("kind", sorted(OVERSIZED_HEADERS))
     def test_oversized_header_rejected(self, tmp_path, kind):
         reader, header = OVERSIZED_HEADERS[kind]
