@@ -105,7 +105,11 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-            name = _read_exact(f, name_len).decode("utf-8")
+            blob = _read_exact(f, name_len)
+            try:
+                name = blob.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise InputError(f"{path}: array name {blob!r} is not UTF-8") from e
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
             data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")

@@ -2,7 +2,9 @@
 
 Each check builds a scalar loss from seeded random inputs, runs one
 backward pass, then compares against central differences with the spec'd
-reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|).
+reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|). Checks run
+with the compute dtype raised to float64, since float32 rounding would swamp
+the differences.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn_ops, tensor as T
-from .tensor import Tensor, clear_tape, no_grad
+from .tensor import Tensor, clear_tape, float64, no_grad
 
 FD_STEP = 1e-5
 
@@ -25,40 +27,42 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
 
     ``build_loss`` must rebuild the graph from the current parameter values
     on every call. When ``sample`` is given, only that many randomly chosen
-    elements are probed (for expensive end-to-end graphs).
+    elements are probed (for expensive end-to-end graphs). Both the autodiff
+    and the finite-difference passes run under ``float64()``.
     """
-    clear_tape()
-    for p in params:
-        p.zero_grad()
-    loss = build_loss()
-    loss.backward()
-    grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
+    with float64():
+        clear_tape()
+        for p in params:
+            p.zero_grad()
+        loss = build_loss()
+        loss.backward()
+        grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
 
-    coords = []
-    for pi, p in enumerate(params):
-        for j in range(p.size):
-            coords.append((pi, j))
-    if sample is not None and sample < len(coords):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        pick = rng.choice(len(coords), size=sample, replace=False)
-        coords = [coords[i] for i in pick]
+        coords = []
+        for pi, p in enumerate(params):
+            for j in range(p.size):
+                coords.append((pi, j))
+        if sample is not None and sample < len(coords):
+            if rng is None:
+                rng = np.random.default_rng(0)
+            pick = rng.choice(len(coords), size=sample, replace=False)
+            coords = [coords[i] for i in pick]
 
-    worst = 0.0
-    with no_grad():
-        for pi, j in coords:
-            flat = params[pi].data.reshape(-1)
-            keep = flat[j]
-            flat[j] = keep + step
-            up = build_loss().item()
-            flat[j] = keep - step
-            dn = build_loss().item()
-            flat[j] = keep
-            g_fd = (up - dn) / (2 * step)
-            g_ad = grads[pi].reshape(-1)[j]
-            err = abs(g_ad - g_fd) / max(1.0, abs(g_fd))
-            worst = max(worst, err)
-    return worst
+        worst = 0.0
+        with no_grad():
+            for pi, j in coords:
+                flat = params[pi].data.reshape(-1)
+                keep = flat[j]
+                flat[j] = keep + step
+                up = build_loss().item()
+                flat[j] = keep - step
+                dn = build_loss().item()
+                flat[j] = keep
+                g_fd = (up - dn) / (2 * step)
+                g_ad = grads[pi].reshape(-1)[j]
+                err = abs(g_ad - g_fd) / max(1.0, abs(g_fd))
+                worst = max(worst, err)
+        return worst
 
 
 def _rand(rng, *shape, avoid_zero=False):

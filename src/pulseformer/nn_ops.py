@@ -4,7 +4,9 @@ The three-dimensional convolution is evaluated as one GEMM per batch item
 over a strided patch view (column layout chosen so the backward scatter
 adds along aligned axes). Attention is evaluated in query blocks with the
 softmax probabilities recomputed during backward, so memory stays bounded
-for long token sequences. The decomposed relative position bias of a query
+for long token sequences. Score tiles are computed in the compute dtype of
+``tensor`` (float32 unless inside ``tensor.float64()``); every input, output
+and gradient stays float64. The decomposed relative position bias of a query
 block is added from a zero-copy strided view of one per-head table, and its
 gradient is binned per axis from the marginals of the score gradient.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
+from . import tensor as T
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor, _accum, _needs_grad, _record
 
@@ -307,14 +310,14 @@ class RelativeBias:
     def bias_view(self, head: int) -> np.ndarray:
         """Pairwise bias of one head as a read-only (gt, gh, gw, gt, gh, gw) view.
 
-        The axis-flipped outer sum of the three tables is copied once per
-        query w offset, so the bias of one query row over a key plane is a
-        contiguous run of gh*gw values.
+        The axis-flipped outer sum of the three tables, cast to the compute
+        dtype, is copied once per query w offset, so the bias of one query row
+        over a key plane is a contiguous run of gh*gw values.
         """
         gt, gh, gw = self.grid
         c = (self.table_t.data[head][:, None, None]
              + self.table_h.data[head][None, :, None]
-             + self.table_w.data[head][None, None, :])
+             + self.table_w.data[head][None, None, :]).astype(T.compute_dtype(), copy=False)
         flip = c[::-1, ::-1, ::-1]
         # lines[wi, a, b, wj] = flip[a, b, gw-1-wi+wj]
         lines = np.ascontiguousarray(
@@ -328,7 +331,7 @@ class RelativeBias:
         """Bin one block's score gradient dS into the table gradients of ``head``.
 
         Only the per-axis index-difference marginals of dS are needed, so the
-        full pair matrix never has to be binned.
+        full pair matrix never has to be binned; the bins add in float64.
         """
         gt, gh, gw = self.grid
         ts, hs = block
@@ -359,37 +362,38 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     token grid by RelativeBias.blocks when ``rel`` is given), bias views are
     shared across the batch, and the softmax probabilities are recomputed
     during backward, bounding peak memory at O(block * L) regardless of
-    sequence length.
+    sequence length. Score tiles, dS and the q/k/v gradient buffers use the
+    compute dtype: q·scl, k and v are cast once per call, the incoming
+    gradient and the saved output once per backward. The output and the
+    gradients handed to the tape are float64.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
     n, heads, ln, d = q.shape
-    scl = 1.0 / np.sqrt(d)
+    dt = T.compute_dtype()
+    scl = 1.0 / float(np.sqrt(d))   # a Python float keeps float32 products float32
     if rel is None:
         blocks = [(i0, min(i0 + ATTN_BLOCK, ln), None) for i0 in range(0, ln, ATTN_BLOCK)]
     else:
         blocks = rel.blocks(ATTN_BLOCK)
     bs = max(i1 - i0 for i0, i1, _ in blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())
-    qs = q.data * scl
-    kk, vv = k.data, v.data
+    qs = (q.data * scl).astype(dt, copy=False)
+    kk, vv = k.data.astype(dt, copy=False), v.data.astype(dt, copy=False)
 
     def run(gg=None, grads=None):
         """One blocked sweep; forward when gg is None, backward otherwise."""
         if gg is None:
             y = np.empty_like(qs)
         else:
-            y = out.data
+            y = out.data.astype(dt, copy=False)
             dq, dk, dv, *dtables = grads
-        s = np.empty((bs, ln))
-        ds_acc = np.empty((bs, ln)) if rel is not None and gg is not None else None
+        s = np.empty((bs, ln), dtype=dt)
         for hh in range(heads):
             bias = rel.bias_view(hh) if rel is not None else None
             for i0, i1, block in blocks:
                 rows = i1 - i0
                 bb = bias[block] if bias is not None else None
-                if ds_acc is not None:
-                    ds_acc[:rows] = 0.0
                 for i in range(n):
                     sb = s[:rows]
                     np.dot(qs[i, hh, i0:i1], kk[i, hh].T, out=sb)
@@ -407,22 +411,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                     rs = (gb * y[i, hh, i0:i1]).sum(axis=1, keepdims=True)
                     np.subtract(dp, rs, out=dp)
                     np.multiply(p, dp, out=dp)   # dp now holds dS
-                    if ds_acc is not None:
-                        ds_acc[:rows] += dp
+                    if rel is not None:
+                        # the first item's fresh dS buffer accumulates the batch
+                        if i == 0:
+                            ds_acc = dp
+                        else:
+                            ds_acc += dp
                     t1 = dp @ kk[i, hh]
                     t1 *= scl
                     dq[i, hh, i0:i1] = t1
                     t2 = dp.T @ qs[i, hh, i0:i1]
                     dk[i, hh] += t2  # qs is pre-scaled, so this is already dS·scl ᵀ q
-                if ds_acc is not None:
-                    rel.accumulate_grads(ds_acc[:rows], block, hh, dtables)
+                if rel is not None and gg is not None:
+                    rel.accumulate_grads(ds_acc, block, hh, dtables)
         return y
 
     out = Tensor(run(), requires_grad=_needs_grad(*params))
 
     def pull(g):
-        grads = [np.zeros_like(t.data) for t in params]
-        run(gg=g, grads=grads)
+        grads = [np.zeros(t.shape, dtype=dt) for t in (q, k, v)]
+        grads += [np.zeros_like(t.data) for t in params[3:]]
+        run(gg=g.astype(dt, copy=False), grads=grads)
         for t, grad in zip(params, grads):
             _accum(t, grad)
 
@@ -434,8 +443,6 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
               wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor,
               heads: int, rel: RelativeBias | None = None) -> Tensor:
     """Multi-head self-attention over x[N, L, D] with output projection."""
-    from . import tensor as T
-
     n, ln, dm = x.shape
     if dm % heads != 0:
         raise ConfigurationError(f"model width {dm} not divisible by {heads} heads")

@@ -7,6 +7,11 @@ topological order by construction) and accumulates gradients into every
 reachable tensor with ``requires_grad``. The tape is confined to one
 logical thread and is cleared after each backward pass.
 
+Storage, parameters and gradients always stay float64. The compute dtype
+is the precision of attention's score tiles (float32 by default, for train
+and predict); ``float64()`` raises it to double precision for a block, as
+finite-difference gradient checks need.
+
 Broadcasting is deliberately restricted to bias addition and per-channel
 affine terms; everything else requires exact shape agreement.
 """
@@ -22,6 +27,7 @@ from .errors import DimensionError, PulseformerError
 
 _tape: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
 _grad_enabled: bool = True
+_compute_dtype: type = np.float32
 
 
 class no_grad:
@@ -37,6 +43,26 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+class float64:
+    """Context manager that runs attention in float64 (finite-difference checks)."""
+
+    def __enter__(self):
+        global _compute_dtype
+        self._prev = _compute_dtype
+        _compute_dtype = np.float64
+        return self
+
+    def __exit__(self, *exc):
+        global _compute_dtype
+        _compute_dtype = self._prev
+        return False
+
+
+def compute_dtype() -> type:
+    """The dtype attention computes its score tiles in."""
+    return _compute_dtype
 
 
 def tape_size() -> int:
@@ -210,12 +236,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh form)."""
     v = x.data
-    u = _GELU_C * (v + 0.044715 * v**3)
+    u = _GELU_C * (v + 0.044715 * (v * v * v))
     th = np.tanh(u)
     out = Tensor(0.5 * v * (1.0 + th), requires_grad=_needs_grad(x))
 
     def pull(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * v**2)
+        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         d = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th**2) * du
         _accum(x, g * d)
 

@@ -246,16 +246,19 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
         for b0 in range(0, n, train_cfg.batch_size):
             idx = order[b0:b0 + train_cfg.batch_size]
             x, target = _batch(train_examples, idx)
-            pred = model.forward(x, training=True)
-            loss = T.mse_loss(pred, target)
-            value = loss.item()
-            if not np.isfinite(value):
+            try:
+                pred = model.forward(x, training=True)
+                loss = T.mse_loss(pred, target)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss {value} at epoch {epoch} step {step} "
+                        f"(batch indices {idx.tolist()})")
+                opt.zero_grad()
+                loss.backward()
+            finally:
+                # a step that raised part-way must not leave its closures on the tape
                 T.clear_tape()
-                raise NumericError(
-                    f"non-finite loss {value} at epoch {epoch} step {step} "
-                    f"(batch indices {idx.tolist()})")
-            opt.zero_grad()
-            loss.backward()
             opt.step()
             losses.append(value)
             step += 1

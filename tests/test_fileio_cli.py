@@ -36,6 +36,10 @@ OVERSIZED_HEADERS = {
                    + struct.pack("<IIIB", fileio.FORMAT_VERSION, 1, 1, ord("w"))
                    + struct.pack("<IIII", 3, HUGE, HUGE, HUGE)),
 }
+# one 0-d array whose one-byte name is not UTF-8
+BAD_NAME_CHECKPOINT = (fileio.CHECKPOINT_MAGIC
+                       + struct.pack("<IIIB", fileio.FORMAT_VERSION, 1, 1, 0xff)
+                       + struct.pack("<Id", 0, 1.0))
 
 
 def _write_micro_config(tmp_path) -> Path:
@@ -97,6 +101,12 @@ class TestBinaryFormats:
         path.write_bytes(header + b"\x00" * 16)
         with pytest.raises(InputError, match="end of file"):
             reader(path)
+
+    def test_undecodable_checkpoint_name_rejected(self, tmp_path):
+        path = tmp_path / "model.gvtm"
+        path.write_bytes(BAD_NAME_CHECKPOINT)
+        with pytest.raises(InputError, match="not UTF-8"):
+            fileio.read_checkpoint(path)
 
 
 class TestConfigDocuments:
@@ -225,6 +235,16 @@ class TestCliTrainEval:
         rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
         assert rc == 2
         assert "end of file" in capsys.readouterr().err
+
+    def test_eval_undecodable_checkpoint_name_data_error(self, micro_run, micro_dataset,
+                                                         tmp_path, capsys):
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "config.json").write_bytes((micro_run / "config.json").read_bytes())
+        (run / "model.gvtm").write_bytes(BAD_NAME_CHECKPOINT)
+        rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
+        assert rc == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_train_missing_manifest_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])

@@ -201,12 +201,9 @@ class TestAttention:
         biased = nn_ops.attention(*args, heads=heads, rel=rel)
         np.testing.assert_array_equal(plain.data, biased.data)
 
-    # blocks of 256 hold whole grids, 8 and 3 split planes into w-lines or
-    # ragged row ranges, 1 is one query row per block
-    @pytest.mark.parametrize("grid", [(3, 2, 2), (2, 3, 3), (4, 3, 5)],
-                             ids=lambda g: "x".join(map(str, g)))
-    @pytest.mark.parametrize("block", [256, 8, 3, 1], ids=lambda b: f"block{b}")
-    def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
+    @staticmethod
+    def _rel_bias_case(monkeypatch, block, grid):
+        """q, k, v, filled tables, the dense-oracle output and an MSE loss."""
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", block)
         rng = np.random.default_rng(6)
         n, heads, d = 2, 2, 3
@@ -216,7 +213,6 @@ class TestAttention:
         rel = nn_ops.RelativeBias(heads, grid)
         for table in rel.tables():
             table.data[:] = rng.standard_normal(table.shape)
-        y = nn_ops.attention_core(q, k, v, rel=rel)
 
         coords = np.unravel_index(np.arange(ln), grid)
         bias = np.zeros((heads, ln, ln))
@@ -228,17 +224,54 @@ class TestAttention:
         s = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(d) + bias
         p = np.exp(s - s.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(y.data, p @ v.data, atol=1e-12)
-
-        target = Tensor(rng.standard_normal(y.shape))
+        target = Tensor(rng.standard_normal(q.shape))
 
         def loss():
             return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
 
-        err_tables = max_relative_error(loss, list(rel.tables()))
-        err_qkv = max_relative_error(loss, [q, k, v], sample=48,
-                                     rng=np.random.default_rng(7))
+        return q, k, v, rel, p @ v.data, loss
+
+    # blocks of 256 hold whole grids, 8 and 3 split planes into w-lines or
+    # ragged row ranges, 1 is one query row per block
+    rel_grids = pytest.mark.parametrize("grid", [(3, 2, 2), (2, 3, 3), (4, 3, 5)],
+                                        ids=lambda g: "x".join(map(str, g)))
+    rel_blocks = pytest.mark.parametrize("block", [256, 8, 3, 1], ids=lambda b: f"block{b}")
+
+    @rel_grids
+    @rel_blocks
+    def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
+        q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
+        with T.float64():
+            y = nn_ops.attention_core(q, k, v, rel=rel)
+            np.testing.assert_allclose(y.data, expect, atol=1e-12)
+            err_tables = max_relative_error(loss, list(rel.tables()))
+            err_qkv = max_relative_error(loss, [q, k, v], sample=48,
+                                         rng=np.random.default_rng(7))
         assert max(err_tables, err_qkv) <= 1e-5
+
+    @rel_grids
+    @rel_blocks
+    def test_rel_bias_float32_matches_dense_oracle(self, monkeypatch, block, grid):
+        """The default float32 path against the oracle and the float64 gradients."""
+        assert T.compute_dtype() is np.float32
+        q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
+        y = nn_ops.attention_core(q, k, v, rel=rel)
+        np.testing.assert_allclose(y.data, expect, rtol=1e-5, atol=1e-6)
+        params = [q, k, v, *rel.tables()]
+
+        def grads():
+            for p in params:
+                p.zero_grad()
+            loss().backward()
+            return [p.grad.copy() for p in params]
+
+        g32 = grads()
+        with T.float64():
+            g64 = grads()
+        # float32 rounding is relative to a gradient's scale, not to each
+        # element, so near-zero elements get the same 1e-4 of the array's max
+        for a, b in zip(g32, g64):
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
 
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -355,6 +388,14 @@ class TestMseAndBackward:
             return loss.item(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
+
+    def test_float64_restores_dtype_when_body_raises(self):
+        assert T.compute_dtype() is np.float32
+        with pytest.raises(DimensionError):
+            with T.float64():
+                assert T.compute_dtype() is np.float64
+                raise DimensionError("raised inside float64()")
+        assert T.compute_dtype() is np.float32
 
     def test_no_grad_suppresses_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from pulseformer.errors import InputError, NumericError
+from pulseformer import nn_ops, tensor as T
+from pulseformer.errors import DimensionError, InputError, NumericError
 from pulseformer.metrics import hr_from_signal
 from pulseformer.model import ModelConfig
 from pulseformer.preprocess import SignalTrace, WindowExample, make_example
@@ -240,6 +241,18 @@ class TestTrainModel:
             ex.target = ex.target * np.inf
         with pytest.raises(NumericError, match="epoch 0 step 0"):
             train_model(cfg, TrainConfig(epochs=1, seed=0), train)
+
+    def test_forward_error_leaves_tape_empty(self, monkeypatch):
+        """A forward that raises after recording ops leaves nothing on the tape."""
+        def fail(*args, **kw):
+            raise DimensionError("attention rejected its input")
+
+        cfg = TINY_CFG.copy(base_width=8)
+        train = self._examples(cfg, 4, seed=3)
+        monkeypatch.setattr(nn_ops, "attention", fail)
+        with pytest.raises(DimensionError, match="stage1.block0"):
+            train_model(cfg, TrainConfig(epochs=1, seed=0), train)
+        assert T.tape_size() == 0
 
     def test_validation_selects_best_epoch(self):
         cfg = TINY_CFG.copy(base_width=8)
