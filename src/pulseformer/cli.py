@@ -212,15 +212,14 @@ def cmd_eval(args) -> int:
     loaded, _ = _load_clips(args.data)
     examples = _windows(loaded, model_cfg)
     if args.stub == "perfect":
-        predictor = PerfectStub(model_cfg)
+        result = evaluate(PerfectStub(model_cfg), model_cfg, examples, integrate=False)
     else:
         ckpt = run_dir / "model.gvtm"
         if not ckpt.exists():
             raise InputError(f"no checkpoint under {run_dir}")
         model = MultiscaleVideoTransformer(model_cfg, seed=train_cfg.seed)
         model.load_arrays(fileio.read_checkpoint(ckpt))
-        predictor = ModelPredictor(model)
-    result = evaluate(predictor, model_cfg, examples)
+        result = evaluate(ModelPredictor(model), model_cfg, examples)
     fileio.write_result(run_dir, result)
     pearson = "n/a" if result.pearson is None else f"{result.pearson:.4f}"
     print(f"mae {result.mae:.6g} rmse {result.rmse:.6g} pearson {pearson} "
@@ -233,6 +232,10 @@ def cmd_search(args) -> int:
     loaded, _ = _load_clips(args.data)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
+    train_subj, val_subj, _ = _subject_split(loaded, "cross", train_cfg.seed, 0)
+    # the (train, val) windows of the last windowing key; consecutive
+    # candidates mostly differ only in architecture, so they reuse it
+    windows: dict[tuple, tuple[list, list]] = {}
 
     def evaluator(cfg: ModelConfig) -> float:
         grid = stage_grids(cfg.validate())[0]
@@ -240,9 +243,12 @@ def cmd_search(args) -> int:
         if tokens > args.max_tokens:
             raise ConfigurationError(
                 f"stem grid {grid} exceeds --max-tokens {args.max_tokens}")
-        train_subj, val_subj, _ = _subject_split(loaded, "cross", train_cfg.seed, 0)
-        train_ex = _windows(loaded, cfg, train_subj)
-        val_ex = _windows(loaded, cfg, val_subj)
+        # the only config fields make_example reads
+        key = (tuple(cfg.input_dims), cfg.frame_format, cfg.output_format, cfg.signal_norm)
+        if key not in windows:
+            windows.clear()   # drop the old windows before building new ones
+            windows[key] = (_windows(loaded, cfg, train_subj), _windows(loaded, cfg, val_subj))
+        train_ex, val_ex = windows[key]
         model, _ = train_model(cfg, train_cfg, train_ex)
         return evaluate(ModelPredictor(model), cfg, val_ex).mae
 

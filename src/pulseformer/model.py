@@ -94,12 +94,17 @@ class ModelConfig:
             raise ConfigurationError(f"stage depths {self.stage_depths} must be 4 non-negative ints")
         if len(self.heads_per_stage) != 4:
             raise ConfigurationError("heads_per_stage must have 4 entries")
+        if self.base_width < 1:
+            raise ConfigurationError(f"base width {self.base_width} must be positive")
         for i, heads in enumerate(self.heads_per_stage):
             if heads < 1 or self.base_width % heads != 0:
                 raise ConfigurationError(
                     f"base width {self.base_width} not divisible by stage-{i + 1} heads {heads}")
-        if self.mlp_ratio <= 0:
-            raise ConfigurationError("mlp_ratio must be positive")
+        if not math.isfinite(self.mlp_ratio) or self.mlp_ratio <= 0:
+            raise ConfigurationError(f"mlp_ratio {self.mlp_ratio} must be positive and finite")
+        if round(self.base_width * self.mlp_ratio) < 1:
+            raise ConfigurationError(
+                f"mlp_ratio {self.mlp_ratio} gives an empty MLP at base width {self.base_width}")
         return self
 
 

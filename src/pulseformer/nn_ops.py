@@ -2,8 +2,9 @@
 
 The three-dimensional convolution is evaluated as one GEMM per batch item
 over a strided patch view (column layout chosen so the backward scatter
-adds along aligned axes). Attention is evaluated in query blocks with the
-softmax probabilities recomputed during backward, so memory stays bounded
+adds along aligned axes). Attention is evaluated in query blocks; the
+forward saves one log-sum-exp per query row, and the backward recomputes
+the softmax probabilities from it with a single exp, so memory stays bounded
 for long token sequences. Score tiles are computed in the compute dtype of
 ``tensor`` (float32 unless inside ``tensor.float64()``); every input, output
 and gradient stays float64. The decomposed relative position bias of a query
@@ -331,15 +332,21 @@ class RelativeBias:
         """Bin one block's score gradient dS into the table gradients of ``head``.
 
         Only the per-axis index-difference marginals of dS are needed, so the
-        full pair matrix never has to be binned; the bins add in float64.
+        full pair matrix never has to be binned. The two sums over the whole
+        tile (over tj, and over (hj, wj)) are matrix products with a ones
+        vector, so BLAS does them; the bins add in float64.
         """
         gt, gh, gw = self.grid
         ts, hs = block
         q_t = np.arange(gt)[ts]
         q_h = np.arange(gh)[hs]
-        cube = ds.reshape(len(q_t), len(q_h), gw, gt, gh, gw)
-        red_t = cube.sum(axis=3)                                # (ti, hi, wi, hj, wj)
-        marginals = (cube.sum(axis=(4, 5)).sum(axis=(1, 2)),    # (ti, tj)
+        rows, plane = ds.shape[0], gh * gw
+        cube = ds.reshape(rows, gt, plane)
+        red_t = np.matmul(np.ones(gt, dtype=ds.dtype), cube).reshape(
+            len(q_t), len(q_h), gw, gh, gw)                     # (ti, hi, wi, hj, wj)
+        red_hw = (ds.reshape(rows * gt, plane) @ np.ones(plane, dtype=ds.dtype)).reshape(
+            len(q_t), len(q_h) * gw, gt)                        # (ti, hi·wi, tj)
+        marginals = (red_hw.sum(axis=1),                        # (ti, tj)
                      red_t.sum(axis=(0, 2, 4)),                 # (hi, hj)
                      red_t.sum(axis=(0, 1, 3)))                 # (wi, wj)
         for grad, m, q, extent in zip(grads, marginals, (q_t, q_h, np.arange(gw)), self.grid):
@@ -347,11 +354,12 @@ class RelativeBias:
             grad[head] += np.bincount(diff.ravel(), weights=m.ravel(), minlength=2 * extent - 1)
 
 
-def _softmax_rows(s: np.ndarray) -> np.ndarray:
-    s -= s.max(axis=1, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=1, keepdims=True)
-    return s
+def _augment(a: np.ndarray, col, dt) -> np.ndarray:
+    """[a | col]: ``a`` with one more last-axis column, in dtype ``dt``."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=dt)
+    out[..., :-1] = a
+    out[..., -1] = col
+    return out
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor,
@@ -359,13 +367,17 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     """softmax(q kᵀ / sqrt(d) + B) v over (N, heads, L, d) tensors.
 
     Scores are produced in blocks of ATTN_BLOCK query rows (cut along the
-    token grid by RelativeBias.blocks when ``rel`` is given), bias views are
-    shared across the batch, and the softmax probabilities are recomputed
-    during backward, bounding peak memory at O(block * L) regardless of
-    sequence length. Score tiles, dS and the q/k/v gradient buffers use the
-    compute dtype: q·scl, k and v are cast once per call, the incoming
-    gradient and the saved output once per backward. The output and the
-    gradients handed to the tape are float64.
+    token grid by RelativeBias.blocks when ``rel`` is given), and bias views
+    are shared across the batch. The forward takes each row's softmax sum
+    l from its PV product, [y | l] = exp(S - m) [v | 1], divides only the
+    rows×d output by l, and saves one log-sum-exp per query row,
+    lse = m + log(l). The backward rebuilds the probabilities with one exp,
+    P = exp([q | -lse] [k | 1]ᵀ + B), and gets dS = P∘([g | rs] [v | -1]ᵀ)
+    with rs = rowsum(g∘y), so no max, sum or divide pass runs over a score
+    tile there. Only ``lse`` (N, heads, L) is kept for the backward, so peak
+    memory stays O(block * L) regardless of sequence length. Score tiles,
+    dS, ``lse`` and the q/k/v gradient buffers use the compute dtype; the
+    output and the gradients handed to the tape are float64.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -378,61 +390,68 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         blocks = rel.blocks(ATTN_BLOCK)
     bs = max(i1 - i0 for i0, i1, _ in blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())
-    qs = (q.data * scl).astype(dt, copy=False)
-    kk, vv = k.data.astype(dt, copy=False), v.data.astype(dt, copy=False)
 
-    def run(gg=None, grads=None):
-        """One blocked sweep; forward when gg is None, backward otherwise."""
-        if gg is None:
-            y = np.empty_like(qs)
-        else:
-            y = out.data.astype(dt, copy=False)
-            dq, dk, dv, *dtables = grads
-        s = np.empty((bs, ln), dtype=dt)
+    def head_blocks():
+        """(head, i0, i1, block, bias of the block or None) in sweep order."""
         for hh in range(heads):
             bias = rel.bias_view(hh) if rel is not None else None
             for i0, i1, block in blocks:
-                rows = i1 - i0
-                bb = bias[block] if bias is not None else None
-                for i in range(n):
-                    sb = s[:rows]
-                    np.dot(qs[i, hh, i0:i1], kk[i, hh].T, out=sb)
-                    if bb is not None:
-                        sv = sb.reshape(bb.shape)
-                        sv += bb
-                    p = _softmax_rows(sb)
-                    if gg is None:
-                        np.dot(p, vv[i, hh], out=y[i, hh, i0:i1])
-                        continue
-                    gb = gg[i, hh, i0:i1]
-                    dv[i, hh] += p.T @ gb
-                    dp = gb @ vv[i, hh].T
-                    # row sums of p*dp equal g.y of the saved forward output
-                    rs = (gb * y[i, hh, i0:i1]).sum(axis=1, keepdims=True)
-                    np.subtract(dp, rs, out=dp)
-                    np.multiply(p, dp, out=dp)   # dp now holds dS
-                    if rel is not None:
-                        # the first item's fresh dS buffer accumulates the batch
-                        if i == 0:
-                            ds_acc = dp
-                        else:
-                            ds_acc += dp
-                    t1 = dp @ kk[i, hh]
-                    t1 *= scl
-                    dq[i, hh, i0:i1] = t1
-                    t2 = dp.T @ qs[i, hh, i0:i1]
-                    dk[i, hh] += t2  # qs is pre-scaled, so this is already dS·scl ᵀ q
-                if rel is not None and gg is not None:
-                    rel.accumulate_grads(ds_acc, block, hh, dtables)
-        return y
+                yield hh, i0, i1, block, (bias[block] if bias is not None else None)
 
-    out = Tensor(run(), requires_grad=_needs_grad(*params))
+    def scores(s, a, b, bb):
+        """s = a bᵀ (+ the block's bias)."""
+        np.dot(a, b.T, out=s)
+        if bb is not None:
+            sv = s.reshape(bb.shape)
+            sv += bb
+        return s
+
+    qs = (q.data * scl).astype(dt, copy=False)
+    kk = k.data.astype(dt, copy=False)
+    v1 = _augment(v.data, 1.0, dt)
+    y = np.empty(q.shape, dtype=dt)
+    lse = np.empty((n, heads, ln), dtype=dt)
+    s = np.empty((bs, ln), dtype=dt)
+    for hh, i0, i1, _, bb in head_blocks():
+        for i in range(n):
+            sb = scores(s[:i1 - i0], qs[i, hh, i0:i1], kk[i, hh], bb)
+            m = sb.max(axis=1, keepdims=True)
+            sb -= m
+            np.exp(sb, out=sb)
+            yl = sb @ v1[i, hh]                       # [y·l | l]
+            np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
+            np.log(yl[:, d], out=lse[i, hh, i0:i1])
+            lse[i, hh, i0:i1] += m[:, 0]
+    out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
-        grads = [np.zeros(t.shape, dtype=dt) for t in (q, k, v)]
-        grads += [np.zeros_like(t.data) for t in params[3:]]
-        run(gg=g.astype(dt, copy=False), grads=grads)
-        for t, grad in zip(params, grads):
+        qx = _augment(q.data * scl, -lse, dt)         # [q·scl | -lse]
+        kx = _augment(k.data, 1.0, dt)                # [k | 1]
+        vx = _augment(v.data, -1.0, dt)               # [v | -1]
+        gx = _augment(g, (g * out.data).sum(axis=-1), dt)   # [g | rs]
+        dq, dk, dv = (np.zeros(q.shape, dtype=dt) for _ in range(3))
+        dtables = [np.zeros_like(t.data) for t in params[3:]]
+        s = np.empty((bs, ln), dtype=dt)
+        for hh, i0, i1, block, bb in head_blocks():
+            for i in range(n):
+                p = scores(s[:i1 - i0], qx[i, hh, i0:i1], kx[i, hh], bb)
+                np.exp(p, out=p)
+                gb = gx[i, hh, i0:i1]
+                dv[i, hh] += p.T @ gb[:, :d]
+                ds = gb @ vx[i, hh].T
+                ds *= p
+                if rel is not None:
+                    # the first item's fresh dS buffer accumulates the batch
+                    if i == 0:
+                        ds_acc = ds
+                    else:
+                        ds_acc += ds
+                np.dot(ds, kx[i, hh, :, :d], out=dq[i, hh, i0:i1])
+                dk[i, hh] += ds.T @ qx[i, hh, i0:i1, :d]  # qx holds q·scl: dSᵀ q·scl
+            if rel is not None:
+                rel.accumulate_grads(ds_acc, block, hh, dtables)
+        dq *= scl
+        for t, grad in zip(params, (dq, dk, dv, *dtables)):
             _accum(t, grad)
 
     _record(out, pull)

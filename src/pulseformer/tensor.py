@@ -5,7 +5,9 @@ differentiable operation appends a pull-back closure to a process-global
 tape; ``backward`` replays the tape in reverse execution order (a valid
 topological order by construction) and accumulates gradients into every
 reachable tensor with ``requires_grad``. The tape is confined to one
-logical thread and is cleared after each backward pass.
+logical thread and is cleared after each backward pass; the grad-recording
+flag and the compute dtype are context variables, so ``no_grad`` and
+``float64`` in one thread do not change them in another.
 
 Storage, parameters and gradients always stay float64. The compute dtype
 is the precision of attention's score tiles (float32 by default, for train
@@ -19,6 +21,7 @@ affine terms; everything else requires exact shape agreement.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,43 +29,42 @@ import numpy as np
 from .errors import DimensionError, PulseformerError
 
 _tape: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
-_grad_enabled: bool = True
-_compute_dtype: type = np.float32
+# per thread (and per asyncio task): a worker inside no_grad() or float64()
+# leaves every other thread's flags alone
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_compute_dtype: ContextVar[type] = ContextVar("compute_dtype", default=np.float32)
 
 
-class no_grad:
+class _SetVar:
+    """Context manager that sets a context variable and restores it on exit."""
+
+    _var: ContextVar
+    _value: object
+
+    def __enter__(self):
+        self._token = self._var.set(self._value)
+        return self
+
+    def __exit__(self, *exc):
+        self._var.reset(self._token)
+        return False
+
+
+class no_grad(_SetVar):
     """Context manager that suspends tape recording (inference fast path)."""
 
-    def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
-        return False
+    _var, _value = _grad_enabled, False
 
 
-class float64:
+class float64(_SetVar):
     """Context manager that runs attention in float64 (finite-difference checks)."""
 
-    def __enter__(self):
-        global _compute_dtype
-        self._prev = _compute_dtype
-        _compute_dtype = np.float64
-        return self
-
-    def __exit__(self, *exc):
-        global _compute_dtype
-        _compute_dtype = self._prev
-        return False
+    _var, _value = _compute_dtype, np.float64
 
 
 def compute_dtype() -> type:
     """The dtype attention computes its score tiles in."""
-    return _compute_dtype
+    return _compute_dtype.get()
 
 
 def tape_size() -> int:
@@ -112,7 +114,7 @@ class Tensor:
 
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
-    if _grad_enabled and out.requires_grad:
+    if _grad_enabled.get() and out.requires_grad:
         _tape.append((out, pull))
 
 
@@ -128,7 +130,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _needs_grad(*ts: Tensor) -> bool:
-    return _grad_enabled and any(t.requires_grad for t in ts)
+    return _grad_enabled.get() and any(t.requires_grad for t in ts)
 
 
 def backward(loss: Tensor) -> None:

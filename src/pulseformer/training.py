@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1 or self.epochs < 1:
             raise InputError("batch size and epochs must be positive")
+        if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
+            raise InputError("learning rate and weight decay must be finite")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise InputError("learning rate must be positive, weight decay non-negative")
         if self.loss != "MSE":
@@ -135,10 +138,8 @@ class ModelPredictor:
     """Adapter running the real model on a window's input tensor.
 
     Signal predictions live in the difference domain when the frames were
-    difference-formatted, and are integrated before HR estimation.
+    difference-formatted, so ``evaluate`` integrates them (its default).
     """
-
-    output_domain = "diff"
 
     def __init__(self, model: MultiscaleVideoTransformer):
         self.model = model
@@ -148,9 +149,10 @@ class ModelPredictor:
 
 
 class PerfectStub:
-    """Returns the ground-truth trace (or its exact rate) for every window."""
+    """Returns the ground-truth trace (or its exact rate) for every window.
 
-    output_domain = "signal"   # already a waveform; never integrated
+    Its signal is already a waveform: evaluate it with ``integrate=False``.
+    """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -165,19 +167,21 @@ class PerfectStub:
 # evaluation and training
 # ---------------------------------------------------------------------------
 
-def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> ExperimentResult:
+def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
+             integrate: bool = True) -> ExperimentResult:
     """Per-window HR pairing of predictions against ground truth.
 
-    Signal predictions under the difference frame format are integrated
-    before estimation; windows whose estimation fails (EstimationError)
+    With ``integrate`` (the model's case), Signal predictions under the
+    difference frame format are difference-domain and are integrated before
+    estimation; a predictor that returns the waveform itself passes
+    ``integrate=False``. Windows whose estimation fails (EstimationError)
     are excluded and counted, and any other error propagates. Label rates
     always come from the untouched ground-truth trace through the same
     estimator.
     """
     if not examples:
         raise InputError("evaluation set is empty")
-    integrate = (cfg.output_format == "Signal" and cfg.frame_format == "DiffNorm"
-                 and getattr(predictor, "output_domain", "diff") == "diff")
+    integrate = integrate and cfg.output_format == "Signal" and cfg.frame_format == "DiffNorm"
     pairs = []
     excluded = 0
     for ex in examples:

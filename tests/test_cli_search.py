@@ -10,7 +10,12 @@ import math
 
 import pytest
 
+from pulseformer import cli, fileio
 from pulseformer.cli import main
+from pulseformer.errors import ConfigurationError
+from pulseformer.model import stage_grids
+from pulseformer.search import DesignSpace, greedy_adapt
+from pulseformer.training import ModelPredictor, TrainConfig, evaluate, train_model
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +64,60 @@ def test_search_monotone_selected_mae(search_run):
 def test_search_writes_final_config(search_run):
     doc = json.loads((search_run / "config.json").read_text())
     assert "scaling" in doc and "input_dims" in doc
+
+
+def _gen(out, subjects):
+    assert main(["gen", "--preset", "simple", "--subjects", str(subjects),
+                 "--clips-per-subject", "1", "--dims", "120x16x16",
+                 "--fps", "15", "--seed", "1", "--out", str(out)]) == 0
+
+
+def test_search_reuses_windows(tmp_path, monkeypatch):
+    """Windows are rebuilt only when a windowing field changes; the trace is the same."""
+    data = tmp_path / "d"
+    _gen(data, 10)
+    cfg = tmp_path / "cfg.json"
+    # stages without blocks keep the two searches cheap; windowing is what is counted
+    cfg.write_text(json.dumps({"base_width": 8, "stage_depths": [0, 0, 0, 0],
+                               "epochs": 1, "seed": 0, "batch_size": 8}))
+    calls = []
+    real = cli.make_example
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "make_example", counting)
+    run = tmp_path / "r"
+    assert main(["search", "--data", str(data), "--config", str(cfg),
+                 "--out", str(run), "--max-tokens", "4000"]) == 0
+    cached_calls = len(calls)
+
+    # the same search with every candidate windowed afresh
+    model_cfg, train_cfg, _, _ = cli._read_config(str(cfg))
+    loaded, _ = cli._load_clips(str(data))
+    train_subj, val_subj, _ = cli._subject_split(loaded, "cross", train_cfg.seed, 0)
+
+    def evaluator(c):
+        grid = stage_grids(c.validate())[0]
+        if grid[0] * grid[1] * grid[2] > 4000:
+            raise ConfigurationError("over the token cap")
+        model, _ = train_model(c, train_cfg, cli._windows(loaded, c, train_subj))
+        return evaluate(ModelPredictor(model), c, cli._windows(loaded, c, val_subj)).mae
+
+    del calls[:]
+    ref = greedy_adapt(evaluator, DesignSpace(),
+                       start=model_cfg.copy(output_format="HR", frame_format="Raw",
+                                            signal_norm=False, scaling=0))
+    assert cached_calls < len(calls)
+    ref_csv = tmp_path / "ref.csv"
+    fileio.write_search_trace(ref_csv, ref)
+    assert (run / "search_trace.csv").read_text() == ref_csv.read_text()
+
+
+def test_search_too_few_subjects_data_error(tmp_path, capsys):
+    data = tmp_path / "d"
+    _gen(data, 3)
+    rc = main(["search", "--data", str(data), "--out", str(tmp_path / "r")])
+    assert rc == 2
+    assert "at least 10" in capsys.readouterr().err

@@ -259,6 +259,20 @@ class TestCliTrainEval:
         assert "lerning_rate" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("bad", [
+        {"base_width": 0}, {"mlp_ratio": float("nan")}, {"mlp_ratio": 1e-9},
+        {"learning_rate": float("nan")}, {"weight_decay": float("inf")},
+    ], ids=["width0", "mlp_nan", "mlp_empty", "lr_nan", "wd_inf"])
+    def test_train_bad_config_value_data_error(self, micro_dataset, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**MICRO_CONFIG, **bad}))
+        rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+
 class TestCliGradcheck:
     def test_gradcheck_passes(self, capsys):
         rc = main(["gradcheck"])

@@ -1,5 +1,7 @@
 """Forward-path tests for the tensor core against independent oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,44 @@ def attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo):
     return (p @ v) @ wo.T + bo
 
 
+def dense_rel_bias(rel):
+    """(heads, L, L) pairwise bias of a RelativeBias, one table lookup at a time."""
+    grid = rel.grid
+    ln = grid[0] * grid[1] * grid[2]
+    coords = np.unravel_index(np.arange(ln), grid)
+    heads = rel.table_t.shape[0]
+    bias = np.zeros((heads, ln, ln))
+    for hh in range(heads):
+        for i in range(ln):
+            for j in range(ln):
+                for table, c, g in zip(rel.tables(), coords, grid):
+                    bias[hh, i, j] += table.data[hh, c[i] - c[j] + g - 1]
+    return bias
+
+
+def dense_attention(q, k, v, bias=0.0):
+    """softmax(q kᵀ / sqrt(d) + bias) v in float64 with a shifted exp."""
+    s = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]) + bias
+    p = np.exp(s - s.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ v
+
+
+def loss_grads(loss, params):
+    """Fresh gradients of every param after one backward of ``loss()``."""
+    for p in params:
+        p.zero_grad()
+    loss().backward()
+    return [p.grad.copy() for p in params]
+
+
+def assert_float32_grads_close(g32, g64):
+    # float32 rounding is relative to a gradient's scale, not to each
+    # element, so near-zero elements get the same 1e-4 of the array's max
+    for a, b in zip(g32, g64):
+        np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
+
+
 class TestAttention:
     def _weights(self, rng, d):
         return {nm: (rng.standard_normal((d, d)), rng.standard_normal(d))
@@ -213,23 +253,13 @@ class TestAttention:
         rel = nn_ops.RelativeBias(heads, grid)
         for table in rel.tables():
             table.data[:] = rng.standard_normal(table.shape)
-
-        coords = np.unravel_index(np.arange(ln), grid)
-        bias = np.zeros((heads, ln, ln))
-        for hh in range(heads):
-            for i in range(ln):
-                for j in range(ln):
-                    for table, c, g in zip(rel.tables(), coords, grid):
-                        bias[hh, i, j] += table.data[hh, c[i] - c[j] + g - 1]
-        s = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(d) + bias
-        p = np.exp(s - s.max(axis=-1, keepdims=True))
-        p /= p.sum(axis=-1, keepdims=True)
+        expect = dense_attention(q.data, k.data, v.data, dense_rel_bias(rel))
         target = Tensor(rng.standard_normal(q.shape))
 
         def loss():
             return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
 
-        return q, k, v, rel, p @ v.data, loss
+        return q, k, v, rel, expect, loss
 
     # blocks of 256 hold whole grids, 8 and 3 split planes into w-lines or
     # ragged row ranges, 1 is one query row per block
@@ -258,20 +288,67 @@ class TestAttention:
         y = nn_ops.attention_core(q, k, v, rel=rel)
         np.testing.assert_allclose(y.data, expect, rtol=1e-5, atol=1e-6)
         params = [q, k, v, *rel.tables()]
-
-        def grads():
-            for p in params:
-                p.zero_grad()
-            loss().backward()
-            return [p.grad.copy() for p in params]
-
-        g32 = grads()
+        g32 = loss_grads(loss, params)
         with T.float64():
-            g64 = grads()
-        # float32 rounding is relative to a gradient's scale, not to each
-        # element, so near-zero elements get the same 1e-4 of the array's max
-        for a, b in zip(g32, g64):
-            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-4 * np.abs(b).max())
+            g64 = loss_grads(loss, params)
+        assert_float32_grads_close(g32, g64)
+
+    @pytest.mark.parametrize("with_rel", [False, True], ids=["plain", "rel"])
+    def test_float32_large_logits_match_float64(self, with_rel):
+        """Scores in the hundreds overflow an unshifted float32 exp; the saved lse must not."""
+        rng = np.random.default_rng(12)
+        n, heads, d, grid = 2, 2, 3, (4, 3, 5)
+        ln = grid[0] * grid[1] * grid[2]
+        q, k = (Tensor(10.0 * rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+                for _ in range(2))
+        v = Tensor(rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+        params = [q, k, v]
+        bias = 0.0
+        rel = None
+        if with_rel:
+            rel = nn_ops.RelativeBias(heads, grid)
+            for table in rel.tables():
+                table.data[:] = 50.0 * rng.standard_normal(table.shape)
+            params += rel.tables()
+            bias = dense_rel_bias(rel)
+        s = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(d) + bias
+        assert s.max() > 300 > np.log(np.finfo(np.float32).max)   # exp(s) overflows
+        target = Tensor(rng.standard_normal(q.shape))
+
+        def loss():
+            return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
+
+        y = nn_ops.attention_core(q, k, v, rel=rel).data
+        T.clear_tape()
+        assert np.isfinite(y).all()
+        # a float32 score near 300 is rounded by up to 1.5e-5 (half an ulp),
+        # so the output is held to the gradients' scale-relative tolerance
+        expect = dense_attention(q.data, k.data, v.data, bias)
+        np.testing.assert_allclose(y, expect, rtol=1e-4, atol=1e-4 * np.abs(expect).max())
+        g32 = loss_grads(loss, params)
+        with T.float64():
+            g64 = loss_grads(loss, params)
+        assert all(np.isfinite(g).all() for g in g32)
+        assert_float32_grads_close(g32, g64)
+
+    def test_float32_ragged_blocks_backward(self, monkeypatch):
+        """No bias, 37 rows in blocks of 8: the last block has 5 rows."""
+        rng = np.random.default_rng(13)
+        q, k, v = (Tensor(rng.standard_normal((2, 2, 37, 4)), requires_grad=True)
+                   for _ in range(3))
+        target = Tensor(rng.standard_normal(q.shape))
+
+        def loss():
+            return T.mse_loss(nn_ops.attention_core(q, k, v), target)
+
+        with T.float64():
+            g64 = loss_grads(loss, [q, k, v])
+        monkeypatch.setattr(nn_ops, "ATTN_BLOCK", 8)
+        y = nn_ops.attention_core(q, k, v).data
+        T.clear_tape()
+        np.testing.assert_allclose(y, dense_attention(q.data, k.data, v.data),
+                                   rtol=1e-5, atol=1e-6)
+        assert_float32_grads_close(loss_grads(loss, [q, k, v]), g64)
 
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -395,6 +472,31 @@ class TestMseAndBackward:
             with T.float64():
                 assert T.compute_dtype() is np.float64
                 raise DimensionError("raised inside float64()")
+        assert T.compute_dtype() is np.float32
+
+    def test_flags_are_per_thread(self):
+        """A worker inside no_grad() and float64() leaves the main thread's flags alone."""
+        inside, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def worker():
+            with T.no_grad(), T.float64():
+                inside.set()
+                done.wait(10)
+                seen["worker"] = (T.compute_dtype(),
+                                  T.elu(Tensor(np.ones(2), requires_grad=True)).requires_grad)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert inside.wait(10)
+            assert T.compute_dtype() is np.float32
+            assert T.elu(Tensor(np.ones(2), requires_grad=True)).requires_grad
+        finally:
+            done.set()
+            thread.join(10)
+            T.clear_tape()
+        assert seen["worker"] == (np.float64, False)
         assert T.compute_dtype() is np.float32
 
     def test_no_grad_suppresses_tape(self):

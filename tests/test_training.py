@@ -19,7 +19,7 @@ TINY_CFG = ModelConfig(input_dims=(60, 32, 32), output_format="Signal",
 
 
 class ConstantStub:
-    output_domain = "signal"
+    """Returns one constant rate, or a constant waveform (evaluate with integrate=False)."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -154,19 +154,19 @@ class TestEvaluate:
 
     def test_perfect_stub_zero_mae(self):
         examples = self._signal_examples(TINY_CFG)
-        res = evaluate(PerfectStub(TINY_CFG), TINY_CFG, examples)
+        res = evaluate(PerfectStub(TINY_CFG), TINY_CFG, examples, integrate=False)
         assert res.mae <= 1e-9
         assert res.excluded_windows == 0
 
     def test_constant_stub_excluded_windows(self):
         examples = self._signal_examples(TINY_CFG)
         with pytest.raises(InputError):
-            evaluate(ConstantStub(0.0), TINY_CFG, examples)
+            evaluate(ConstantStub(0.0), TINY_CFG, examples, integrate=False)
 
     def test_constant_hr_stub_mae_matches_hand_value(self):
         cfg = TINY_CFG.copy(output_format="HR")
         examples = [_hr_example(60.0), _hr_example(90.0), _hr_example(120.0)]
-        res = evaluate(ConstantStub(90.0), cfg, examples)
+        res = evaluate(ConstantStub(90.0), cfg, examples, integrate=False)
         labels = [hr_from_signal(SignalTrace(e.trace_window, 30.0)).bpm
                   for e in examples]
         expect = np.mean([abs(90.0 - l) for l in labels])
@@ -191,7 +191,7 @@ class TestEvaluate:
 
     def test_empty_set_rejected(self):
         with pytest.raises(InputError):
-            evaluate(PerfectStub(TINY_CFG), TINY_CFG, [])
+            evaluate(PerfectStub(TINY_CFG), TINY_CFG, [], integrate=False)
 
 
 class TestTrainModel:
