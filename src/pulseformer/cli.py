@@ -13,13 +13,13 @@ from pathlib import Path
 from . import fileio
 from .errors import (ConfigurationError, EstimationError, InputError,
                      NumericError, PulseformerError)
-from .gradcheck import run_op_suite
-from .model import ModelConfig, MultiscaleVideoTransformer, model_grad_check, stage_grids
+from .gradcheck import model_grad_check, run_op_suite
+from .model import ModelConfig, MultiscaleVideoTransformer, stage_grids
 from .preprocess import make_example
-from .search import DesignSpace, general_config, greedy_adapt
+from .search import DesignSpace, greedy_adapt
 from .synth import PRESETS, generate_dataset
-from .training import (ModelPredictor, PerfectStub, TrainConfig, evaluate,
-                       split_dataset, train_model)
+from .training import (ModelPredictor, PerfectStub, evaluate, split_dataset,
+                       train_model)
 
 OP_TOL = 1e-5
 E2E_TOL = 1e-4
@@ -114,10 +114,10 @@ def _windows(loaded, cfg: ModelConfig, subjects=None):
 
 def _read_config(path: str | None):
     if path is None:
-        return general_config(simple=True), TrainConfig(), "intra", 0
+        return fileio.config_from_dict({})
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:   # ValueError: undecodable text, bad JSON, huge ints
         raise InputError(f"cannot read config {path}: {e}") from e
     return fileio.config_from_dict(doc)
 

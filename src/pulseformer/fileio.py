@@ -11,6 +11,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -151,60 +152,60 @@ def read_manifest(path) -> tuple[list[dict], dict]:
 # configuration documents
 # ---------------------------------------------------------------------------
 
-MODEL_KEYS = ("input_dims", "output_format", "frame_format", "signal_norm",
-              "pos_encoding", "scaling", "base_width", "stage_depths",
-              "heads_per_stage", "mlp_ratio")
-TRAIN_KEYS = ("batch_size", "epochs", "learning_rate", "weight_decay", "seed", "loss")
-SPLIT_KEYS = ("split_mode", "fold")
+SPLIT_DEFAULTS = {"split_mode": "intra", "fold": 0}
 
 
 def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig,
                    split_mode: str = "intra", fold: int = 0) -> dict:
-    d = asdict(model_cfg)
-    d["input_dims"] = list(model_cfg.input_dims)
-    d["stage_depths"] = list(model_cfg.stage_depths)
-    d["heads_per_stage"] = list(model_cfg.heads_per_stage)
+    d = {**asdict(model_cfg), **asdict(train_cfg), "split_mode": split_mode, "fold": fold}
+    d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
     d["scaling"] = scaling_label(model_cfg.scaling)
-    d.update(asdict(train_cfg))
-    d["split_mode"] = split_mode
-    d["fold"] = fold
     return d
 
 
-def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig, str, int]:
-    """Parse a config document; unknown keys are an error naming the key."""
-    known = set(MODEL_KEYS) | set(TRAIN_KEYS) | set(SPLIT_KEYS)
-    for key in doc:
-        if key not in known:
-            raise InputError(f"unknown config key {key!r}")
-    from .search import general_config
+def _typed(key: str, value, default):
+    """``value`` checked against the JSON type of the field default ``default``."""
+    if isinstance(default, tuple):
+        if isinstance(value, list) and len(value) == len(default):
+            return tuple(_typed(key, v, 0) for v in value)
+    elif isinstance(value, bool) or isinstance(default, (bool, str)):
+        if type(value) is type(default):
+            return value
+    elif isinstance(default, int):
+        if isinstance(value, int) or isinstance(value, float) and value.is_integer():
+            return int(value)
+    elif isinstance(value, float):   # a float field; inf and nan are left to validate()
+        return value
+    elif isinstance(value, int) and abs(value) <= sys.float_info.max:
+        return float(value)
+    want = (f"a list of {len(default)} integers" if isinstance(default, tuple)
+            else type(default).__name__)
+    raise InputError(f"config key {key!r} must be {want}, got {value!r}")
 
-    mc = general_config(simple=True)
-    tc = TrainConfig()
-    try:
-        for key in MODEL_KEYS:
-            if key not in doc:
-                continue
-            value = doc[key]
-            if key in ("input_dims", "stage_depths", "heads_per_stage"):
-                value = tuple(int(v) for v in value)
-            elif key == "scaling":
-                value = parse_scaling(value)
-            elif key == "signal_norm":
-                value = bool(value)
-            mc = mc.copy(**{key: value})
-        for key in TRAIN_KEYS:
-            if key in doc:
-                setattr(tc, key, type(getattr(tc, key))(doc[key]))
-        mc.validate()
-        tc.validate()
-        split_mode = doc.get("split_mode", "intra")
-        if split_mode not in SPLIT_MODES:
-            raise InputError(f"unknown config value for 'split_mode': {split_mode!r}")
-        fold = int(doc.get("fold", 0))
-    except (TypeError, ValueError) as e:
-        raise InputError(f"malformed config: {e}") from e
-    return mc, tc, split_mode, fold
+
+def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig, str, int]:
+    """Parse a config document over the ``ModelConfig`` and ``TrainConfig`` fields.
+
+    Missing keys keep their defaults; an unknown key or a value of the wrong
+    JSON type is an ``InputError`` naming the key. Each value must have its
+    default's type: an int field takes an integer or an integral float (made
+    int), a float field any number, a bool field only ``true``/``false``, a
+    str field only a string, and a tuple field a list of the default's length
+    whose elements follow the int rule. A bool is never a number. ``scaling``
+    takes an int or a ``"Scale-N"`` label. Both configs are then validated.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
+    model_kw, train_kw, split = asdict(ModelConfig()), asdict(TrainConfig()), dict(SPLIT_DEFAULTS)
+    for key, value in doc.items():
+        kw = next((kw for kw in (model_kw, train_kw, split) if key in kw), None)
+        if kw is None:
+            raise InputError(f"unknown config key {key!r}")
+        kw[key] = parse_scaling(value) if key == "scaling" else _typed(key, value, kw[key])
+    if split["split_mode"] not in SPLIT_MODES:
+        raise InputError(f"unknown config value for 'split_mode': {split['split_mode']!r}")
+    return (ModelConfig(**model_kw).validate(), TrainConfig(**train_kw).validate(),
+            split["split_mode"], split["fold"])
 
 
 # ---------------------------------------------------------------------------

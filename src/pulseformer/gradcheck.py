@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn_ops, tensor as T
+from .model import ModelConfig, MultiscaleVideoTransformer
 from .tensor import Tensor, clear_tape, float64, no_grad
 
 FD_STEP = 1e-5
@@ -123,12 +124,6 @@ def op_checks(seed: int) -> list[tuple[str, float]]:
     check("elu", lambda: T.mean(T.elu(xe)), [xe])
     check("gelu", lambda: T.mean(T.gelu(xe)), [xe])
 
-    xs = Tensor(_rand(rng, 3, 5), requires_grad=True)
-    ws_ = Tensor(_rand(rng, 3, 5), requires_grad=False)
-    check("softmax",
-          lambda: T.mean(T.mse_loss(T.softmax(xs, axis=-1), ws_)),
-          [xs])
-
     xm = Tensor(_rand(rng, 2, 3, 4), requires_grad=True)
     tm = Tensor(_rand(rng, 3))
     check("mean_axes", lambda: T.mse_loss(T.mean(xm, axes=(0, 2)), tm), [xm])
@@ -182,3 +177,20 @@ def run_op_suite(seeds=(0, 1, 2)) -> dict[str, float]:
         for name, err in op_checks(s):
             worst[name] = max(err, worst.get(name, 0.0))
     return worst
+
+
+def model_grad_check(seed: int, sample: int = 20) -> float:
+    """End-to-end finite-difference check on a tiny configuration."""
+    cfg = ModelConfig(input_dims=(8, 32, 32), base_width=4, stage_depths=(1, 1, 1, 1),
+                      heads_per_stage=(1, 2, 4, 4), scaling=0, output_format="Signal")
+    model = MultiscaleVideoTransformer(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    x = Tensor(rng.standard_normal((1, 3, 8, 32, 32)))
+    target = Tensor(rng.standard_normal((1, 8)))
+    params = list(model.parameters().values())
+
+    def build():
+        return T.mse_loss(model.forward(x, training=True), target)
+
+    return max_relative_error(build, params, sample=sample,
+                              rng=np.random.default_rng(seed))

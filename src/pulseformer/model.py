@@ -46,12 +46,11 @@ def scaling_label(sid: int) -> str:
 
 
 def parse_scaling(label) -> int:
-    if isinstance(label, int):
-        sid = label
-    else:
-        s = str(label)
-        sid = int(s[6:]) if s.startswith("Scale-") else int(s)
-    if sid not in TEMPORAL_SCHEDULE:
+    """A strategy id from an int or a ``"Scale-N"`` label; anything else is rejected."""
+    sid = label
+    if isinstance(label, str):
+        sid = next((k for k in TEMPORAL_SCHEDULE if scaling_label(k) == label), None)
+    if type(sid) is not int or sid not in TEMPORAL_SCHEDULE:
         raise ConfigurationError(f"unknown scaling strategy {label!r}")
     return sid
 
@@ -76,6 +75,8 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         t, h, w = self.input_dims
+        if min(t, h, w) < 1:
+            raise ConfigurationError(f"input dims {self.input_dims} must be positive")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigurationError(f"unknown output format {self.output_format!r}")
         if self.frame_format not in FRAME_FORMATS:
@@ -102,7 +103,12 @@ class ModelConfig:
                     f"base width {self.base_width} not divisible by stage-{i + 1} heads {heads}")
         if not math.isfinite(self.mlp_ratio) or self.mlp_ratio <= 0:
             raise ConfigurationError(f"mlp_ratio {self.mlp_ratio} must be positive and finite")
-        if round(self.base_width * self.mlp_ratio) < 1:
+        try:   # the widest stage (8x base width) needs a finite MLP width too
+            hidden = [round(c * self.mlp_ratio) for c in (self.base_width, 8 * self.base_width)]
+        except OverflowError as e:
+            raise ConfigurationError(f"mlp_ratio {self.mlp_ratio} overflows the MLP width "
+                                     f"at base width {self.base_width}") from e
+        if hidden[0] < 1:
             raise ConfigurationError(
                 f"mlp_ratio {self.mlp_ratio} gives an empty MLP at base width {self.base_width}")
         return self
@@ -286,10 +292,6 @@ class MultiscaleVideoTransformer:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.store.params.values())
 
-    def zero_grad(self) -> None:
-        for t in self.store.params.values():
-            t.zero_grad()
-
     # -- forward ------------------------------------------------------------
 
     def _tokens(self, x: Tensor) -> Tensor:
@@ -362,22 +364,3 @@ class MultiscaleVideoTransformer:
         with T.no_grad():
             y = self.forward(Tensor(x), training=training)
         return y.data[0] if single else y.data
-
-
-def model_grad_check(seed: int, sample: int = 20) -> float:
-    """End-to-end finite-difference check on a tiny configuration."""
-    from .gradcheck import max_relative_error
-
-    cfg = ModelConfig(input_dims=(8, 32, 32), base_width=4, stage_depths=(1, 1, 1, 1),
-                      heads_per_stage=(1, 2, 4, 4), scaling=0, output_format="Signal")
-    model = MultiscaleVideoTransformer(cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1000)
-    x = Tensor(rng.standard_normal((1, 3, 8, 32, 32)))
-    target = Tensor(rng.standard_normal((1, 8)))
-    params = list(model.parameters().values())
-
-    def build():
-        return T.mse_loss(model.forward(x, training=True), target)
-
-    return max_relative_error(build, params, sample=sample,
-                              rng=np.random.default_rng(seed))

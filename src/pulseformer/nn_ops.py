@@ -191,8 +191,9 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        state.running_mean = (1 - momentum) * state.running_mean + momentum * mu
-        state.running_var = (1 - momentum) * state.running_var + momentum * var
+        # in place, so the model's checkpoint buffers see the update
+        state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mu
+        state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
     else:
         mu = state.running_mean
         var = state.running_var

@@ -12,7 +12,7 @@ a bug and propagates. Ties resolve to the first candidate in declared order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable
 
 from .errors import PulseformerError
@@ -70,12 +70,6 @@ def general_config(simple: bool) -> ModelConfig:
                        pos_encoding="REL", scaling=2).validate()
 
 
-def _config_key(cfg: ModelConfig):
-    return (cfg.input_dims, cfg.output_format, cfg.frame_format, cfg.signal_norm,
-            cfg.pos_encoding, cfg.scaling, cfg.base_width, cfg.stage_depths,
-            cfg.heads_per_stage, cfg.mlp_ratio)
-
-
 def greedy_adapt(evaluator: Callable[[ModelConfig], float],
                  space: DesignSpace | None = None,
                  start: ModelConfig | None = None) -> SearchTrace:
@@ -86,7 +80,7 @@ def greedy_adapt(evaluator: Callable[[ModelConfig], float],
     memo: dict[tuple, float] = {}
 
     def score(cfg: ModelConfig) -> tuple[float, bool]:
-        key = _config_key(cfg)
+        key = astuple(cfg)
         if key in memo:
             return memo[key], True
         trace.evaluator_calls += 1

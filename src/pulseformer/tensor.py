@@ -185,17 +185,6 @@ def add_embedding(x: Tensor, e: Tensor) -> Tensor:
     return out
 
 
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(x.data * s, requires_grad=_needs_grad(x))
-
-    def pull(g):
-        _accum(x, g * s)
-
-    _record(out, pull)
-    return out
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out = Tensor(x.data.reshape(shape), requires_grad=_needs_grad(x))
@@ -246,21 +235,6 @@ def gelu(x: Tensor) -> Tensor:
         du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         d = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th**2) * du
         _accum(x, g * d)
-
-    _record(out, pull)
-    return out
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis (max subtraction)."""
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=_needs_grad(x))
-
-    def pull(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(x, y * (g - inner))
 
     _record(out, pull)
     return out

@@ -29,6 +29,8 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1 or self.epochs < 1:
             raise InputError("batch size and epochs must be positive")
+        if self.seed < 0:
+            raise InputError(f"seed {self.seed} must be non-negative")
         if not (math.isfinite(self.learning_rate) and math.isfinite(self.weight_decay)):
             raise InputError("learning rate and weight decay must be finite")
         if self.learning_rate <= 0 or self.weight_decay < 0:

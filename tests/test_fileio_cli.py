@@ -2,14 +2,16 @@
 
 import json
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from pulseformer import fileio
+from pulseformer import cli, fileio, model, training
 from pulseformer.cli import main
-from pulseformer.errors import InputError
+from pulseformer.errors import InputError, PulseformerError
 from pulseformer.model import ModelConfig
 from pulseformer.preprocess import SignalTrace, VideoClip
 from pulseformer.training import TrainConfig
@@ -23,6 +25,49 @@ MICRO_CONFIG = {
     "split_mode": "cross",
 }
 
+
+def _int(values):
+    """Integers, some of them written as integral floats."""
+    return values | values.map(float)
+
+
+def _ints(values, n):
+    return st.lists(_int(values), min_size=n, max_size=n)
+
+
+# Per config key, values the schema accepts in most draws; any JSON value
+# besides, so that documents with wrong types and values are common too.
+VALID_VALUES = {
+    "input_dims": st.tuples(_int(st.sampled_from([8, 16, 120, 240])),
+                            _int(st.sampled_from([32, 64, 128])),
+                            _int(st.sampled_from([32, 64]))).map(list),
+    "output_format": st.sampled_from(model.OUTPUT_FORMATS),
+    "frame_format": st.sampled_from(model.FRAME_FORMATS),
+    "signal_norm": st.booleans(),
+    "pos_encoding": st.sampled_from(model.POS_ENCODINGS),
+    "scaling": st.integers(0, 6) | st.integers(0, 6).map(model.scaling_label),
+    "base_width": _int(st.sampled_from([8, 16, 32])),
+    "stage_depths": _ints(st.integers(0, 3), 4),
+    "heads_per_stage": _ints(st.sampled_from([1, 2, 4, 8]), 4),
+    "mlp_ratio": st.floats(0.1, 8.0) | st.integers(1, 8),
+    "batch_size": _int(st.integers(1, 64)),
+    "epochs": _int(st.integers(1, 500)),
+    "learning_rate": st.floats(1e-6, 1.0) | st.just(1),
+    "weight_decay": st.floats(0.0, 1.0) | st.just(0),
+    "seed": _int(st.integers(0, 2 ** 40)),
+    "loss": st.just("MSE"),
+    "split_mode": st.sampled_from(training.SPLIT_MODES),
+    "fold": _int(st.integers(-3, 5)),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+EXTREMES = st.sampled_from([-1, 0, 0.5, 2 ** 64, 10 ** 400, 1e308, float("inf"), float("nan")])
+VALID_DOCS = st.fixed_dictionaries({}, optional=VALID_VALUES)
+ANY_DOCS = st.fixed_dictionaries({}, optional={
+    key: values | EXTREMES | JSON_VALUES for key, values in VALID_VALUES.items()})
 
 # Headers whose declared payload overflows 64-bit sizes or exceeds the file;
 # each is followed by a few stray payload bytes.
@@ -129,6 +174,61 @@ class TestConfigDocuments:
     def test_bad_value_rejected(self):
         with pytest.raises(InputError):
             fileio.config_from_dict({"input_dims": "huge"})
+
+    @pytest.mark.parametrize("key,value", [
+        ("base_width", 8.5), ("stage_depths", [1, 1, 1]), ("signal_norm", 1),
+        ("pos_encoding", 3), ("mlp_ratio", True), ("mlp_ratio", 10 ** 400),
+        ("fold", "0"), ("seed", None),
+    ], ids=["width_fraction", "depths_short", "norm_int", "pos_int", "mlp_bool",
+            "mlp_huge_int", "fold_string", "seed_null"])
+    def test_wrong_type_names_key(self, key, value):
+        with pytest.raises(InputError, match=key):
+            fileio.config_from_dict({key: value})
+
+    def test_integral_floats_become_ints(self):
+        mc, tc, _, fold = fileio.config_from_dict(
+            {"base_width": 8.0, "input_dims": [60.0, 32, 32], "epochs": 2.0, "fold": 1.0})
+        assert (mc.base_width, mc.input_dims, tc.epochs, fold) == (8, (60, 32, 32), 2, 1)
+        assert all(type(v) is int for v in (mc.base_width, *mc.input_dims, tc.epochs, fold))
+
+    def test_generated_documents_cover_every_key(self):
+        assert set(VALID_VALUES) == set(fileio.config_to_dict(ModelConfig(), TrainConfig()))
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(InputError, match="JSON object"):
+            fileio.config_from_dict([1, 2])
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(ANY_DOCS)
+    @example({"mlp_ratio": 1e308})
+    @example({"mlp_ratio": 10 ** 400})
+    @example({"input_dims": [float("inf"), 32, 32]})
+    def test_any_document_parses_or_raises_typed(self, doc):
+        try:
+            fileio.config_from_dict(doc)
+        except PulseformerError:
+            pass
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(VALID_DOCS)
+    def test_accepted_document_round_trips(self, doc):
+        try:
+            parsed = fileio.config_from_dict(doc)
+        except PulseformerError:   # e.g. a temporal extent the scaling cannot halve
+            return
+        echo = json.loads(json.dumps(fileio.config_to_dict(*parsed)))
+        assert fileio.config_from_dict(echo) == parsed
+
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(st.binary(max_size=64) | ANY_DOCS.map(lambda d: json.dumps(d).encode()))
+    def test_any_config_file_reads_or_raises_typed(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_bytes(blob)
+            try:
+                cli._read_config(str(path))
+            except PulseformerError:
+                pass
 
 
 class TestCliGen:
@@ -258,11 +358,17 @@ class TestCliTrainEval:
         assert rc == 2
         assert "lerning_rate" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("bad", [
         {"base_width": 0}, {"mlp_ratio": float("nan")}, {"mlp_ratio": 1e-9},
         {"learning_rate": float("nan")}, {"weight_decay": float("inf")},
-    ], ids=["width0", "mlp_nan", "mlp_empty", "lr_nan", "wd_inf"])
+        {"input_dims": [0, 32, 32]}, {"input_dims": [-60, 32, 32]},
+        {"signal_norm": "false"}, {"heads_per_stage": [1, 2, 4, 8.5]},
+        {"epochs": 1.5}, {"fold": 1.7}, {"scaling": True}, {"batch_size": True},
+        {"scaling": 2.0}, {"seed": -1},
+    ], ids=["width0", "mlp_nan", "mlp_empty", "lr_nan", "wd_inf",
+            "dims_zero", "dims_negative", "norm_string", "heads_fraction",
+            "epochs_fraction", "fold_fraction", "scaling_bool", "batch_bool",
+            "scaling_float", "seed_negative"])
     def test_train_bad_config_value_data_error(self, micro_dataset, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({**MICRO_CONFIG, **bad}))
@@ -271,6 +377,17 @@ class TestCliTrainEval:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_train_integral_float_width_trains_as_int(self, micro_run, micro_dataset,
+                                                       tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MICRO_CONFIG, "base_width": 8.0}))
+        run = tmp_path / "r"
+        rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+                   "--out", str(run)])
+        assert rc == 0
+        for name in ("config.json", "model.gvtm"):
+            assert (run / name).read_bytes() == (micro_run / name).read_bytes(), name
 
 
 class TestCliGradcheck:

@@ -6,10 +6,10 @@ import pytest
 from pulseformer import nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import ConfigurationError, DimensionError
+from pulseformer.gradcheck import model_grad_check
 from pulseformer.model import (ModelConfig, MultiscaleVideoTransformer,
-                               head_upsample_count, model_grad_check,
-                               parse_scaling, scaling_label, stage_grids,
-                               trunc_normal)
+                               head_upsample_count, parse_scaling,
+                               scaling_label, stage_grids, trunc_normal)
 from pulseformer.tensor import Tensor
 
 # per-stage grids for 120x64x64 input, one row per scaling strategy
@@ -67,6 +67,20 @@ class TestShapeSchedule:
         with pytest.raises(ConfigurationError):
             parse_scaling("Scale-7")
 
+    @pytest.mark.parametrize("label", [2.0, True, "Scale-", "2", None])
+    def test_scaling_other_types_rejected(self, label):
+        with pytest.raises(ConfigurationError):
+            parse_scaling(label)
+
+    @pytest.mark.parametrize("dims", [(0, 32, 32), (-60, 32, 32), (60, 0, 32)])
+    def test_non_positive_dims_rejected(self, dims):
+        with pytest.raises(ConfigurationError, match="positive"):
+            ModelConfig(input_dims=dims).validate()
+
+    def test_overflowing_mlp_width_rejected(self):
+        with pytest.raises(ConfigurationError, match="overflows"):
+            ModelConfig(mlp_ratio=1e308).validate()
+
 
 class TestEncodings:
     def _forward(self, pos, seed=0):
@@ -113,6 +127,15 @@ class TestDeterminism:
         b = MultiscaleVideoTransformer(cfg, seed=4)
         assert any(np.any(t.data != b.parameters()[n].data)
                    for n, t in a.parameters().items())
+
+    def test_checkpoint_keeps_batchnorm_running_stats(self):
+        m = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=0)
+        x = np.random.default_rng(5).standard_normal((1, 3, 8, 32, 32))
+        m.predict(x, training=True)
+        assert np.any(m.bn_states[0].running_mean != 0.0)
+        restored = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=1)
+        restored.load_arrays(m.named_arrays())
+        np.testing.assert_array_equal(restored.predict(x[0]), m.predict(x[0]))
 
     def test_parameter_count_pure_function(self):
         cfg = ModelConfig(**TINY)
