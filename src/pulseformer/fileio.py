@@ -134,18 +134,22 @@ def read_manifest(path) -> tuple[list[dict], dict]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read manifest {path}: {e}") from e
-    clips = doc.get("clips")
-    if not isinstance(clips, list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("clips"), list):
         raise InputError(f"manifest {path} has no clip list")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise InputError(f"manifest {path} metadata is not an object")
     base = Path(path).parent
-    for entry in clips:
+    for entry in doc["clips"]:
+        if not isinstance(entry, dict):
+            raise InputError(f"manifest clip entry {entry!r} is not an object")
         for key in ("clip_path", "trace_path", "subject_id"):
-            if key not in entry:
-                raise InputError(f"manifest entry missing {key!r}")
+            if not isinstance(entry.get(key), str):
+                raise InputError(f"manifest entry {key!r} is missing or not a string")
         for key in ("clip_path", "trace_path"):
-            if not (base / entry[key]).exists():
+            if not (base / entry[key]).is_file():
                 raise InputError(f"manifest references missing file {entry[key]}")
-    return clips, doc.get("metadata", {})
+    return doc["clips"], metadata
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,23 @@ for long token sequences. Score tiles are computed in the compute dtype of
 and gradient stays float64. The decomposed relative position bias of a query
 block is added from a zero-copy strided view of one per-head table, and its
 gradient is binned per axis from the marginals of the score gradient.
+
+Attention's (head, query block) items are split statically over as many
+workers as OpenBLAS has threads: worker ``w`` takes items ``w::workers``,
+worker 0 on the calling thread and the rest on threads joined within the
+call. While they run, OpenBLAS is held at one thread, so the elementwise
+passes over score tiles use every core instead of only the GEMMs. Workers
+write disjoint output rows, and each sums its key, value and bias-table
+gradients in its own buffers, which are added in worker order after the
+join, so a run is bit-identical to the next with the same worker count.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import threading
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -355,6 +369,62 @@ class RelativeBias:
             grad[head] += np.bincount(diff.ravel(), weights=m.ravel(), minlength=2 * extent - 1)
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            so = ctypes.CDLL(str(lib))
+            return so.scipy_openblas_get_num_threads64_, so.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+def _workers() -> int:
+    """Attention workers: OpenBLAS's thread count now, or 1 if it cannot be switched."""
+    blas = _openblas()
+    return max(1, blas[0]()) if blas is not None else 1
+
+
+def _run_workers(work, nw: int) -> None:
+    """work(w) for w < nw: 0 inline, the others on threads, OpenBLAS at 1 thread.
+
+    The first exception in worker order is raised once every worker has joined.
+    """
+    if nw == 1:
+        work(0)
+        return
+    errors = [None] * nw
+
+    def run(w):
+        try:
+            work(w)
+        except BaseException as e:   # re-raised on the caller below
+            errors[w] = e
+
+    blas = _openblas()
+    prev = blas[0]() if blas is not None else None
+    started = []
+    try:
+        if blas is not None:
+            blas[1](1)
+        for w in range(1, nw):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+        if blas is not None:
+            blas[1](prev)
+    for e in errors:
+        if e is not None:
+            raise e
+
+
 def _augment(a: np.ndarray, col, dt) -> np.ndarray:
     """[a | col]: ``a`` with one more last-axis column, in dtype ``dt``."""
     out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=dt)
@@ -379,6 +449,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     memory stays O(block * L) regardless of sequence length. Score tiles,
     dS, ``lse`` and the q/k/v gradient buffers use the compute dtype; the
     output and the gradients handed to the tape are float64.
+
+    Both passes split the (head, block) items statically over ``_workers()``
+    workers (see the module docstring). The compute dtype, the bias views
+    and every worker's tiles are made on the calling thread, so workers
+    read no context variable and never touch the tape. Forward workers
+    write disjoint rows of y and lse, backward workers disjoint rows of dq;
+    dk, dv and the table gradients have one buffer per worker, summed in
+    worker order. One worker runs exactly the sequential sweep.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -391,18 +469,18 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         blocks = rel.blocks(ATTN_BLOCK)
     bs = max(i1 - i0 for i0, i1, _ in blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())
+    work = [(hh, i0, i1, block) for hh in range(heads) for i0, i1, block in blocks]
+    nw = min(_workers(), len(work))
 
-    def head_blocks():
-        """(head, i0, i1, block, bias of the block or None) in sweep order."""
-        for hh in range(heads):
-            bias = rel.bias_view(hh) if rel is not None else None
-            for i0, i1, block in blocks:
-                yield hh, i0, i1, block, (bias[block] if bias is not None else None)
+    def bias_views():
+        """Per-head bias views (or Nones), read on the calling thread."""
+        return [rel.bias_view(hh) if rel is not None else None for hh in range(heads)]
 
-    def scores(s, a, b, bb):
+    def scores(s, a, b, bias, block):
         """s = a bᵀ (+ the block's bias)."""
         np.dot(a, b.T, out=s)
-        if bb is not None:
+        if bias is not None:
+            bb = bias[block]
             sv = s.reshape(bb.shape)
             sv += bb
         return s
@@ -412,17 +490,24 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     v1 = _augment(v.data, 1.0, dt)
     y = np.empty(q.shape, dtype=dt)
     lse = np.empty((n, heads, ln), dtype=dt)
-    s = np.empty((bs, ln), dtype=dt)
-    for hh, i0, i1, _, bb in head_blocks():
-        for i in range(n):
-            sb = scores(s[:i1 - i0], qs[i, hh, i0:i1], kk[i, hh], bb)
-            m = sb.max(axis=1, keepdims=True)
-            sb -= m
-            np.exp(sb, out=sb)
-            yl = sb @ v1[i, hh]                       # [y·l | l]
-            np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
-            np.log(yl[:, d], out=lse[i, hh, i0:i1])
-            lse[i, hh, i0:i1] += m[:, 0]
+    biases = bias_views()
+    # one array per tile, made on this thread: a stacked (workers, bs, L) array,
+    # or tiles made by the worker threads, measured a higher peak RSS
+    tiles = [np.empty((bs, ln), dtype=dt) for _ in range(nw)]
+
+    def forward(w):
+        for hh, i0, i1, block in work[w::nw]:
+            for i in range(n):
+                sb = scores(tiles[w][:i1 - i0], qs[i, hh, i0:i1], kk[i, hh], biases[hh], block)
+                m = sb.max(axis=1, keepdims=True)
+                sb -= m
+                np.exp(sb, out=sb)
+                yl = sb @ v1[i, hh]                       # [y·l | l]
+                np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
+                np.log(yl[:, d], out=lse[i, hh, i0:i1])
+                lse[i, hh, i0:i1] += m[:, 0]
+
+    _run_workers(forward, nw)
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
@@ -430,29 +515,41 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         kx = _augment(k.data, 1.0, dt)                # [k | 1]
         vx = _augment(v.data, -1.0, dt)               # [v | -1]
         gx = _augment(g, (g * out.data).sum(axis=-1), dt)   # [g | rs]
-        dq, dk, dv = (np.zeros(q.shape, dtype=dt) for _ in range(3))
-        dtables = [np.zeros_like(t.data) for t in params[3:]]
-        s = np.empty((bs, ln), dtype=dt)
-        for hh, i0, i1, block, bb in head_blocks():
-            for i in range(n):
-                p = scores(s[:i1 - i0], qx[i, hh, i0:i1], kx[i, hh], bb)
-                np.exp(p, out=p)
-                gb = gx[i, hh, i0:i1]
-                dv[i, hh] += p.T @ gb[:, :d]
-                ds = gb @ vx[i, hh].T
-                ds *= p
+        dq = np.zeros(q.shape, dtype=dt)
+        dks, dvs = (np.zeros((nw,) + q.shape, dtype=dt) for _ in range(2))
+        dtables = [[np.zeros_like(t.data) for t in params[3:]] for _ in range(nw)]
+        biases = bias_views()
+        # per worker: P, dS, and with a bias over a batch a second dS, as the
+        # first item's dS sums the batch for the table gradients
+        acc = rel is not None and n > 1
+        tiles = [[np.empty((bs, ln), dtype=dt) for _ in range(2 + acc)] for _ in range(nw)]
+
+        def backward(w):
+            dk, dv = dks[w], dvs[w]
+            p_tile, *ds_tiles = tiles[w]
+            for hh, i0, i1, block in work[w::nw]:
+                rows = i1 - i0
+                for i in range(n):
+                    p = scores(p_tile[:rows], qx[i, hh, i0:i1], kx[i, hh], biases[hh], block)
+                    np.exp(p, out=p)
+                    gb = gx[i, hh, i0:i1]
+                    dv[i, hh] += p.T @ gb[:, :d]
+                    ds = np.dot(gb, vx[i, hh].T, out=ds_tiles[1 if acc and i > 0 else 0][:rows])
+                    ds *= p
+                    if acc and i > 0:
+                        ds_tiles[0][:rows] += ds
+                    np.dot(ds, kx[i, hh, :, :d], out=dq[i, hh, i0:i1])
+                    dk[i, hh] += ds.T @ qx[i, hh, i0:i1, :d]  # qx holds q·scl: dSᵀ q·scl
                 if rel is not None:
-                    # the first item's fresh dS buffer accumulates the batch
-                    if i == 0:
-                        ds_acc = ds
-                    else:
-                        ds_acc += ds
-                np.dot(ds, kx[i, hh, :, :d], out=dq[i, hh, i0:i1])
-                dk[i, hh] += ds.T @ qx[i, hh, i0:i1, :d]  # qx holds q·scl: dSᵀ q·scl
-            if rel is not None:
-                rel.accumulate_grads(ds_acc, block, hh, dtables)
+                    rel.accumulate_grads(ds_tiles[0][:rows], block, hh, dtables[w])
+
+        _run_workers(backward, nw)
         dq *= scl
-        for t, grad in zip(params, (dq, dk, dv, *dtables)):
+        grads = [dq, dks[0], dvs[0], *dtables[0]]
+        for w in range(1, nw):
+            for total, part in zip(grads[1:], [dks[w], dvs[w], *dtables[w]]):
+                total += part
+        for t, grad in zip(params, grads):
             _accum(t, grad)
 
     _record(out, pull)

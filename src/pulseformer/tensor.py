@@ -2,10 +2,12 @@
 
 Values are contiguous row-major numpy arrays in double precision. Every
 differentiable operation appends a pull-back closure to a process-global
-tape; ``backward`` replays the tape in reverse execution order (a valid
+tape; ``backward`` pops the tape in reverse execution order (a valid
 topological order by construction) and accumulates gradients into every
-reachable tensor with ``requires_grad``. The tape is confined to one
-logical thread and is cleared after each backward pass; the grad-recording
+reachable tensor with ``requires_grad``. It releases each entry and its
+output's gradient as it goes, so after a backward only leaf tensors (those
+no recorded op produced) keep a ``.grad``. The tape is confined to one
+logical thread and is empty after each backward pass; the grad-recording
 flag and the compute dtype are context variables, so ``no_grad`` and
 ``float64`` in one thread do not change them in another.
 
@@ -136,8 +138,11 @@ def _needs_grad(*ts: Tensor) -> bool:
 def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss over the whole tape.
 
-    Every tensor with ``requires_grad`` reachable from ``loss`` receives
-    dLoss/dTensor in ``.grad``. The tape is cleared afterwards.
+    Every leaf tensor with ``requires_grad`` reachable from ``loss`` receives
+    dLoss/dTensor in ``.grad``. Each tape entry is popped before its pull
+    runs, and its output's gradient is taken from it, so the closure, the
+    arrays it saved and the intermediate gradient are freed once used; the
+    tape is empty afterwards.
     """
     if loss.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -145,11 +150,11 @@ def backward(loss: Tensor) -> None:
         raise PulseformerError("loss is not connected to any tensor requiring gradients")
     loss.grad = np.ones_like(loss.data)
     try:
-        for out, pull in reversed(_tape):
-            g = out.grad
-            if g is None:
-                continue
-            pull(g)
+        while _tape:
+            out, pull = _tape.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                pull(g)
     finally:
         _tape.clear()
 

@@ -350,6 +350,26 @@ class TestCliTrainEval:
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc", [
+        [1], {"clips": [1]}, {"clips": {}},
+        {"clips": [{"clip_path": 5, "trace_path": "t.gvts", "subject_id": "s000"}]},
+        {"clips": [{"clip_path": "c.gvtc", "trace_path": None, "subject_id": "s000"}]},
+        {"clips": [{"clip_path": "c.gvtc", "trace_path": "t.gvts", "subject_id": [0]}]},
+        {"clips": [{"clip_path": ".", "trace_path": "t.gvts", "subject_id": "s000"}]},
+        {"metadata": [1],
+         "clips": [{"clip_path": "c.gvtc", "trace_path": "t.gvts", "subject_id": "s000"}]},
+    ], ids=["list_doc", "int_entry", "clips_object", "int_clip_path", "null_trace_path",
+            "list_subject", "dir_clip_path", "list_metadata"])
+    def test_train_malformed_manifest_data_error(self, tmp_path, capsys, doc):
+        data = tmp_path / "d"
+        data.mkdir()
+        fileio.write_clip(data / "c.gvtc", VideoClip(np.zeros((4, 2, 2, 3)), 30.0))
+        fileio.write_trace(data / "t.gvts", SignalTrace(np.zeros(4), 30.0))
+        (data / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "r")])
+        assert rc == 2
+        assert "manifest" in capsys.readouterr().err
+
     def test_train_malformed_config_names_key(self, micro_dataset, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"lerning_rate": 0.1}))

@@ -370,6 +370,65 @@ class TestAttention:
         small = nn_ops.attention(*args, heads=2)
         np.testing.assert_allclose(small.data, full.data, atol=1e-13)
 
+    def _schedule_case(self, monkeypatch, grid, workers):
+        """Output and gradients of the block-8 rel case run with ``workers`` workers."""
+        q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, grid)
+        monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+        y = nn_ops.attention_core(q, k, v, rel=rel).data
+        T.clear_tape()
+        return y, loss_grads(loss, [q, k, v, *rel.tables()])
+
+    @rel_grids
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_match_one_worker(self, monkeypatch, grid, workers):
+        """Forward bit-identical to one worker; grads differ only in summation order."""
+        y1, g1 = self._schedule_case(monkeypatch, grid, 1)
+        y2, g2 = self._schedule_case(monkeypatch, grid, workers)
+        np.testing.assert_array_equal(y2, y1)
+        assert_float32_grads_close(g2, g1)
+        y2b, g2b = self._schedule_case(monkeypatch, grid, workers)
+        assert y2b.tobytes() == y2.tobytes()
+        assert [g.tobytes() for g in g2b] == [g.tobytes() for g in g2]
+
+    def test_workers_float64_match_dense_oracle(self, monkeypatch):
+        """Workers are threads, so they must get float64 from the caller, not a ContextVar."""
+        q, k, v, rel, expect, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
+        monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
+        with T.float64():
+            y = nn_ops.attention_core(q, k, v, rel=rel)
+        T.clear_tape()
+        assert y.data.dtype == np.float64
+        np.testing.assert_allclose(y.data, expect, atol=1e-12)
+
+    def test_worker_exception_propagates_and_restores_blas(self, monkeypatch):
+        class WorkerFailure(Exception):
+            pass
+
+        threads_before = nn_ops._workers()
+        q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
+        accumulate = rel.accumulate_grads
+
+        def fail_off_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise WorkerFailure("raised in worker 1")
+            accumulate(*args)
+
+        monkeypatch.setattr(rel, "accumulate_grads", fail_off_main_thread)
+        monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
+        with pytest.raises(WorkerFailure, match="worker 1"):
+            loss().backward()
+        monkeypatch.undo()
+        assert nn_ops._workers() == threads_before
+        assert T.tape_size() == 0
+
+    def test_forward_records_one_tape_entry(self, monkeypatch):
+        q, k, v, rel, _, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
+        monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
+        before = T.tape_size()
+        nn_ops.attention_core(q, k, v, rel=rel)
+        assert T.tape_size() == before + 1
+        T.clear_tape()
+
     def test_indivisible_heads_rejected(self):
         from pulseformer.errors import ConfigurationError
         x = Tensor(np.zeros((1, 2, 6)))
@@ -451,6 +510,29 @@ class TestMseAndBackward:
         loss = T.mse_loss(scale(x, 2.0), t)
         loss.backward()
         np.testing.assert_array_equal(g_two_uses, x.grad)
+
+    def test_backward_releases_tape_as_it_goes(self):
+        """Each entry is popped before its pull; only leaves keep a grad."""
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal(5), requires_grad=True)
+        w = Tensor(rng.standard_normal(5), requires_grad=True)
+        t = rng.standard_normal(5)
+        tape_in_first_pull = []
+        y = Tensor(2.0 * x.data, requires_grad=True)   # y = 2x, recorded first
+
+        def pull(g):
+            tape_in_first_pull.append(T.tape_size())
+            T._accum(x, 2.0 * g)
+
+        T._record(y, pull)
+        s = T.add(y, w)
+        loss = T.mse_loss(s, Tensor(t))
+        loss.backward()
+        assert tape_in_first_pull == [0]
+        assert loss.grad is None and s.grad is None and y.grad is None
+        gs = 2.0 / 5 * (2.0 * x.data + w.data - t)
+        np.testing.assert_allclose(w.grad, gs, rtol=1e-14)
+        np.testing.assert_allclose(x.grad, 2.0 * gs, rtol=1e-14)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
