@@ -1,7 +1,9 @@
 """Bit-exact file formats: clips, traces, checkpoints, manifests, run dirs.
 
 All binary formats are little-endian with a four-byte magic and a u32
-version. Payloads are f32 on disk and promoted to f64 in memory on load.
+version. Clip and trace payloads are f32 on disk and promoted to f64 in
+memory on load. Checkpoints hold f64 arrays whatever the parameters' dtype;
+``MultiscaleVideoTransformer.load_arrays`` casts each to its parameter's.
 """
 
 from __future__ import annotations

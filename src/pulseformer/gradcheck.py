@@ -2,9 +2,12 @@
 
 Each check builds a scalar loss from seeded random inputs, runs one
 backward pass, then compares against central differences with the spec'd
-reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|). Checks run
-with the compute dtype raised to float64, since float32 rounding would swamp
-the differences.
+reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|). Float32
+rounding would swamp the differences, so a check raises the storage of each
+parameter it probes to float64 in place (exact from float32) and runs with
+the compute dtype raised to float64. Tensors it does not probe keep their
+dtype; ops compute in the result dtype of their inputs, so a float32 input
+meeting a float64 parameter is computed in float64.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ from .tensor import Tensor, clear_tape, float64, no_grad
 FD_STEP = 1e-5
 
 
+def promote(params: Sequence[Tensor]) -> None:
+    """Raise each tensor's storage to float64 in place (exact from float32)."""
+    for p in params:
+        p.data = p.data.astype(np.float64)
+
+
 def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
                        step: float = FD_STEP,
                        sample: int | None = None,
@@ -28,9 +37,11 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
 
     ``build_loss`` must rebuild the graph from the current parameter values
     on every call. When ``sample`` is given, only that many randomly chosen
-    elements are probed (for expensive end-to-end graphs). Both the autodiff
-    and the finite-difference passes run under ``float64()``.
+    elements are probed (for expensive end-to-end graphs). Each param's
+    storage is first raised to float64 in place, and both the autodiff and
+    the finite-difference passes run under ``float64()``.
     """
+    promote(params)
     with float64():
         clear_tape()
         for p in params:

@@ -60,12 +60,14 @@ def power_spectrum(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndar
 def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND) -> HrEstimate:
     """Dominant in-band spectral frequency as beats per minute.
 
-    Requires at least two seconds of samples and a non-constant waveform.
+    Requires at least two seconds of finite samples and a non-constant waveform.
     """
     s = trace.samples
     if s.shape[0] < 2 * trace.fps:
         raise EstimationError(
             f"waveform too short for HR estimation: {s.shape[0]} samples at {trace.fps} Hz")
+    if not np.isfinite(s).all():
+        raise EstimationError("waveform has non-finite samples")
     if np.ptp(s) == 0.0:
         raise EstimationError("waveform is constant; no dominant frequency")
     freqs, spec = power_spectrum(s, trace.fps)

@@ -152,6 +152,18 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
     return x
 
 
+def _copy_checked(name: str, value: np.ndarray, dest: np.ndarray) -> None:
+    """dest[...] = value cast to dest's dtype, if the shapes agree and it is finite."""
+    if value.shape != dest.shape:
+        raise ConfigurationError(
+            f"checkpoint shape mismatch for {name}: {value.shape} vs {dest.shape}")
+    with np.errstate(over="ignore"):   # overflow shows as inf, rejected below
+        value = value.astype(dest.dtype)
+    if not np.isfinite(value).all():
+        raise ConfigurationError(f"checkpoint array {name} is not finite as {dest.dtype}")
+    dest[...] = value
+
+
 class _ParamStore:
     """Ordered named parameters plus non-trainable buffers."""
 
@@ -201,10 +213,21 @@ class _Block:
 
 
 class MultiscaleVideoTransformer:
-    """The full model; construction is a pure function of (config, seed)."""
+    """The full model; construction is a pure function of (config, seed).
+
+    Parameters are stored in the compute dtype current at construction.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg.validate()
+        try:
+            self._build(cfg, seed)
+        except MemoryError as e:
+            raise ConfigurationError(
+                f"base width {cfg.base_width} needs more memory than is available "
+                f"for the model's parameters") from e
+
+    def _build(self, cfg: ModelConfig, seed: int) -> None:
         self.grids = stage_grids(cfg)
         self.channels = stage_channels(cfg)
         self.store = _ParamStore()
@@ -277,17 +300,18 @@ class MultiscaleVideoTransformer:
         return out
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy named arrays into the parameters and buffers, cast to their dtypes.
+
+        Every array must be finite once cast: a float64 value beyond the
+        float32 range would become inf in a float32 parameter.
+        """
         for name, t in self.store.params.items():
             if name not in arrays:
                 raise ConfigurationError(f"checkpoint missing parameter {name}")
-            if arrays[name].shape != t.data.shape:
-                raise ConfigurationError(
-                    f"checkpoint shape mismatch for {name}: "
-                    f"{arrays[name].shape} vs {t.data.shape}")
-            t.data[...] = arrays[name]
+            _copy_checked(name, arrays[name], t.data)
         for name, buf in self.store.buffers.items():
             if name in arrays:
-                buf[...] = arrays[name]
+                _copy_checked(name, arrays[name], buf)
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.store.params.values())

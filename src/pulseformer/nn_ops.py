@@ -5,11 +5,14 @@ over a strided patch view (column layout chosen so the backward scatter
 adds along aligned axes). Attention is evaluated in query blocks; the
 forward saves one log-sum-exp per query row, and the backward recomputes
 the softmax probabilities from it with a single exp, so memory stays bounded
-for long token sequences. Score tiles are computed in the compute dtype of
-``tensor`` (float32 unless inside ``tensor.float64()``); every input, output
-and gradient stays float64. The decomposed relative position bias of a query
+for long token sequences. The decomposed relative position bias of a query
 block is added from a zero-copy strided view of one per-head table, and its
 gradient is binned per axis from the marginals of the score gradient.
+
+Every op computes in the result dtype of its inputs, which is the storage
+dtype of ``tensor`` (float32 unless inside ``tensor.float64()``). An op that
+allocates its own output or scratch array gives it that result dtype too, so
+float64 operands are never rounded through a float32 buffer.
 
 Attention's (head, query block) items are split statically over as many
 workers as OpenBLAS has threads: worker ``w`` takes items ``w::workers``,
@@ -94,7 +97,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
     cols = _extract_patches(xp, kernel, stride, out_dims)  # (N, C*kkk, P)
     w2 = w.data.reshape(k, -1)
-    y = np.empty((n, k, cols.shape[2]))
+    y = np.empty((n, k, cols.shape[2]),
+                 dtype=np.result_type(*(t.data for t in (x, w, b) if t is not None)))
     for i in range(n):
         np.dot(w2, cols[i], out=y[i])
     if b is not None:
@@ -117,11 +121,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
                 dw2 += g2[i] @ colsb[i].T
             _accum(w, dw2.reshape(w.shape))
         if x.requires_grad:
-            dcols = np.empty((n, c * kernel[0] * kernel[1] * kernel[2], g2.shape[2]))
+            dcols = np.empty((n, c * kernel[0] * kernel[1] * kernel[2], g2.shape[2]),
+                             dtype=np.result_type(w2, g2))
             for i in range(n):
                 np.dot(w2.T, g2[i], out=dcols[i])
             pad_shape = (n, c, x.shape[2] + 2 * pt, x.shape[3] + 2 * ph, x.shape[4] + 2 * pw)
-            dxp = np.zeros(pad_shape)
+            dxp = np.zeros(pad_shape, dtype=dcols.dtype)
             dc = dcols.reshape((n, c) + tuple(kernel) + out_dims)
             st, sh, sw = stride
             to, ho, wo = out_dims
@@ -146,7 +151,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(f"depthwise kernel {w.shape} incompatible with input {x.shape}")
     n, c, t, h, wl = x.shape
     xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-    y = np.zeros_like(x.data)
+    y = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
     for dt in range(3):
         for dh in range(3):
             for dw_ in range(3):
@@ -208,9 +213,10 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         # in place, so the model's checkpoint buffers see the update
         state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mu
         state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
-    else:
-        mu = state.running_mean
-        var = state.running_var
+    else:   # the float64 running buffers, in the inputs' dtype
+        dt = np.result_type(x.data, gamma.data, beta.data)
+        mu = state.running_mean.astype(dt, copy=False)
+        var = state.running_var.astype(dt, copy=False)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu.reshape(shape)) * inv.reshape(shape)
     y = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
@@ -326,14 +332,14 @@ class RelativeBias:
     def bias_view(self, head: int) -> np.ndarray:
         """Pairwise bias of one head as a read-only (gt, gh, gw, gt, gh, gw) view.
 
-        The axis-flipped outer sum of the three tables, cast to the compute
-        dtype, is copied once per query w offset, so the bias of one query row
-        over a key plane is a contiguous run of gh*gw values.
+        The axis-flipped outer sum of the three tables, in their dtype, is
+        copied once per query w offset, so the bias of one query row over a
+        key plane is a contiguous run of gh*gw values.
         """
         gt, gh, gw = self.grid
         c = (self.table_t.data[head][:, None, None]
              + self.table_h.data[head][None, :, None]
-             + self.table_w.data[head][None, None, :]).astype(T.compute_dtype(), copy=False)
+             + self.table_w.data[head][None, None, :])
         flip = c[::-1, ::-1, ::-1]
         # lines[wi, a, b, wj] = flip[a, b, gw-1-wi+wj]
         lines = np.ascontiguousarray(
@@ -425,9 +431,9 @@ def _run_workers(work, nw: int) -> None:
             raise e
 
 
-def _augment(a: np.ndarray, col, dt) -> np.ndarray:
-    """[a | col]: ``a`` with one more last-axis column, in dtype ``dt``."""
-    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=dt)
+def _augment(a: np.ndarray, col) -> np.ndarray:
+    """[a | col]: ``a`` with one more last-axis column, in ``a``'s dtype."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + 1,), dtype=a.dtype)
     out[..., :-1] = a
     out[..., -1] = col
     return out
@@ -446,22 +452,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     P = exp([q | -lse] [k | 1]ᵀ + B), and gets dS = P∘([g | rs] [v | -1]ᵀ)
     with rs = rowsum(g∘y), so no max, sum or divide pass runs over a score
     tile there. Only ``lse`` (N, heads, L) is kept for the backward, so peak
-    memory stays O(block * L) regardless of sequence length. Score tiles,
-    dS, ``lse`` and the q/k/v gradient buffers use the compute dtype; the
-    output and the gradients handed to the tape are float64.
+    memory stays O(block * L) regardless of sequence length. q, k and v
+    share one dtype, and score tiles, ``lse`` and the output are made in it;
+    dS and the q/k/v gradients take the result dtype of it and the incoming
+    gradient, which is the same dtype unless the inputs were made under
+    another compute dtype than the call's.
 
     Both passes split the (head, block) items statically over ``_workers()``
-    workers (see the module docstring). The compute dtype, the bias views
-    and every worker's tiles are made on the calling thread, so workers
-    read no context variable and never touch the tape. Forward workers
+    workers (see the module docstring). The bias views and every worker's
+    tiles are made on the calling thread, so workers read no context
+    variable and never touch the tape. Forward workers
     write disjoint rows of y and lse, backward workers disjoint rows of dq;
     dk, dv and the table gradients have one buffer per worker, summed in
     worker order. One worker runs exactly the sequential sweep.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
+    dt = q.data.dtype
+    if k.data.dtype != dt or v.data.dtype != dt:
+        raise DimensionError(
+            f"attention dtypes differ: {dt}, {k.data.dtype}, {v.data.dtype}")
     n, heads, ln, d = q.shape
-    dt = T.compute_dtype()
     scl = 1.0 / float(np.sqrt(d))   # a Python float keeps float32 products float32
     if rel is None:
         blocks = [(i0, min(i0 + ATTN_BLOCK, ln), None) for i0 in range(0, ln, ATTN_BLOCK)]
@@ -485,9 +496,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             sv += bb
         return s
 
-    qs = (q.data * scl).astype(dt, copy=False)
-    kk = k.data.astype(dt, copy=False)
-    v1 = _augment(v.data, 1.0, dt)
+    qs = q.data * scl
+    kk = k.data
+    v1 = _augment(v.data, 1.0)
     y = np.empty(q.shape, dtype=dt)
     lse = np.empty((n, heads, ln), dtype=dt)
     biases = bias_views()
@@ -511,18 +522,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
-        qx = _augment(q.data * scl, -lse, dt)         # [q·scl | -lse]
-        kx = _augment(k.data, 1.0, dt)                # [k | 1]
-        vx = _augment(v.data, -1.0, dt)               # [v | -1]
-        gx = _augment(g, (g * out.data).sum(axis=-1), dt)   # [g | rs]
-        dq = np.zeros(q.shape, dtype=dt)
-        dks, dvs = (np.zeros((nw,) + q.shape, dtype=dt) for _ in range(2))
+        qx = _augment(q.data * scl, -lse)         # [q·scl | -lse]
+        kx = _augment(k.data, 1.0)                # [k | 1]
+        vx = _augment(v.data, -1.0)               # [v | -1]
+        gx = _augment(g, (g * out.data).sum(axis=-1))   # [g | rs]
+        gt = np.result_type(gx, vx)               # of dS and the q/k/v grads
+        dq = np.zeros(q.shape, dtype=gt)
+        dks, dvs = (np.zeros((nw,) + q.shape, dtype=gt) for _ in range(2))
         dtables = [[np.zeros_like(t.data) for t in params[3:]] for _ in range(nw)]
         biases = bias_views()
         # per worker: P, dS, and with a bias over a batch a second dS, as the
         # first item's dS sums the batch for the table gradients
         acc = rel is not None and n > 1
-        tiles = [[np.empty((bs, ln), dtype=dt) for _ in range(2 + acc)] for _ in range(nw)]
+        tiles = [[np.empty((bs, ln), dtype=t) for t in (dt, gt, gt)[:2 + acc]]
+                 for _ in range(nw)]
 
         def backward(w):
             dk, dv = dks[w], dvs[w]

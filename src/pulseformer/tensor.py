@@ -1,6 +1,6 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation.
 
-Values are contiguous row-major numpy arrays in double precision. Every
+Values are contiguous row-major numpy arrays in the compute dtype. Every
 differentiable operation appends a pull-back closure to a process-global
 tape; ``backward`` pops the tape in reverse execution order (a valid
 topological order by construction) and accumulates gradients into every
@@ -11,10 +11,12 @@ logical thread and is empty after each backward pass; the grad-recording
 flag and the compute dtype are context variables, so ``no_grad`` and
 ``float64`` in one thread do not change them in another.
 
-Storage, parameters and gradients always stay float64. The compute dtype
-is the precision of attention's score tiles (float32 by default, for train
-and predict); ``float64()`` raises it to double precision for a block, as
-finite-difference gradient checks need.
+Storage follows the compute dtype: float32 by default, for train and
+predict, and float64 inside ``float64()``, as finite-difference gradient
+checks need. A tensor is stored in the dtype current when it is made, so a
+model's parameters, and the optimiser moments made from them, keep the dtype
+current when the model was built; a gradient takes its tensor's dtype. Ops
+compute in the result dtype of their inputs.
 
 Broadcasting is deliberately restricted to bias addition and per-channel
 affine terms; everything else requires exact shape agreement.
@@ -59,13 +61,13 @@ class no_grad(_SetVar):
 
 
 class float64(_SetVar):
-    """Context manager that runs attention in float64 (finite-difference checks)."""
+    """Context manager that stores new tensors in float64 (finite-difference checks)."""
 
     _var, _value = _compute_dtype, np.float64
 
 
 def compute_dtype() -> type:
-    """The dtype attention computes its score tiles in."""
+    """The dtype new tensors are stored in: float32, or float64 inside ``float64()``."""
     return _compute_dtype.get()
 
 
@@ -78,12 +80,15 @@ def clear_tape() -> None:
 
 
 class Tensor:
-    """N-dimensional float64 array participating in reverse-mode autodiff."""
+    """N-dimensional array participating in reverse-mode autodiff.
+
+    ``data`` is cast to the compute dtype current when the tensor is made.
+    """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data, dtype=compute_dtype())
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
@@ -126,7 +131,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         return
     if t.grad is None:
         # copy so later in-place accumulation never aliases another buffer
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 

@@ -60,7 +60,10 @@ def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 
 
 class AdamW:
-    """Decoupled weight-decay optimiser over a named parameter dict."""
+    """Decoupled weight-decay optimiser over a named parameter dict.
+
+    The moments are made in each parameter's dtype.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -176,10 +179,10 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
     With ``integrate`` (the model's case), Signal predictions under the
     difference frame format are difference-domain and are integrated before
     estimation; a predictor that returns the waveform itself passes
-    ``integrate=False``. Windows whose estimation fails (EstimationError)
-    are excluded and counted, and any other error propagates. Label rates
-    always come from the untouched ground-truth trace through the same
-    estimator.
+    ``integrate=False``. Windows whose estimation fails (EstimationError),
+    including a non-finite predicted rate, are excluded and counted, and any
+    other error propagates. Label rates always come from the untouched
+    ground-truth trace through the same estimator.
     """
     if not examples:
         raise InputError("evaluation set is empty")
@@ -193,6 +196,8 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
             pred = predictor.predict_example(ex)
             if cfg.output_format == "HR":
                 pred_bpm = float(pred)
+                if not math.isfinite(pred_bpm):
+                    raise EstimationError(f"predicted rate {pred_bpm} is not finite")
             else:
                 trace = SignalTrace(np.asarray(pred, dtype=np.float64), ex.fps)
                 if integrate:

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from pulseformer import cli, fileio, model, training
 from pulseformer.cli import main
 from pulseformer.errors import InputError, PulseformerError
-from pulseformer.model import ModelConfig
+from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, VideoClip
 from pulseformer.training import TrainConfig
 
@@ -124,6 +124,19 @@ class TestBinaryFormats:
         assert list(again) == list(arrays)
         for name in arrays:
             np.testing.assert_array_equal(again[name], arrays[name])
+
+    def test_checkpoint_restores_float32_params_bit_exact(self, tmp_path):
+        cfg = ModelConfig(input_dims=(8, 32, 32), base_width=4, stage_depths=(1, 1, 1, 1),
+                          heads_per_stage=(1, 2, 4, 4), scaling=0)
+        saved = MultiscaleVideoTransformer(cfg, seed=0)
+        path = tmp_path / "m.gvtm"
+        fileio.write_checkpoint(path, saved.named_arrays())
+        restored = MultiscaleVideoTransformer(cfg, seed=1)
+        restored.load_arrays(fileio.read_checkpoint(path))
+        for name, t in saved.parameters().items():
+            got = restored.parameters()[name].data
+            assert got.dtype == np.float32
+            assert got.tobytes() == t.data.tobytes(), name
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.gvtc"
@@ -345,6 +358,30 @@ class TestCliTrainEval:
         rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
         assert rc == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), 1e300], ids=["nan", "beyond_float32"])
+    def test_eval_non_finite_checkpoint_data_error(self, micro_run, micro_dataset, tmp_path,
+                                                   capsys, value):
+        arrays = fileio.read_checkpoint(micro_run / "model.gvtm")
+        arrays["stem.b"][0] = value
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "config.json").write_bytes((micro_run / "config.json").read_bytes())
+        fileio.write_checkpoint(run / "model.gvtm", arrays)
+        rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
+        assert rc == 2
+        assert "stem.b" in capsys.readouterr().err
+
+    def test_train_unallocatable_model_data_error(self, micro_dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base_width": 2 ** 40, "input_dims": [60, 32, 32],
+                                   "split_mode": "cross"}))
+        rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "base width" in err
+        assert "Traceback" not in err
 
     def test_train_missing_manifest_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])

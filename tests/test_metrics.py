@@ -43,6 +43,12 @@ class TestHrFromSignal:
         with pytest.raises(EstimationError):
             hr_from_signal(SignalTrace(np.full(300, 2.0), 30.0))
 
+    def test_non_finite_sample_rejected(self):
+        s = np.sin(2 * np.pi * 1.5 * np.arange(300) / 30.0)
+        s[100] = np.nan
+        with pytest.raises(EstimationError, match="non-finite"):
+            hr_from_signal(SignalTrace(s, 30.0))
+
     def test_too_short_rejected(self):
         with pytest.raises(EstimationError):
             hr_from_signal(SignalTrace(np.sin(np.arange(30)), 30.0))

@@ -1,5 +1,7 @@
 """Architecture tests: shape schedules, encodings, determinism, gradients."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,12 @@ class TestShapeSchedule:
         with pytest.raises(ConfigurationError, match="overflows"):
             ModelConfig(mlp_ratio=1e308).validate()
 
+    def test_unallocatable_width_is_configuration_error(self):
+        cfg = ModelConfig(**{**TINY, "base_width": 2 ** 40})
+        with pytest.raises(ConfigurationError, match="base width") as info:
+            MultiscaleVideoTransformer(cfg)
+        assert isinstance(info.value.__cause__, MemoryError)
+
 
 class TestEncodings:
     def _forward(self, pos, seed=0):
@@ -136,6 +144,13 @@ class TestDeterminism:
         restored = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=1)
         restored.load_arrays(m.named_arrays())
         np.testing.assert_array_equal(restored.predict(x[0]), m.predict(x[0]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_params_take_dtype_current_at_build(self, dtype):
+        with T.float64() if dtype is np.float64 else contextlib.nullcontext():
+            m = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=0)
+        assert {t.data.dtype for t in m.parameters().values()} == {np.dtype(dtype)}
+        assert {b.dtype for b in m.store.buffers.values()} == {np.dtype(np.float64)}
 
     def test_parameter_count_pure_function(self):
         cfg = ModelConfig(**TINY)

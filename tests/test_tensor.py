@@ -8,7 +8,7 @@ import pytest
 from pulseformer import nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import DimensionError
-from pulseformer.gradcheck import max_relative_error
+from pulseformer.gradcheck import max_relative_error, promote
 from pulseformer.nn_ops import BatchNormState
 from pulseformer.tensor import Tensor
 
@@ -63,7 +63,8 @@ class TestConv3d:
         x = rng.standard_normal((1, 2, 4, 4, 4))
         w = rng.standard_normal((3, 2, 3, 3, 3))
         b = rng.standard_normal(3)
-        y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(1, 1, 1), pad=(0, 0, 0))
+        with T.float64():
+            y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(1, 1, 1), pad=(0, 0, 0))
         expect = conv3d_oracle(x, w, b, (1, 1, 1), (0, 0, 0))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
@@ -72,7 +73,8 @@ class TestConv3d:
         x = rng.standard_normal((2, 3, 6, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3, 3))
         b = rng.standard_normal(4)
-        y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 2, 1), pad=(1, 1, 1))
+        with T.float64():
+            y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 2, 1), pad=(1, 1, 1))
         expect = conv3d_oracle(x, w, b, (2, 2, 1), (1, 1, 1))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
@@ -98,7 +100,8 @@ class TestLinear:
         x = rng.standard_normal((2, 5, 3))
         w = rng.standard_normal((4, 3))
         b = rng.standard_normal(4)
-        y = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        with T.float64():
+            y = T.linear(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(y.data, x @ w.T + b, atol=1e-12)
 
     def test_extent_mismatch(self):
@@ -119,15 +122,17 @@ class TestNorms:
         data = np.zeros((2, 1, 1, 1, 1))
         data[0] = -1.0
         data[1] = 1.0
-        y = nn_ops.batchnorm3d(Tensor(data), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                               BatchNormState(1), training=True, eps=eps)
+        with T.float64():
+            y = nn_ops.batchnorm3d(Tensor(data), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                                   BatchNormState(1), training=True, eps=eps)
         np.testing.assert_allclose(y.data.ravel(), data.ravel() / np.sqrt(1 + eps), rtol=1e-12)
 
     def test_batchnorm_eval_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 2, 2, 2))
-        y = nn_ops.batchnorm3d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                               BatchNormState(2), training=False, eps=1e-12)
+        with T.float64():
+            y = nn_ops.batchnorm3d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                                   BatchNormState(2), training=False, eps=1e-12)
         np.testing.assert_allclose(y.data, x, rtol=1e-9)
 
     def test_batchnorm_updates_running_stats(self):
@@ -181,6 +186,7 @@ def dense_rel_bias(rel):
 
 def dense_attention(q, k, v, bias=0.0):
     """softmax(q kᵀ / sqrt(d) + bias) v in float64 with a shifted exp."""
+    q, k, v = (np.asarray(a, dtype=np.float64) for a in (q, k, v))
     s = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1]) + bias
     p = np.exp(s - s.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
@@ -212,11 +218,12 @@ class TestAttention:
         d = 3
         ws = self._weights(rng, d)
         x = rng.standard_normal((1, 1, d))
-        y = nn_ops.attention(
-            Tensor(x), Tensor(ws["q"][0]), Tensor(ws["q"][1]),
-            Tensor(ws["k"][0]), Tensor(ws["k"][1]),
-            Tensor(ws["v"][0]), Tensor(ws["v"][1]),
-            Tensor(np.eye(d)), Tensor(np.zeros(d)), heads=1)
+        with T.float64():
+            y = nn_ops.attention(
+                Tensor(x), Tensor(ws["q"][0]), Tensor(ws["q"][1]),
+                Tensor(ws["k"][0]), Tensor(ws["k"][1]),
+                Tensor(ws["v"][0]), Tensor(ws["v"][1]),
+                Tensor(np.eye(d)), Tensor(np.zeros(d)), heads=1)
         np.testing.assert_allclose(y.data[0, 0], x[0, 0] @ ws["v"][0].T + ws["v"][1],
                                    atol=1e-12)
 
@@ -225,11 +232,12 @@ class TestAttention:
         d = 2
         ws = self._weights(rng, d)
         x = rng.standard_normal((1, 3, d))
-        y = nn_ops.attention(
-            Tensor(x), Tensor(ws["q"][0]), Tensor(ws["q"][1]),
-            Tensor(ws["k"][0]), Tensor(ws["k"][1]),
-            Tensor(ws["v"][0]), Tensor(ws["v"][1]),
-            Tensor(ws["o"][0]), Tensor(ws["o"][1]), heads=1)
+        with T.float64():
+            y = nn_ops.attention(
+                Tensor(x), Tensor(ws["q"][0]), Tensor(ws["q"][1]),
+                Tensor(ws["k"][0]), Tensor(ws["k"][1]),
+                Tensor(ws["v"][0]), Tensor(ws["v"][1]),
+                Tensor(ws["o"][0]), Tensor(ws["o"][1]), heads=1)
         expect = attention_oracle(x[0], ws["q"][0], ws["q"][1], ws["k"][0], ws["k"][1],
                                   ws["v"][0], ws["v"][1], ws["o"][0], ws["o"][1])
         np.testing.assert_allclose(y.data[0], expect, atol=1e-12)
@@ -277,8 +285,8 @@ class TestAttention:
     @rel_grids
     @rel_blocks
     def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
-        q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
         with T.float64():
+            q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
             y = nn_ops.attention_core(q, k, v, rel=rel)
             np.testing.assert_allclose(y.data, expect, atol=1e-12)
             err_tables = max_relative_error(loss, list(rel.tables()))
@@ -296,6 +304,7 @@ class TestAttention:
         np.testing.assert_allclose(y.data, expect, rtol=1e-5, atol=1e-6)
         params = [q, k, v, *rel.tables()]
         g32 = loss_grads(loss, params)
+        promote(params)
         with T.float64():
             g64 = loss_grads(loss, params)
         assert_float32_grads_close(g32, g64)
@@ -333,6 +342,7 @@ class TestAttention:
         expect = dense_attention(q.data, k.data, v.data, bias)
         np.testing.assert_allclose(y, expect, rtol=1e-4, atol=1e-4 * np.abs(expect).max())
         g32 = loss_grads(loss, params)
+        promote(params)
         with T.float64():
             g64 = loss_grads(loss, params)
         assert all(np.isfinite(g).all() for g in g32)
@@ -348,14 +358,17 @@ class TestAttention:
         def loss():
             return T.mse_loss(nn_ops.attention_core(q, k, v), target)
 
-        with T.float64():
-            g64 = loss_grads(loss, [q, k, v])
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", 8)
         y = nn_ops.attention_core(q, k, v).data
         T.clear_tape()
         np.testing.assert_allclose(y, dense_attention(q.data, k.data, v.data),
                                    rtol=1e-5, atol=1e-6)
-        assert_float32_grads_close(loss_grads(loss, [q, k, v]), g64)
+        g32 = loss_grads(loss, [q, k, v])
+        monkeypatch.undo()
+        promote([q, k, v])
+        with T.float64():
+            g64 = loss_grads(loss, [q, k, v])
+        assert_float32_grads_close(g32, g64)
 
     def test_blocked_matches_unblocked(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -392,9 +405,9 @@ class TestAttention:
 
     def test_workers_float64_match_dense_oracle(self, monkeypatch):
         """Workers are threads, so they must get float64 from the caller, not a ContextVar."""
-        q, k, v, rel, expect, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
         monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
         with T.float64():
+            q, k, v, rel, expect, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
             y = nn_ops.attention_core(q, k, v, rel=rel)
         T.clear_tape()
         assert y.data.dtype == np.float64
@@ -428,6 +441,25 @@ class TestAttention:
         nn_ops.attention_core(q, k, v, rel=rel)
         assert T.tape_size() == before + 1
         T.clear_tape()
+
+    def test_inputs_made_under_another_dtype(self):
+        """float32 q, k, v under float64() give a float64 output and float32 leaf grads."""
+        rng = np.random.default_rng(16)
+        q, k, v = (Tensor(rng.standard_normal((1, 2, 10, 3)), requires_grad=True)
+                   for _ in range(3))
+        target = Tensor(rng.standard_normal(q.shape))
+
+        def loss():
+            return T.mse_loss(nn_ops.attention_core(q, k, v), target)
+
+        g32 = loss_grads(loss, [q, k, v])
+        with T.float64():
+            g = loss_grads(loss, [q, k, v])
+            v64 = Tensor(v.data)
+        assert all(a.dtype == np.float32 for a in g)
+        assert_float32_grads_close(g, g32)
+        with pytest.raises(DimensionError, match="dtypes differ"):
+            nn_ops.attention_core(q, k, v64)
 
     def test_indivisible_heads_rejected(self):
         from pulseformer.errors import ConfigurationError
@@ -480,7 +512,8 @@ class TestMseAndBackward:
     def test_mse_random_oracle(self):
         rng = np.random.default_rng(2)
         a, b = rng.standard_normal(17), rng.standard_normal(17)
-        got = T.mse_loss(Tensor(a), Tensor(b)).item()
+        with T.float64():
+            got = T.mse_loss(Tensor(a), Tensor(b)).item()
         assert got == np.mean((a - b) ** 2)
 
     def test_sum_backward_all_ones(self):
@@ -514,20 +547,21 @@ class TestMseAndBackward:
     def test_backward_releases_tape_as_it_goes(self):
         """Each entry is popped before its pull; only leaves keep a grad."""
         rng = np.random.default_rng(4)
-        x = Tensor(rng.standard_normal(5), requires_grad=True)
-        w = Tensor(rng.standard_normal(5), requires_grad=True)
-        t = rng.standard_normal(5)
-        tape_in_first_pull = []
-        y = Tensor(2.0 * x.data, requires_grad=True)   # y = 2x, recorded first
+        with T.float64():
+            x = Tensor(rng.standard_normal(5), requires_grad=True)
+            w = Tensor(rng.standard_normal(5), requires_grad=True)
+            t = rng.standard_normal(5)
+            tape_in_first_pull = []
+            y = Tensor(2.0 * x.data, requires_grad=True)   # y = 2x, recorded first
 
-        def pull(g):
-            tape_in_first_pull.append(T.tape_size())
-            T._accum(x, 2.0 * g)
+            def pull(g):
+                tape_in_first_pull.append(T.tape_size())
+                T._accum(x, 2.0 * g)
 
-        T._record(y, pull)
-        s = T.add(y, w)
-        loss = T.mse_loss(s, Tensor(t))
-        loss.backward()
+            T._record(y, pull)
+            s = T.add(y, w)
+            loss = T.mse_loss(s, Tensor(t))
+            loss.backward()
         assert tape_in_first_pull == [0]
         assert loss.grad is None and s.grad is None and y.grad is None
         gs = 2.0 / 5 * (2.0 * x.data + w.data - t)
@@ -590,3 +624,79 @@ class TestMseAndBackward:
             y = T.elu(x)
         assert not y.requires_grad
         assert T.tape_size() == 0
+
+
+def _bn_eval(x, gamma, beta):
+    state = BatchNormState(3)
+    state.running_mean[:] = [0.3, -0.2, 0.1]
+    state.running_var[:] = [1.5, 0.7, 1.1]
+    return nn_ops.batchnorm3d(x, gamma, beta, state, training=False)
+
+
+def _rel_attention(q, k, v, table_t, table_h, table_w):
+    rel = nn_ops.RelativeBias(2, (4, 3, 5))
+    rel.table_t, rel.table_h, rel.table_w = table_t, table_h, table_w
+    return nn_ops.attention_core(q, k, v, rel=rel)
+
+
+# per op: input shapes and the op applied to tensors of them
+OP_CASES = {
+    "linear": ([(2, 5, 3), (4, 3), (4,)], T.linear),
+    "conv3d": ([(2, 3, 6, 5, 5), (4, 3, 3, 3, 3), (4,)],
+               lambda x, w, b: nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))),
+    "layernorm": ([(2, 3, 4), (4,), (4,)], nn_ops.layernorm),
+    "batchnorm3d_train": ([(2, 3, 2, 2, 2), (3,), (3,)],
+                          lambda x, g, b: nn_ops.batchnorm3d(x, g, b, BatchNormState(3),
+                                                             training=True)),
+    "batchnorm3d_eval": ([(2, 3, 2, 2, 2), (3,), (3,)], _bn_eval),
+    "gelu": ([(3, 4)], T.gelu),
+    "elu": ([(3, 4)], T.elu),
+    "mse_loss": ([(4, 5), (4, 5)], T.mse_loss),
+    "attention": ([(2, 2, 37, 4)] * 3, nn_ops.attention_core),
+    "attention_rel": ([(2, 2, 60, 3)] * 3 + [(2, 7), (2, 5), (2, 9)], _rel_attention),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_float32_op_matches_float64(name):
+    """Float32 storage: output and grads in float32, close to the same op in float64."""
+    shapes, op = OP_CASES[name]
+    rng = np.random.default_rng(14)
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    with T.no_grad():
+        y32 = op(*params).data
+    target = Tensor(rng.standard_normal(y32.shape))
+
+    def loss():
+        return T.mse_loss(op(*params), target)
+
+    g32 = loss_grads(loss, params)
+    assert y32.dtype == np.float32 and all(g.dtype == np.float32 for g in g32)
+    promote(params)
+    with T.float64(), T.no_grad():
+        y64 = op(*params).data
+    with T.float64():
+        g64 = loss_grads(loss, params)
+    assert y64.dtype == np.float64 and all(g.dtype == np.float64 for g in g64)
+    np.testing.assert_allclose(y32, y64, rtol=1e-5, atol=1e-5 * np.abs(y64).max())
+    assert_float32_grads_close(g32, g64)
+
+
+def test_float32_input_with_float64_params_is_not_rounded():
+    """conv3d and eval batch norm allocate in the result dtype, not the input's."""
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((2, 3, 6, 5, 5)))
+    assert x.data.dtype == np.float32
+    xd = x.data.astype(np.float64)
+    with T.float64():
+        w, b, gamma, beta = (Tensor(rng.standard_normal(s))
+                             for s in [(4, 3, 3, 3, 3), (4,), (3,), (3,)])
+        y = nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))
+        z = _bn_eval(x, gamma, beta)
+    np.testing.assert_allclose(y.data, conv3d_oracle(xd, w.data, b.data, (2, 2, 1), (1, 1, 1)),
+                               atol=1e-12)
+    mean = np.array([0.3, -0.2, 0.1]).reshape(1, 3, 1, 1, 1)
+    var = np.array([1.5, 0.7, 1.1]).reshape(1, 3, 1, 1, 1)
+    expect = gamma.data.reshape(mean.shape) * (xd - mean) / np.sqrt(var + 1e-5) \
+        + beta.data.reshape(mean.shape)
+    np.testing.assert_allclose(z.data, expect, atol=1e-12)

@@ -1,14 +1,17 @@
 """Optimiser, split, training-loop, and evaluation tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from pulseformer import nn_ops, tensor as T
 from pulseformer.errors import DimensionError, InputError, NumericError
 from pulseformer.metrics import hr_from_signal
-from pulseformer.model import ModelConfig
+from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, WindowExample, make_example
 from pulseformer.synth import SIMPLE, generate_dataset
+from pulseformer.tensor import Tensor
 from pulseformer.training import (AdamW, PerfectStub, TrainConfig, adamw_update,
                                   evaluate, split_dataset, train_model)
 
@@ -85,7 +88,6 @@ class TestAdamW:
                                    atol=1e-12)
 
     def test_optimizer_skips_gradless_params(self):
-        from pulseformer.tensor import Tensor
         params = {"a": Tensor(np.ones(2), requires_grad=True),
                   "b": Tensor(np.ones(2), requires_grad=True)}
         params["a"].grad = np.full(2, 0.5)
@@ -93,6 +95,23 @@ class TestAdamW:
         opt.step()
         assert not np.array_equal(params["a"].data, np.ones(2))
         np.testing.assert_array_equal(params["b"].data, np.ones(2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_keeps_the_build_dtype(self, dtype):
+        """Params, grads and moments all stay in the dtype the model was built in."""
+        cfg = ModelConfig(input_dims=(8, 32, 32), base_width=4, stage_depths=(1, 1, 1, 1),
+                          heads_per_stage=(1, 2, 4, 4), scaling=0)
+        rng = np.random.default_rng(0)
+        with T.float64() if dtype is np.float64 else contextlib.nullcontext():
+            model = MultiscaleVideoTransformer(cfg, seed=0)
+            opt = AdamW(model.parameters(), lr=1e-3)
+            x = Tensor(rng.standard_normal((1, 3, 8, 32, 32)))
+            target = Tensor(rng.standard_normal((1, 8)))
+            T.mse_loss(model.forward(x, training=True), target).backward()
+            opt.step()
+        arrays = [a for p in model.parameters().values() for a in (p.data, p.grad)]
+        arrays += list(opt.m.values()) + list(opt.v.values())
+        assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
 
 class TestSplits:
@@ -171,6 +190,12 @@ class TestEvaluate:
                   for e in examples]
         expect = np.mean([abs(90.0 - l) for l in labels])
         assert abs(res.mae - expect) <= 1e-9
+
+    def test_non_finite_hr_never_scores(self):
+        cfg = TINY_CFG.copy(output_format="HR")
+        examples = [_hr_example(60.0), _hr_example(90.0)]
+        with pytest.raises(InputError, match="all 2 windows"):
+            evaluate(ConstantStub(np.nan), cfg, examples, integrate=False)
 
     def test_predictor_bug_propagates(self):
         class BuggyPredictor:
