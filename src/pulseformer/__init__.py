@@ -8,6 +8,6 @@ from .preprocess import SignalTrace, VideoClip, WindowExample, diff_labels, diff
 from .search import DesignSpace, SearchTrace, general_config, greedy_adapt
 from .synth import HARD, SIMPLE, LabeledClip, SynthPreset, generate_clip, generate_dataset
 from .tensor import Tensor, backward, no_grad
-from .training import AdamW, SplitPlan, TrainConfig, evaluate, split_dataset, train_model
+from .training import AdamW, TrainConfig, evaluate, split_dataset, train_model
 
 __version__ = "0.1.0"

@@ -1,5 +1,8 @@
 """Command-line interface: dataset generation, training, evaluation, search.
 
+``train`` splits subjects by the config's ``split_mode`` and ``fold``;
+``search`` always splits them 8:2 (cross, fold 0) and ignores both.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -15,8 +18,8 @@ from .errors import (ConfigurationError, EstimationError, InputError,
                      NumericError, PulseformerError)
 from .gradcheck import model_grad_check, run_op_suite
 from .model import ModelConfig, MultiscaleVideoTransformer, stage_grids
-from .preprocess import make_example
-from .search import DesignSpace, greedy_adapt
+from .preprocess import make_example, window_key
+from .search import greedy_adapt
 from .synth import PRESETS, generate_dataset
 from .training import (ModelPredictor, PerfectStub, evaluate, split_dataset,
                        train_model)
@@ -72,7 +75,9 @@ def build_parser() -> _Parser:
     e.add_argument("--stub", choices=["perfect"], default=None,
                    help="evaluate a reference stub instead of the checkpoint")
 
-    s = sub.add_parser("search", help="greedy configuration search on a dataset")
+    s = sub.add_parser("search", help="greedy configuration search on a dataset",
+                       description="Subjects are always split 8:2 (cross, fold 0); "
+                       "the config's split_mode and fold are ignored.")
     s.add_argument("--data", type=str, required=True)
     s.add_argument("--config", type=str, default=None)
     s.add_argument("--out", type=str, required=True)
@@ -115,28 +120,11 @@ def _windows(loaded, cfg: ModelConfig, subjects=None):
 def _read_config(path: str | None):
     if path is None:
         return fileio.config_from_dict({})
-    try:
+    try:   # ValueError: undecodable text, bad JSON, huge ints; RecursionError: deep nesting
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as e:   # ValueError: undecodable text, bad JSON, huge ints
+    except (OSError, ValueError, RecursionError) as e:
         raise InputError(f"cannot read config {path}: {e}") from e
     return fileio.config_from_dict(doc)
-
-
-def _subject_split(loaded, split_mode: str, seed: int, fold: int):
-    subjects = sorted({entry["subject_id"] for entry, _, _ in loaded})
-    plan = split_dataset(subjects, split_mode, seed=seed)
-    if split_mode == "kfold":
-        k = len(plan.groups)
-        if not 0 <= fold < k:
-            raise InputError(f"fold {fold} out of range for {k}-fold split")
-        test = set(plan.groups[f"fold{fold}"])
-        train = {s for name, ids in plan.groups.items()
-                 for s in ids if name != f"fold{fold}"}
-        return train, set(), test
-    if split_mode == "cross":
-        return set(plan.groups["train"]), set(plan.groups["val"]), set()
-    return (set(plan.groups["train"]), set(plan.groups["val"]),
-            set(plan.groups["test"]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +166,10 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     model_cfg, train_cfg, split_mode, fold = _read_config(args.config)
     loaded, _ = _load_clips(args.data)
-    train_subj, val_subj, test_subj = _subject_split(
-        loaded, split_mode, train_cfg.seed, fold)
+    train_subj, val_subj, test_subj = split_dataset(
+        (entry["subject_id"] for entry, _, _ in loaded), split_mode, train_cfg.seed, fold)
     train_ex = _windows(loaded, model_cfg, train_subj)
     val_ex = _windows(loaded, model_cfg, val_subj)
-    run_dir = Path(args.out)
-    fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
 
     def log(row):
         val = "" if row["val_mae"] is None else f" val_mae {row['val_mae']:.3f}"
@@ -191,6 +177,8 @@ def cmd_train(args) -> int:
 
     model, history = train_model(model_cfg, train_cfg, train_ex,
                                  val_examples=val_ex or None, log=log)
+    run_dir = Path(args.out)
+    fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
     fileio.write_history(run_dir, history)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())
     eval_subj = test_subj or val_subj or train_subj
@@ -232,7 +220,8 @@ def cmd_search(args) -> int:
     loaded, _ = _load_clips(args.data)
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    train_subj, val_subj, _ = _subject_split(loaded, "cross", train_cfg.seed, 0)
+    train_subj, val_subj, _ = split_dataset(
+        (entry["subject_id"] for entry, _, _ in loaded), "cross", train_cfg.seed)
     # the (train, val) windows of the last windowing key; consecutive
     # candidates mostly differ only in architecture, so they reuse it
     windows: dict[tuple, tuple[list, list]] = {}
@@ -243,8 +232,7 @@ def cmd_search(args) -> int:
         if tokens > args.max_tokens:
             raise ConfigurationError(
                 f"stem grid {grid} exceeds --max-tokens {args.max_tokens}")
-        # the only config fields make_example reads
-        key = (tuple(cfg.input_dims), cfg.frame_format, cfg.output_format, cfg.signal_norm)
+        key = window_key(cfg)
         if key not in windows:
             windows.clear()   # drop the old windows before building new ones
             windows[key] = (_windows(loaded, cfg, train_subj), _windows(loaded, cfg, val_subj))
@@ -252,9 +240,7 @@ def cmd_search(args) -> int:
         model, _ = train_model(cfg, train_cfg, train_ex)
         return evaluate(ModelPredictor(model), cfg, val_ex).mae
 
-    trace = greedy_adapt(evaluator, DesignSpace(),
-                         start=model_cfg.copy(output_format="HR", frame_format="Raw",
-                                              signal_norm=False, scaling=0))
+    trace = greedy_adapt(evaluator, start=model_cfg)
     fileio.write_search_trace(run_dir / "search_trace.csv", trace)
     final = trace.final_config
     fileio.write_run_config(run_dir, final, train_cfg)

@@ -116,7 +116,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
             data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")
-            out[name] = data.astype(np.float64).reshape(shape)
+            try:
+                out[name] = data.astype(np.float64).reshape(shape)
+            except ValueError as e:   # more dimensions than numpy allows
+                raise InputError(f"{path}: array {name!r}: {e}") from e
         if f.read(1):
             raise InputError(f"{path}: trailing bytes after payload")
     return out
@@ -132,9 +135,9 @@ def write_manifest(path, entries: list[dict], metadata: dict) -> None:
 
 
 def read_manifest(path) -> tuple[list[dict], dict]:
-    try:
+    try:   # ValueError: undecodable text or bad JSON; RecursionError: deep nesting
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise InputError(f"cannot read manifest {path}: {e}") from e
     if not isinstance(doc, dict) or not isinstance(doc.get("clips"), list):
         raise InputError(f"manifest {path} has no clip list")

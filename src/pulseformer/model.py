@@ -302,16 +302,18 @@ class MultiscaleVideoTransformer:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy named arrays into the parameters and buffers, cast to their dtypes.
 
-        Every array must be finite once cast: a float64 value beyond the
-        float32 range would become inf in a float32 parameter.
+        The names must be exactly those of ``named_arrays()``. Every array
+        must be finite once cast: a float64 value beyond the float32 range
+        would become inf in a float32 parameter.
         """
-        for name, t in self.store.params.items():
-            if name not in arrays:
-                raise ConfigurationError(f"checkpoint missing parameter {name}")
-            _copy_checked(name, arrays[name], t.data)
-        for name, buf in self.store.buffers.items():
-            if name in arrays:
-                _copy_checked(name, arrays[name], buf)
+        dests = self.named_arrays()
+        for kind, names in (("missing", dests.keys() - arrays.keys()),
+                            ("unexpected", arrays.keys() - dests.keys())):
+            if names:
+                raise ConfigurationError(
+                    f"checkpoint has {len(names)} {kind} array(s), first {min(names)}")
+        for name, dest in dests.items():
+            _copy_checked(name, arrays[name], dest)
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.store.params.values())

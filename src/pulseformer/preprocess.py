@@ -8,6 +8,7 @@ cancels any static multiplicative illumination exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ class VideoClip:
             raise InputError(f"clip frames must be T x H x W x C, got {self.frames.shape}")
         if self.frames.shape[0] < 2:
             raise InputError("clip needs at least 2 frames")
-        if self.fps <= 0:
-            raise InputError(f"frame rate must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise InputError(f"frame rate must be positive and finite, got {self.fps}")
 
     @property
     def length(self) -> int:
@@ -47,8 +48,8 @@ class SignalTrace:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        if self.fps <= 0:
-            raise InputError(f"frame rate must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise InputError(f"frame rate must be positive and finite, got {self.fps}")
 
     @property
     def length(self) -> int:
@@ -138,10 +139,16 @@ class WindowExample:
     subject_id: str = field(default="")
 
 
+def window_key(cfg) -> tuple:
+    """The configuration fields ``make_example`` reads: equal keys, identical windows."""
+    return (tuple(cfg.input_dims), cfg.frame_format, cfg.output_format, cfg.signal_norm)
+
+
 def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample]:
     """Window, resize, and format one clip/trace pair per the configuration.
 
-    Produces floor(T_total / T_cfg) consecutive non-overlapping windows.
+    Produces floor(T_total / T_cfg) consecutive non-overlapping windows. It
+    reads only the fields in ``window_key(cfg)``.
     """
     from .metrics import hr_from_signal
 

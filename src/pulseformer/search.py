@@ -56,13 +56,6 @@ class SearchTrace:
         return out
 
 
-def default_baseline() -> ModelConfig:
-    """Unadapted starting point: rate output, raw frames, no temporal scaling."""
-    return ModelConfig(input_dims=(120, 256, 256), output_format="HR",
-                       frame_format="Raw", signal_norm=False,
-                       pos_encoding="REL", scaling=0)
-
-
 def general_config(simple: bool) -> ModelConfig:
     """The majority-vote configuration; targets are normalised only in simple scenarios."""
     return ModelConfig(input_dims=(120, 64, 64), output_format="Signal",
@@ -71,11 +64,14 @@ def general_config(simple: bool) -> ModelConfig:
 
 
 def greedy_adapt(evaluator: Callable[[ModelConfig], float],
-                 space: DesignSpace | None = None,
-                 start: ModelConfig | None = None) -> SearchTrace:
-    """Run the six greedy phases, memoising evaluator calls by configuration."""
-    space = space or DesignSpace()
-    carried = (start or default_baseline()).copy()
+                 start: ModelConfig = ModelConfig()) -> SearchTrace:
+    """Run the six greedy phases, memoising evaluator calls by configuration.
+
+    The search starts unadapted: ``start`` with rate output, raw frames, no
+    target normalisation and no temporal scaling (its input dims are unused).
+    """
+    space = DesignSpace()
+    carried = start.copy(output_format="HR", frame_format="Raw", signal_norm=False, scaling=0)
     trace = SearchTrace()
     memo: dict[tuple, float] = {}
 

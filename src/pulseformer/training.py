@@ -15,6 +15,7 @@ from .preprocess import SignalTrace, WindowExample
 from .tensor import Tensor
 
 SPLIT_MODES = ("intra", "cross", "kfold")
+K_FOLDS = 3
 
 
 @dataclass
@@ -95,25 +96,23 @@ class AdamW:
 # dataset splitting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SplitPlan:
-    mode: str
-    groups: dict[str, list] = field(default_factory=dict)
+def split_dataset(ids, mode: str, seed: int, fold: int = 0) -> tuple[set, set, set]:
+    """(train, val, test) subject sets: a seeded shuffle, then a contiguous partition.
 
-
-def split_dataset(ids, mode: str, seed: int, k: int = 3) -> SplitPlan:
-    """Seeded shuffle then contiguous partition.
-
-    ``intra`` splits 7:1:2 into train/val/test, ``cross`` splits 8:2 into
-    train/val (floor for train, remainder to later parts); ``kfold``
-    partitions into k folds balanced within one element.
+    The shuffle runs over the sorted unique ids. ``intra`` splits 7:1:2 into
+    train/val/test and ``cross`` 8:2 into train/val with an empty test (floor
+    for train, remainder to later parts). ``kfold`` partitions into
+    ``K_FOLDS`` folds balanced within one element; fold ``fold`` is the test
+    set, the others train, and val is empty.
     """
-    ids = list(ids)
+    ids = sorted(set(ids))
     if mode not in SPLIT_MODES:
         raise InputError(f"unknown split mode {mode!r}")
     if mode == "kfold":
-        if len(ids) < k:
-            raise InputError(f"k-fold needs at least {k} ids, got {len(ids)}")
+        if len(ids) < K_FOLDS:
+            raise InputError(f"k-fold needs at least {K_FOLDS} ids, got {len(ids)}")
+        if not 0 <= fold < K_FOLDS:
+            raise InputError(f"fold {fold} out of range for {K_FOLDS}-fold split")
     elif len(ids) < 10:
         raise InputError(f"ratio splits need at least 10 ids, got {len(ids)}")
 
@@ -123,16 +122,14 @@ def split_dataset(ids, mode: str, seed: int, k: int = 3) -> SplitPlan:
     if mode == "intra":
         n_train = int(n * 0.7)
         n_val = int(n * 0.1)
-        groups = {"train": order[:n_train],
-                  "val": order[n_train:n_train + n_val],
-                  "test": order[n_train + n_val:]}
-    elif mode == "cross":
+        return (set(order[:n_train]), set(order[n_train:n_train + n_val]),
+                set(order[n_train + n_val:]))
+    if mode == "cross":
         n_train = int(n * 0.8)
-        groups = {"train": order[:n_train], "val": order[n_train:]}
-    else:
-        folds = np.array_split(np.arange(n), k)
-        groups = {f"fold{i}": [order[j] for j in f] for i, f in enumerate(folds)}
-    return SplitPlan(mode=mode, groups=groups)
+        return set(order[:n_train]), set(order[n_train:]), set()
+    folds = [{order[j] for j in f} for f in np.array_split(np.arange(n), K_FOLDS)]
+    test = folds.pop(fold)
+    return set().union(*folds), set(), test
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from pulseformer import cli, fileio
 from pulseformer.cli import main
 from pulseformer.errors import ConfigurationError
 from pulseformer.model import stage_grids
-from pulseformer.search import DesignSpace, greedy_adapt
-from pulseformer.training import ModelPredictor, TrainConfig, evaluate, train_model
+from pulseformer.search import greedy_adapt
+from pulseformer.training import ModelPredictor, evaluate, split_dataset, train_model
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,8 @@ def test_search_reuses_windows(tmp_path, monkeypatch):
     # the same search with every candidate windowed afresh
     model_cfg, train_cfg, _, _ = cli._read_config(str(cfg))
     loaded, _ = cli._load_clips(str(data))
-    train_subj, val_subj, _ = cli._subject_split(loaded, "cross", train_cfg.seed, 0)
+    train_subj, val_subj, _ = split_dataset(
+        (entry["subject_id"] for entry, _, _ in loaded), "cross", train_cfg.seed)
 
     def evaluator(c):
         grid = stage_grids(c.validate())[0]
@@ -106,9 +107,7 @@ def test_search_reuses_windows(tmp_path, monkeypatch):
         return evaluate(ModelPredictor(model), c, cli._windows(loaded, c, val_subj)).mae
 
     del calls[:]
-    ref = greedy_adapt(evaluator, DesignSpace(),
-                       start=model_cfg.copy(output_format="HR", frame_format="Raw",
-                                            signal_norm=False, scaling=0))
+    ref = greedy_adapt(evaluator, start=model_cfg)
     assert cached_calls < len(calls)
     ref_csv = tmp_path / "ref.csv"
     fileio.write_search_trace(ref_csv, ref)

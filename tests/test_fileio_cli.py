@@ -87,6 +87,65 @@ BAD_NAME_CHECKPOINT = (fileio.CHECKPOINT_MAGIC
                        + struct.pack("<Id", 0, 1.0))
 
 
+def _clip_bytes(fps=30.0):
+    """A valid 2x2x2x3 clip file."""
+    return (fileio.CLIP_MAGIC + struct.pack("<IIIIIf", fileio.FORMAT_VERSION, 2, 2, 2, 3, fps)
+            + np.full(24, 0.5, dtype="<f4").tobytes())
+
+
+def _trace_bytes(fps=30.0):
+    """A valid 4-sample trace file."""
+    return (fileio.TRACE_MAGIC + struct.pack("<IIf", fileio.FORMAT_VERSION, 4, fps)
+            + np.zeros(4, dtype="<f4").tobytes())
+
+
+# one (2,)-shaped array named "a"
+CHECKPOINT_BYTES = (fileio.CHECKPOINT_MAGIC + struct.pack("<IIIB", fileio.FORMAT_VERSION, 1, 1,
+                                                          ord("a"))
+                    + struct.pack("<II", 1, 2) + np.ones(2, dtype="<f8").tobytes())
+
+# per reader: a valid file and its header fields as (byte offset, struct code)
+READERS = {
+    "clip": (fileio.read_clip, _clip_bytes(),
+             [(4, "I"), (8, "I"), (12, "I"), (16, "I"), (20, "I"), (24, "f")]),
+    "trace": (fileio.read_trace, _trace_bytes(), [(4, "I"), (8, "I"), (12, "f")]),
+    "checkpoint": (fileio.read_checkpoint, CHECKPOINT_BYTES,
+                   [(4, "I"), (8, "I"), (12, "I"), (16, "B"), (17, "I"), (21, "I")]),
+}
+HEADER_VALUES = {"I": st.integers(0, 8) | st.integers(0, 2 ** 32 - 1),
+                 "B": st.integers(0, 255),
+                 "f": st.floats(width=32)}
+
+
+@st.composite
+def mutated_files(draw, kind):
+    """A valid file of ``kind`` with one header field overwritten, then cut or padded."""
+    _, blob, header = READERS[kind]
+    offset, code = draw(st.sampled_from(header))
+    value = struct.pack("<" + code, draw(HEADER_VALUES[code]))
+    blob = blob[:offset] + value + blob[offset + len(value):]
+    cut = draw(st.integers(-8, 8) | st.integers(0, 300))
+    return blob[:len(blob) + cut] if cut < 0 else blob + b"\x00" * cut
+
+
+def _parses_or_raises_typed(reader, blob, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(blob)
+        try:
+            reader(path)
+        except PulseformerError:
+            pass
+
+
+MANIFEST_PATHS = st.sampled_from(["c.gvtc", "t.gvts", ".", "", "nope", "\x00"]) | JSON_VALUES
+MANIFEST_DOCS = st.fixed_dictionaries({}, optional={
+    "clips": st.lists(st.fixed_dictionaries({}, optional={
+        "clip_path": MANIFEST_PATHS, "trace_path": MANIFEST_PATHS,
+        "subject_id": st.text(max_size=4) | JSON_VALUES}) | JSON_VALUES, max_size=3) | JSON_VALUES,
+    "metadata": JSON_VALUES})
+
+
 def _write_micro_config(tmp_path) -> Path:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(MICRO_CONFIG))
@@ -166,6 +225,59 @@ class TestBinaryFormats:
         with pytest.raises(InputError, match="not UTF-8"):
             fileio.read_checkpoint(path)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0])
+    def test_non_finite_or_non_positive_fps_header_rejected(self, tmp_path, fps):
+        for name, blob, reader in (("c.gvtc", _clip_bytes(fps), fileio.read_clip),
+                                   ("t.gvts", _trace_bytes(fps), fileio.read_trace)):
+            (tmp_path / name).write_bytes(blob)
+            with pytest.raises(InputError, match="frame rate"):
+                reader(tmp_path / name)
+
+    def test_fuzz_seed_files_are_valid(self):
+        for kind, (reader, blob, _) in READERS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / kind
+                path.write_bytes(blob)
+                reader(path)   # the unmutated file is valid
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_bytes_parse_or_raise_typed(self, kind, data):
+        reader, blob, _ = READERS[kind]
+        magic = blob[:4]
+        junk = data.draw(st.binary(max_size=64) | st.binary(max_size=64).map(lambda b: magic + b))
+        _parses_or_raises_typed(reader, junk, kind)
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_header_parses_or_raises_typed(self, kind, data):
+        reader = READERS[kind][0]
+        _parses_or_raises_typed(reader, data.draw(mutated_files(kind)), kind)
+
+    def test_checkpoint_array_beyond_numpy_dims_rejected(self, tmp_path):
+        """65 zero-length dims: the payload is empty, but numpy allows at most 64 dims."""
+        path = tmp_path / "m.gvtm"
+        path.write_bytes(CHECKPOINT_BYTES[:17] + struct.pack("<I", 65) + b"\x00" * 260)
+        with pytest.raises(InputError, match="'a'"):
+            fileio.read_checkpoint(path)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(st.binary(max_size=64) | MANIFEST_DOCS.map(lambda d: json.dumps(d).encode()))
+    @example(b"\xff\xfe")
+    @example(b"[" * 100_000)
+    def test_any_manifest_reads_or_raises_typed(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            (base / "c.gvtc").write_bytes(_clip_bytes())
+            (base / "t.gvts").write_bytes(_trace_bytes())
+            (base / "manifest.json").write_bytes(blob)
+            try:
+                fileio.read_manifest(base / "manifest.json")
+            except PulseformerError:
+                pass
+
 
 class TestConfigDocuments:
     def test_round_trip_defaults(self):
@@ -234,6 +346,7 @@ class TestConfigDocuments:
 
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(st.binary(max_size=64) | ANY_DOCS.map(lambda d: json.dumps(d).encode()))
+    @example(b"[" * 100_000)
     def test_any_config_file_reads_or_raises_typed(self, blob):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cfg.json"
@@ -266,6 +379,16 @@ class TestCliGen:
             assert rc == 0
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    @pytest.mark.parametrize("fps", ["nan", "inf"])
+    def test_gen_non_finite_fps_data_error(self, tmp_path, capsys, fps):
+        out = tmp_path / "d"
+        rc = main(["gen", "--preset", "simple", "--subjects", "1",
+                   "--clips-per-subject", "1", "--dims", "60x8x8",
+                   "--fps", fps, "--out", str(out)])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_gen_zero_dim_usage_error(self, tmp_path, capsys):
         rc = main(["gen", "--preset", "simple", "--subjects", "1",
@@ -372,6 +495,23 @@ class TestCliTrainEval:
         assert rc == 2
         assert "stem.b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop,extra,name", [
+        (("head.up0.bn.running_mean", "head.up0.bn.running_var"), {},
+         "head.up0.bn.running_mean"),
+        ((), {"bogus": np.zeros(3)}, "bogus"),
+    ], ids=["missing_buffer", "unexpected_array"])
+    def test_eval_checkpoint_names_must_match(self, micro_run, micro_dataset, tmp_path,
+                                              capsys, drop, extra, name):
+        arrays = fileio.read_checkpoint(micro_run / "model.gvtm")
+        arrays = {k: v for k, v in arrays.items() if k not in drop} | extra
+        run = tmp_path / "r"
+        run.mkdir()
+        (run / "config.json").write_bytes((micro_run / "config.json").read_bytes())
+        fileio.write_checkpoint(run / "model.gvtm", arrays)
+        rc = main(["eval", "--run", str(run), "--data", str(micro_dataset)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
     def test_train_unallocatable_model_data_error(self, micro_dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"base_width": 2 ** 40, "input_dims": [60, 32, 32],
@@ -382,6 +522,7 @@ class TestCliTrainEval:
         assert rc == 2
         assert "data error" in err and "base width" in err
         assert "Traceback" not in err
+        assert not list((tmp_path / "r").glob("**/config.json"))
 
     def test_train_missing_manifest_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])

@@ -1,12 +1,15 @@
 """Preprocessing oracles: frame formats, normalisation, resizing, windowing."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from pulseformer.errors import InputError
+from pulseformer.model import ModelConfig
 from pulseformer.preprocess import (SignalTrace, VideoClip, diff_labels,
                                     diffnorm_frames, make_example,
-                                    resize_bilinear, standardize)
+                                    resize_bilinear, standardize, window_key)
 from pulseformer.search import general_config
 
 
@@ -144,3 +147,43 @@ class TestMakeExample:
         clip = VideoClip(rng.random((120, 8, 8, 3)), 30.0)
         with pytest.raises(InputError):
             make_example(clip, SignalTrace(np.zeros(100), 30.0), cfg)
+
+
+# two values per ModelConfig field; each base below differs from at least one
+FIELD_VALUES = {
+    "input_dims": ((30, 16, 16), (60, 8, 8)), "output_format": ("Signal", "HR"),
+    "frame_format": ("DiffNorm", "Raw"), "signal_norm": (True, False),
+    "pos_encoding": ("ABS", "CPE"), "scaling": (1, 3), "base_width": (16, 8),
+    "stage_depths": ((2, 2, 2, 2), (0, 0, 0, 0)), "heads_per_stage": ((1, 1, 1, 1), (2, 2, 2, 2)),
+    "mlp_ratio": (2.0, 3.0),
+}
+
+
+class TestWindowKey:
+    @pytest.mark.parametrize("base", [
+        ModelConfig(input_dims=(60, 16, 16), output_format="HR", frame_format="Raw",
+                    signal_norm=False, scaling=0),
+        ModelConfig(input_dims=(60, 16, 16), output_format="Signal", frame_format="DiffNorm",
+                    signal_norm=True, scaling=2),
+    ], ids=["unadapted", "general"])
+    def test_fields_outside_key_leave_windows_bit_identical(self, base):
+        assert set(FIELD_VALUES) == {f.name for f in fields(ModelConfig)}
+        rng = np.random.default_rng(9)
+        clip = VideoClip(0.3 + 0.4 * rng.random((120, 8, 8, 3)), 30.0)
+        ts = np.arange(120) / 30.0
+        trace = SignalTrace(np.sin(2 * np.pi * 1.5 * ts) + 0.1 * rng.random(120), 30.0)
+        ref = make_example(clip, trace, base)
+        outside = []
+        for name, values in FIELD_VALUES.items():
+            cfg = base.copy(**{name: next(v for v in values if v != getattr(base, name))})
+            if window_key(cfg) != window_key(base):
+                continue
+            outside.append(name)
+            got = make_example(clip, trace, cfg)
+            assert len(got) == len(ref)
+            for a, b in zip(ref, got):
+                for attr in ("x", "target", "trace_window"):
+                    u, v = getattr(a, attr), getattr(b, attr)
+                    assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+        assert set(FIELD_VALUES) - set(outside) == {
+            "input_dims", "output_format", "frame_format", "signal_norm"}

@@ -7,8 +7,7 @@ import pytest
 
 from pulseformer.errors import ConfigurationError
 from pulseformer.model import ModelConfig
-from pulseformer.search import (DesignSpace, default_baseline, general_config,
-                                greedy_adapt)
+from pulseformer.search import DesignSpace, general_config, greedy_adapt
 
 TARGET = dict(input_dims=(120, 64, 64), output_format="Signal",
               frame_format="DiffNorm", signal_norm=True,
@@ -153,8 +152,11 @@ class TestGeneralConfig:
         general_config(simple=False).validate()
 
     def test_baseline_is_unadapted(self):
-        base = default_baseline()
-        assert base.output_format == "HR"
-        assert base.frame_format == "Raw"
-        assert base.signal_norm is False
-        assert base.scaling == 0
+        start = general_config(simple=True).copy(base_width=16)
+        first = greedy_adapt(lambda cfg: 1.0, start=start).steps[0].config
+        assert first.output_format == "HR"
+        assert first.frame_format == "Raw"
+        assert first.signal_norm is False
+        assert first.scaling == 0
+        assert first.input_dims == (DesignSpace().probe_temporal, 256, 256)
+        assert (first.base_width, first.pos_encoding) == (16, "REL")

@@ -116,40 +116,50 @@ class TestAdamW:
 
 class TestSplits:
     def test_intra_sizes_10(self):
-        plan = split_dataset([f"s{i}" for i in range(10)], "intra", seed=0)
-        assert (len(plan.groups["train"]), len(plan.groups["val"]),
-                len(plan.groups["test"])) == (7, 1, 2)
+        train, val, test = split_dataset([f"s{i}" for i in range(10)], "intra", seed=0)
+        assert (len(train), len(val), len(test)) == (7, 1, 2)
 
     def test_cross_sizes_10(self):
-        plan = split_dataset([f"s{i}" for i in range(10)], "cross", seed=0)
-        assert (len(plan.groups["train"]), len(plan.groups["val"])) == (8, 2)
+        train, val, test = split_dataset([f"s{i}" for i in range(10)], "cross", seed=0)
+        assert (len(train), len(val), test) == (8, 2, set())
 
     def test_kfold_balanced_7(self):
-        plan = split_dataset([f"s{i}" for i in range(7)], "kfold", seed=1, k=3)
-        sizes = sorted(len(v) for v in plan.groups.values())
-        assert sizes == [2, 2, 3]
+        ids = [f"s{i}" for i in range(7)]
+        tests = []
+        for fold in range(3):
+            train, val, test = split_dataset(ids, "kfold", seed=1, fold=fold)
+            assert val == set() and train | test == set(ids) and not train & test
+            tests.append(test)
+        assert sorted(len(t) for t in tests) == [2, 2, 3]
+        assert set().union(*tests) == set(ids)
 
     def test_partitions_disjoint_exhaustive(self):
         ids = [f"s{i}" for i in range(23)]
         for mode in ("intra", "cross", "kfold"):
-            plan = split_dataset(ids, mode, seed=3)
-            seen = [i for part in plan.groups.values() for i in part]
+            parts = split_dataset(ids, mode, seed=3)
+            seen = [i for part in parts for i in part]
             assert sorted(seen) == sorted(ids)
             assert len(set(seen)) == len(seen)
 
     def test_deterministic_under_seed(self):
         ids = [f"s{i}" for i in range(12)]
-        a = split_dataset(ids, "intra", seed=5).groups
-        b = split_dataset(ids, "intra", seed=5).groups
-        assert a == b
-        c = split_dataset(ids, "intra", seed=6).groups
-        assert a != c
+        a = split_dataset(ids, "intra", seed=5)
+        assert a == split_dataset(ids, "intra", seed=5)
+        assert a == split_dataset(ids[::-1] + ids[:3], "intra", seed=5)   # order, repeats
+        assert a != split_dataset(ids, "intra", seed=6)
 
     def test_too_few_ids_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="at least 10"):
             split_dataset(["a", "b"], "intra", seed=0)
-        with pytest.raises(InputError):
-            split_dataset(["a", "b"], "kfold", seed=0, k=3)
+        with pytest.raises(InputError, match="at least 3"):
+            split_dataset(["a", "b"], "kfold", seed=0)
+        with pytest.raises(InputError, match="at least 10"):
+            split_dataset(["a"] * 10, "cross", seed=0)   # ten entries, one subject
+
+    @pytest.mark.parametrize("fold", [-1, 3])
+    def test_fold_out_of_range_rejected(self, fold):
+        with pytest.raises(InputError, match="out of range for 3-fold"):
+            split_dataset([f"s{i}" for i in range(7)], "kfold", seed=0, fold=fold)
 
 
 def _hr_example(hr, t=120, fps=30.0):
