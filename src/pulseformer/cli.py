@@ -117,6 +117,19 @@ def _windows(loaded, cfg: ModelConfig, subjects=None):
     return out
 
 
+def _writable_dir(path: str) -> Path:
+    """Create ``path`` and check a file can be written in it, before any work."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        probe = out / ".write_probe"
+        probe.write_bytes(b"")
+        probe.unlink()
+    except OSError as e:
+        raise InputError(f"output directory {out} is not writable: {e}") from e
+    return out
+
+
 def _read_config(path: str | None):
     if path is None:
         return fileio.config_from_dict({})
@@ -135,14 +148,7 @@ def cmd_gen(args) -> int:
     dims = _parse_dims(args.dims)
     if args.subjects < 1 or args.clips_per_subject < 1:
         raise UsageError("subjects and clips-per-subject must be positive")
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as e:
-        raise InputError(f"output directory {out} is not writable: {e}") from e
+    out = _writable_dir(args.out)
     data = generate_dataset(PRESETS[args.preset], args.subjects,
                             args.clips_per_subject, dims, args.fps, args.seed)
     entries = []
@@ -170,6 +176,7 @@ def cmd_train(args) -> int:
         (entry["subject_id"] for entry, _, _ in loaded), split_mode, train_cfg.seed, fold)
     train_ex = _windows(loaded, model_cfg, train_subj)
     val_ex = _windows(loaded, model_cfg, val_subj)
+    run_dir = _writable_dir(args.out)
 
     def log(row):
         val = "" if row["val_mae"] is None else f" val_mae {row['val_mae']:.3f}"
@@ -177,7 +184,6 @@ def cmd_train(args) -> int:
 
     model, history = train_model(model_cfg, train_cfg, train_ex,
                                  val_examples=val_ex or None, log=log)
-    run_dir = Path(args.out)
     fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
     fileio.write_history(run_dir, history)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())
@@ -218,8 +224,7 @@ def cmd_eval(args) -> int:
 def cmd_search(args) -> int:
     model_cfg, train_cfg, _, _ = _read_config(args.config)
     loaded, _ = _load_clips(args.data)
-    run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _writable_dir(args.out)
     train_subj, val_subj, _ = split_dataset(
         (entry["subject_id"] for entry, _, _ in loaded), "cross", train_cfg.seed)
     # the (train, val) windows of the last windowing key; consecutive

@@ -113,6 +113,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
                 name = blob.decode("utf-8")
             except UnicodeDecodeError as e:
                 raise InputError(f"{path}: array name {blob!r} is not UTF-8") from e
+            if name in out:
+                raise InputError(f"{path}: array {name!r} appears twice")
             (ndim,) = struct.unpack("<I", _read_exact(f, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim))
             data = np.frombuffer(_read_exact(f, 8 * math.prod(shape)), dtype="<f8")

@@ -383,10 +383,13 @@ class MultiscaleVideoTransformer:
         return T.elu(g)
 
     def predict(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass without tape recording; x is (C, T, H, W) or batched."""
+        """Forward pass without tape recording, inside nn_ops.one_blas_thread.
+
+        x is (C, T, H, W) or batched.
+        """
         single = x.ndim == 4
         if single:
             x = x[None]
-        with T.no_grad():
+        with T.no_grad(), nn_ops.one_blas_thread():
             y = self.forward(Tensor(x), training=training)
         return y.data[0] if single else y.data

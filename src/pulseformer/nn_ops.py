@@ -15,17 +15,23 @@ allocates its own output or scratch array gives it that result dtype too, so
 float64 operands are never rounded through a float32 buffer.
 
 Attention's (head, query block) items are split statically over as many
-workers as OpenBLAS has threads: worker ``w`` takes items ``w::workers``,
-worker 0 on the calling thread and the rest on threads joined within the
-call. While they run, OpenBLAS is held at one thread, so the elementwise
-passes over score tiles use every core instead of only the GEMMs. Workers
-write disjoint output rows, and each sums its key, value and bias-table
-gradients in its own buffers, which are added in worker order after the
-join, so a run is bit-identical to the next with the same worker count.
+workers as OpenBLAS had threads when ``one_blas_thread`` was entered:
+worker ``w`` takes items ``w::workers``, worker 0 on the calling thread and
+the rest on threads joined within the call. That region holds OpenBLAS at
+one thread, so the elementwise passes over score tiles use every core
+instead of only the GEMMs. ``train_model`` holds it for its whole epoch loop
+and ``predict`` for one call, so OpenBLAS is switched twice per call, not
+around every attention sweep; ``attention_core`` enters it too, which is a
+no-op inside those and holds it per sweep when called directly. Every other
+op in the region runs its GEMMs on one thread. Workers write disjoint output
+rows, and each sums its key, value and bias-table gradients in its own
+buffers, which are added in worker order after the join, so a run is
+bit-identical to the next with the same worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import threading
@@ -388,19 +394,49 @@ def _openblas():
     return None
 
 
-def _workers() -> int:
-    """Attention workers: OpenBLAS's thread count now, or 1 if it cannot be switched."""
+# OpenBLAS's thread count before the outermost one_blas_thread entry, 0 outside
+# one. Module-level, not a ContextVar: the OpenBLAS count is process-global.
+_held = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread; attention runs as many workers as it had.
+
+    The outermost entry reads the count N, sets it to 1 and restores N on
+    exit, also when the body raises. Nested entries do nothing. Holding the
+    count for a whole call instead of switching it 2 -> 1 -> 2 around every
+    attention sweep took search_small from a median 16.5 s to 14.6 s on a
+    2-core Xeon. Not switching at all is worse: with one worker per CPU and
+    OpenBLAS left at its own count, a train_general step took about 1.6x as
+    long, median 2.47 -> 4.04 s.
+    """
+    global _held
     blas = _openblas()
-    return max(1, blas[0]()) if blas is not None else 1
+    if _held or blas is None:
+        yield
+        return
+    n = max(1, blas[0]())
+    _held = n
+    try:
+        blas[1](1)
+        yield
+    finally:
+        _held = 0
+        blas[1](n)
+
+
+def _workers() -> int:
+    """Attention workers: the count one_blas_thread holds, else 1."""
+    return _held or 1
 
 
 def _run_workers(work, nw: int) -> None:
-    """work(w) for w < nw: 0 inline, the others on threads, OpenBLAS at 1 thread.
+    """work(w) for w < nw: 0 inline, the others on threads.
 
-    The first exception in worker order is raised once every worker has joined.
-    The OpenBLAS switch must stay: with it removed (one worker per CPU,
-    OpenBLAS left at its own thread count) a train_general step took about
-    1.6x as long, median 2.47 -> 4.04 s on a 2-core Xeon.
+    Call it inside one_blas_thread, so the workers' GEMMs do not also fan
+    out over OpenBLAS threads. The first exception in worker order is raised
+    once every worker has joined.
     """
     if nw == 1:
         work(0)
@@ -413,12 +449,8 @@ def _run_workers(work, nw: int) -> None:
         except BaseException as e:   # re-raised on the caller below
             errors[w] = e
 
-    blas = _openblas()
-    prev = blas[0]() if blas is not None else None
     started = []
     try:
-        if blas is not None:
-            blas[1](1)
         for w in range(1, nw):
             thread = threading.Thread(target=run, args=(w,))
             thread.start()
@@ -427,8 +459,6 @@ def _run_workers(work, nw: int) -> None:
     finally:
         for thread in started:
             thread.join()
-        if blas is not None:
-            blas[1](prev)
     for e in errors:
         if e is not None:
             raise e
@@ -461,8 +491,10 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     gradient, which is the same dtype unless the inputs were made under
     another compute dtype than the call's.
 
-    Both passes split the (head, block) items statically over ``_workers()``
-    workers (see the module docstring). The bias views and every worker's
+    Both passes run inside ``one_blas_thread`` (a no-op under ``train_model``
+    and ``predict``, which already hold it) and split the (head, block) items
+    statically over ``_workers()`` workers (see the module docstring). The
+    forward fixes the worker count for both. The bias views and every worker's
     tiles are made on the calling thread, so workers read no context
     variable and never touch the tape. Forward workers
     write disjoint rows of y and lse, backward workers disjoint rows of dq;
@@ -484,7 +516,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     bs = max(i1 - i0 for i0, i1, _ in blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())
     work = [(hh, i0, i1, block) for hh in range(heads) for i0, i1, block in blocks]
-    nw = min(_workers(), len(work))
 
     def bias_views():
         """Per-head bias views (or Nones), read on the calling thread."""
@@ -505,9 +536,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     y = np.empty(q.shape, dtype=dt)
     lse = np.empty((n, heads, ln), dtype=dt)
     biases = bias_views()
-    # one array per tile, made on this thread: a stacked (workers, bs, L) array,
-    # or tiles made by the worker threads, measured a higher peak RSS
-    tiles = [np.empty((bs, ln), dtype=dt) for _ in range(nw)]
 
     def forward(w):
         for hh, i0, i1, block in work[w::nw]:
@@ -521,7 +549,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                 np.log(yl[:, d], out=lse[i, hh, i0:i1])
                 lse[i, hh, i0:i1] += m[:, 0]
 
-    _run_workers(forward, nw)
+    with one_blas_thread():
+        nw = min(_workers(), len(work))
+        # one array per tile, made on this thread: a stacked (workers, bs, L) array,
+        # or tiles made by the worker threads, measured a higher peak RSS
+        tiles = [np.empty((bs, ln), dtype=dt) for _ in range(nw)]
+        _run_workers(forward, nw)
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
@@ -559,7 +592,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                 if rel is not None:
                     rel.accumulate_grads(ds_tiles[0][:rows], block, hh, dtables[w])
 
-        _run_workers(backward, nw)
+        with one_blas_thread():
+            _run_workers(backward, nw)
         dq *= scl
         grads = [dq, dks[0], dvs[0], *dtables[0]]
         for w in range(1, nw):

@@ -18,6 +18,12 @@ from .errors import InputError
 EPS = 1e-7
 
 
+def check_fps(fps: float) -> None:
+    """Reject a frame rate that is not positive and finite."""
+    if not 0 < fps < math.inf:
+        raise InputError(f"frame rate must be positive and finite, got {fps}")
+
+
 @dataclass
 class VideoClip:
     """Dense T x H x W x C sample grid with its frame rate in Hz."""
@@ -31,8 +37,7 @@ class VideoClip:
             raise InputError(f"clip frames must be T x H x W x C, got {self.frames.shape}")
         if self.frames.shape[0] < 2:
             raise InputError("clip needs at least 2 frames")
-        if not 0 < self.fps < math.inf:
-            raise InputError(f"frame rate must be positive and finite, got {self.fps}")
+        check_fps(self.fps)
 
     @property
     def length(self) -> int:
@@ -48,8 +53,7 @@ class SignalTrace:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
-        if not 0 < self.fps < math.inf:
-            raise InputError(f"frame rate must be positive and finite, got {self.fps}")
+        check_fps(self.fps)
 
     @property
     def length(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .preprocess import SignalTrace, VideoClip, resize_bilinear
+from .preprocess import SignalTrace, VideoClip, check_fps, resize_bilinear
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ def generate_clip(preset: SynthPreset, t: int, h: int, w: int, fps: float, seed,
                   base: np.ndarray | None = None, hr: float | None = None,
                   subject_id: str = "s000", clip_id: str = "s000c00") -> LabeledClip:
     """One clip with a planted pulse; bit-identical for identical seeds."""
+    check_fps(fps)
     if t < 2 * fps:
         raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
     rng = np.random.default_rng(seed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import nn_ops, tensor as T
 from .errors import EstimationError, InputError, NumericError
 from .metrics import ExperimentResult, compute_metrics, hr_from_signal, integrate_diff
 from .model import ModelConfig, MultiscaleVideoTransformer
@@ -234,7 +234,8 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     With an empty validation set the final epoch's parameters are kept.
     Aborts with a diagnostic naming the batch and step if the loss goes
-    non-finite.
+    non-finite. The epoch loop, validation included, runs inside
+    ``nn_ops.one_blas_thread``.
     """
     train_cfg.validate()
     if not train_examples:
@@ -248,39 +249,40 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     best_state = None
     step = 0
     n = len(train_examples)
-    for epoch in range(train_cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        losses = []
-        for b0 in range(0, n, train_cfg.batch_size):
-            idx = order[b0:b0 + train_cfg.batch_size]
-            x, target = _batch(train_examples, idx)
-            try:
-                pred = model.forward(x, training=True)
-                loss = T.mse_loss(pred, target)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"non-finite loss {value} at epoch {epoch} step {step} "
-                        f"(batch indices {idx.tolist()})")
-                opt.zero_grad()
-                loss.backward()
-            finally:
-                # a step that raised part-way must not leave its closures on the tape
-                T.clear_tape()
-            opt.step()
-            losses.append(value)
-            step += 1
-        val_mae = None
-        if val_examples:
-            val_mae = evaluate(ModelPredictor(model), model_cfg, val_examples).mae
-            if val_mae < best_mae:
-                best_mae = val_mae
-                best_state = {k: v.copy() for k, v in model.named_arrays().items()}
-                history.best_epoch = epoch
-        row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae}
-        history.epochs.append(row)
-        if log:
-            log(row)
+    with nn_ops.one_blas_thread():   # one OpenBLAS switch per call, not per attention
+        for epoch in range(train_cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            losses = []
+            for b0 in range(0, n, train_cfg.batch_size):
+                idx = order[b0:b0 + train_cfg.batch_size]
+                x, target = _batch(train_examples, idx)
+                try:
+                    pred = model.forward(x, training=True)
+                    loss = T.mse_loss(pred, target)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"non-finite loss {value} at epoch {epoch} step {step} "
+                            f"(batch indices {idx.tolist()})")
+                    opt.zero_grad()
+                    loss.backward()
+                finally:
+                    # a step that raised part-way must not leave its closures on the tape
+                    T.clear_tape()
+                opt.step()
+                losses.append(value)
+                step += 1
+            val_mae = None
+            if val_examples:
+                val_mae = evaluate(ModelPredictor(model), model_cfg, val_examples).mae
+                if val_mae < best_mae:
+                    best_mae = val_mae
+                    best_state = {k: v.copy() for k, v in model.named_arrays().items()}
+                    history.best_epoch = epoch
+            row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae}
+            history.epochs.append(row)
+            if log:
+                log(row)
     if best_state is not None:
         model.load_arrays(best_state)
     else:

@@ -225,6 +225,16 @@ class TestBinaryFormats:
         with pytest.raises(InputError, match="not UTF-8"):
             fileio.read_checkpoint(path)
 
+    def test_duplicate_checkpoint_name_rejected(self, tmp_path):
+        def entry(value):
+            return struct.pack("<IcI", 1, b"a", 1) + struct.pack("<I2d", 2, value, value)
+
+        path = tmp_path / "model.gvtm"
+        path.write_bytes(fileio.CHECKPOINT_MAGIC
+                         + struct.pack("<II", fileio.FORMAT_VERSION, 2) + entry(0.0) + entry(1.0))
+        with pytest.raises(InputError, match="array 'a' appears twice"):
+            fileio.read_checkpoint(path)
+
     @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0])
     def test_non_finite_or_non_positive_fps_header_rejected(self, tmp_path, fps):
         for name, blob, reader in (("c.gvtc", _clip_bytes(fps), fileio.read_clip),
@@ -387,7 +397,8 @@ class TestCliGen:
                    "--clips-per-subject", "1", "--dims", "60x8x8",
                    "--fps", fps, "--out", str(out)])
         assert rc == 2
-        assert "data error" in capsys.readouterr().err
+        assert f"data error: frame rate must be positive and finite, got {fps}" \
+            in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_gen_zero_dim_usage_error(self, tmp_path, capsys):
@@ -523,6 +534,22 @@ class TestCliTrainEval:
         assert "data error" in err and "base width" in err
         assert "Traceback" not in err
         assert not list((tmp_path / "r").glob("**/config.json"))
+
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_uncreatable_out_data_error_before_training(self, micro_dataset, tmp_path,
+                                                        capsys, monkeypatch, command):
+        def no_training(*args, **kw):
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr(cli, "train_model", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main([command, "--data", str(micro_dataset),
+                   "--config", str(_write_micro_config(tmp_path)),
+                   "--out", str(blocker / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error: output directory" in err and "not writable" in err
 
     def test_train_missing_manifest_data_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "r")])

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseformer import nn_ops
 from pulseformer import tensor as T
@@ -77,6 +78,31 @@ class TestConv3d:
             y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=(2, 2, 1), pad=(1, 1, 1))
         expect = conv3d_oracle(x, w, b, (2, 2, 1), (1, 1, 1))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    def test_any_stride_and_pad_match_oracle(self, data):
+        """Forward equals the oracle; the backward obeys <dx, x> = <dw, w> = <g, y - b>."""
+        axis = st.integers(1, 3)
+        kernel = [data.draw(axis) for _ in range(3)]
+        stride = tuple(data.draw(axis) for _ in range(3))
+        pad = tuple(data.draw(st.integers(0, kk - 1)) for kk in kernel)
+        dims = [data.draw(st.integers(max(1, kk - 2 * pp), 6)) for kk, pp in zip(kernel, pad)]
+        n, c, k = (data.draw(st.integers(1, 2)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        x = rng.standard_normal([n, c] + dims)
+        w = rng.standard_normal([k, c] + kernel)
+        b = rng.standard_normal(k)
+        with T.float64():
+            y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+            np.testing.assert_allclose(y.data, conv3d_oracle(x, w, b, stride, pad), atol=1e-12)
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            g = rng.standard_normal(y.shape)
+            yt = nn_ops.conv3d(xt, wt, None, stride=stride, pad=pad)
+            T.mean(T.linear(T.reshape(yt, (1, g.size)), Tensor(g.reshape(1, -1)))).backward()
+        gy = float((g * (y.data - b[None, :, None, None, None])).sum())
+        np.testing.assert_allclose([(xt.grad * x).sum(), (wt.grad * w).sum()], [gy, gy],
+                                   rtol=1e-10, atol=1e-10)
 
     def test_kernel_too_large(self):
         x = Tensor(np.zeros((1, 1, 2, 2, 2)))
@@ -413,11 +439,12 @@ class TestAttention:
         assert y.data.dtype == np.float64
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
+    @pytest.mark.skipif(nn_ops._openblas() is None, reason="no bundled OpenBLAS to switch")
     def test_worker_exception_propagates_and_restores_blas(self, monkeypatch):
         class WorkerFailure(Exception):
             pass
 
-        threads_before = nn_ops._workers()
+        threads_before = nn_ops._openblas()[0]()
         q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
         accumulate = rel.accumulate_grads
 
@@ -431,7 +458,7 @@ class TestAttention:
         with pytest.raises(WorkerFailure, match="worker 1"):
             loss().backward()
         monkeypatch.undo()
-        assert nn_ops._workers() == threads_before
+        assert nn_ops._openblas()[0]() == threads_before
         assert T.tape_size() == 0
 
     def test_forward_records_one_tape_entry(self, monkeypatch):

@@ -229,21 +229,23 @@ class TestEvaluate:
             evaluate(PerfectStub(TINY_CFG), TINY_CFG, [], integrate=False)
 
 
-class TestTrainModel:
-    def _examples(self, cfg, subjects, seed):
-        data = generate_dataset(SIMPLE, subjects, 1, (60, 32, 32), 30.0, seed=seed)
-        out = []
-        for lc in data:
-            exs = make_example(lc.clip, lc.trace, cfg)
-            for ex in exs:
-                ex.clip_id = lc.clip_id
-                ex.subject_id = lc.subject_id
-            out.extend(exs)
-        return out
+def window_examples(cfg, subjects, seed):
+    """The windows of one synthetic 60x32x32 clip per subject."""
+    data = generate_dataset(SIMPLE, subjects, 1, (60, 32, 32), 30.0, seed=seed)
+    out = []
+    for lc in data:
+        exs = make_example(lc.clip, lc.trace, cfg)
+        for ex in exs:
+            ex.clip_id = lc.clip_id
+            ex.subject_id = lc.subject_id
+        out.extend(exs)
+    return out
 
+
+class TestTrainModel:
     def test_loss_decreases_on_overfit_run(self):
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 8, seed=0)
+        train = window_examples(cfg, 8, seed=0)
         tcfg = TrainConfig(epochs=13, seed=0)   # 13 epochs x 2 batches = 26 steps
         model, hist = train_model(cfg, tcfg, train)
         losses = [row["train_loss"] for row in hist.epochs]
@@ -252,14 +254,14 @@ class TestTrainModel:
 
     def test_empty_val_best_epoch_is_last(self):
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 4, seed=1)
+        train = window_examples(cfg, 4, seed=1)
         tcfg = TrainConfig(epochs=2, seed=0)
         _, hist = train_model(cfg, tcfg, train)
         assert hist.best_epoch == 1
 
     def test_same_seed_bit_identical_history(self):
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 4, seed=2)
+        train = window_examples(cfg, 4, seed=2)
         tcfg = TrainConfig(epochs=2, seed=0)
         _, h1 = train_model(cfg, tcfg, train)
         _, h2 = train_model(cfg, tcfg, train)
@@ -271,7 +273,7 @@ class TestTrainModel:
 
     def test_non_finite_loss_diagnostic(self):
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 4, seed=3)
+        train = window_examples(cfg, 4, seed=3)
         for ex in train:
             ex.target = ex.target * np.inf
         with pytest.raises(NumericError, match="epoch 0 step 0"):
@@ -283,7 +285,7 @@ class TestTrainModel:
             raise DimensionError("attention rejected its input")
 
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 4, seed=3)
+        train = window_examples(cfg, 4, seed=3)
         monkeypatch.setattr(nn_ops, "attention", fail)
         with pytest.raises(DimensionError, match="stage1.block0"):
             train_model(cfg, TrainConfig(epochs=1, seed=0), train)
@@ -291,9 +293,89 @@ class TestTrainModel:
 
     def test_validation_selects_best_epoch(self):
         cfg = TINY_CFG.copy(base_width=8)
-        train = self._examples(cfg, 6, seed=4)
-        val = self._examples(cfg, 2, seed=5)
+        train = window_examples(cfg, 6, seed=4)
+        val = window_examples(cfg, 2, seed=5)
         tcfg = TrainConfig(epochs=3, seed=0)
         model, hist = train_model(cfg, tcfg, train, val_examples=val)
         maes = [row["val_mae"] for row in hist.epochs]
         assert hist.best_epoch == int(np.argmin(maes))
+
+
+class FakeBlas:
+    """A (get, set) OpenBLAS thread-count pair that records each set call."""
+
+    def __init__(self, threads: int):
+        self.threads = threads
+        self.sets = []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.sets.append(n)
+        self.threads = n
+
+
+class TestBlasRegion:
+    """OpenBLAS is switched to one thread once per train or predict call."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        fake = FakeBlas(2)
+        monkeypatch.setattr(nn_ops, "_openblas", lambda: (fake.get, fake.set))
+        return fake
+
+    @pytest.fixture
+    def attention_calls(self, monkeypatch):
+        calls = []
+        core = nn_ops.attention_core
+
+        def counted(*args, **kw):
+            calls.append(nn_ops._workers())
+            return core(*args, **kw)
+
+        monkeypatch.setattr(nn_ops, "attention_core", counted)
+        return calls
+
+    def test_train_switches_once(self, blas, attention_calls):
+        train = window_examples(TINY_CFG, 4, seed=6)
+        val = window_examples(TINY_CFG, 1, seed=7)
+        train_model(TINY_CFG, TrainConfig(epochs=2, batch_size=2, seed=0), train,
+                    val_examples=val)
+        assert len(attention_calls) >= 2
+        assert set(attention_calls) == {2}   # every call ran the held count of workers
+        assert blas.sets == [1, 2]
+
+    def test_predict_switches_once_and_nested_entry_adds_none(self, blas, attention_calls):
+        model = MultiscaleVideoTransformer(TINY_CFG, seed=0)
+        x = window_examples(TINY_CFG, 1, seed=8)[0].x
+        model.predict(x)
+        assert len(attention_calls) >= 2
+        assert blas.sets == [1, 2]
+        with nn_ops.one_blas_thread():
+            assert nn_ops._workers() == 2
+            model.predict(x)
+        assert blas.sets == [1, 2, 1, 2]
+
+    def test_direct_attention_call_switches_per_pass(self, blas):
+        rng = np.random.default_rng(0)
+        q, k, v = (Tensor(rng.standard_normal((1, 2, 10, 3)), requires_grad=True)
+                   for _ in range(3))
+        T.mse_loss(nn_ops.attention_core(q, k, v), Tensor(np.zeros(q.shape))).backward()
+        assert blas.sets == [1, 2, 1, 2]
+        assert nn_ops._workers() == 1
+
+    def test_count_restored_after_numeric_error(self, blas):
+        train = window_examples(TINY_CFG, 2, seed=3)
+        for ex in train:
+            ex.target = ex.target * np.inf
+        with pytest.raises(NumericError):
+            train_model(TINY_CFG, TrainConfig(epochs=1, seed=0), train)
+        assert blas.sets == [1, 2]
+        assert blas.threads == 2
+        assert nn_ops._workers() == 1
+
+    def test_one_worker_without_openblas(self, monkeypatch):
+        monkeypatch.setattr(nn_ops, "_openblas", lambda: None)
+        with nn_ops.one_blas_thread():
+            assert nn_ops._workers() == 1
