@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn_ops, tensor as T
 from .model import ModelConfig, MultiscaleVideoTransformer
-from .tensor import Tensor, clear_tape, float64, no_grad
+from .tensor import Tensor, float64, record
 
 FD_STEP = 1e-5
 
@@ -39,21 +39,18 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
     on every call. When ``sample`` is given, only that many randomly chosen
     elements are probed (for expensive end-to-end graphs). Each param's
     storage is first raised to float64 in place, and both the autodiff and
-    the finite-difference passes run under ``float64()``.
+    the finite-difference passes run under ``float64()``; only the autodiff
+    pass records.
     """
     promote(params)
     with float64():
-        clear_tape()
         for p in params:
             p.zero_grad()
-        loss = build_loss()
-        loss.backward()
+        with record():
+            build_loss().backward()
         grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
 
-        coords = []
-        for pi, p in enumerate(params):
-            for j in range(p.size):
-                coords.append((pi, j))
+        coords = [(pi, j) for pi, p in enumerate(params) for j in range(p.size)]
         if sample is not None and sample < len(coords):
             if rng is None:
                 rng = np.random.default_rng(0)
@@ -61,19 +58,18 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
             coords = [coords[i] for i in pick]
 
         worst = 0.0
-        with no_grad():
-            for pi, j in coords:
-                flat = params[pi].data.reshape(-1)
-                keep = flat[j]
-                flat[j] = keep + step
-                up = build_loss().item()
-                flat[j] = keep - step
-                dn = build_loss().item()
-                flat[j] = keep
-                g_fd = (up - dn) / (2 * step)
-                g_ad = grads[pi].reshape(-1)[j]
-                err = abs(g_ad - g_fd) / max(1.0, abs(g_fd))
-                worst = max(worst, err)
+        for pi, j in coords:
+            flat = params[pi].data.reshape(-1)
+            keep = flat[j]
+            flat[j] = keep + step
+            up = build_loss().item()
+            flat[j] = keep - step
+            dn = build_loss().item()
+            flat[j] = keep
+            g_fd = (up - dn) / (2 * step)
+            g_ad = grads[pi].reshape(-1)[j]
+            err = abs(g_ad - g_fd) / max(1.0, abs(g_fd))
+            worst = max(worst, err)
         return worst
 
 
@@ -113,17 +109,15 @@ def op_checks(seed: int) -> list[tuple[str, float]]:
     gb = Tensor(1.0 + 0.1 * _rand(rng, 3), requires_grad=True)
     bb = Tensor(0.1 * _rand(rng, 3), requires_grad=True)
 
-    def bn_train():
-        state = nn_ops.BatchNormState(3)
-        return T.mean(T.elu(nn_ops.batchnorm3d(xb, gb, bb, state, training=True)))
+    check("batchnorm3d_train",
+          lambda: T.mean(T.elu(nn_ops.batchnorm3d(xb, gb, bb, np.zeros(3), np.ones(3),
+                                                  training=True))),
+          [xb, gb, bb])
 
-    check("batchnorm3d_train", bn_train, [xb, gb, bb])
-
-    state_eval = nn_ops.BatchNormState(3)
-    state_eval.running_mean[:] = 0.3 * _rand(rng, 3)
-    state_eval.running_var[:] = 1.0 + 0.2 * np.abs(_rand(rng, 3))
+    mean_eval = 0.3 * _rand(rng, 3)
+    var_eval = 1.0 + 0.2 * np.abs(_rand(rng, 3))
     check("batchnorm3d_eval",
-          lambda: T.mean(nn_ops.batchnorm3d(xb, gb, bb, state_eval.copy(), training=False)),
+          lambda: T.mean(nn_ops.batchnorm3d(xb, gb, bb, mean_eval, var_eval, training=False)),
           [xb, gb, bb])
 
     xl = Tensor(_rand(rng, 2, 3, 4), requires_grad=True)

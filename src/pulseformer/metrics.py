@@ -15,12 +15,6 @@ MIN_FFT = 4096
 
 
 @dataclass
-class HrEstimate:
-    bpm: float
-    peak_power_fraction: float
-
-
-@dataclass
 class ExperimentResult:
     """MAE/RMSE/Pearson triple plus the per-window paired HR records."""
 
@@ -40,24 +34,17 @@ def detrend_linear(x: np.ndarray) -> np.ndarray:
     return x - x.mean() - slope * t
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 def power_spectrum(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndarray]:
     """Detrended, Hamming-windowed, zero-padded magnitude-squared spectrum."""
     x = detrend_linear(samples)
     x = x * np.hamming(len(x))
-    nfft = max(MIN_FFT, _next_pow2(len(x)))
+    nfft = max(MIN_FFT, 1 << (len(x) - 1).bit_length())   # a power of two
     spec = np.abs(np.fft.rfft(x, nfft)) ** 2
     freqs = np.fft.rfftfreq(nfft, 1.0 / fps)
     return freqs, spec
 
 
-def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND) -> HrEstimate:
+def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND) -> float:
     """Dominant in-band spectral frequency as beats per minute.
 
     Requires at least two seconds of finite samples and a non-constant waveform.
@@ -75,12 +62,9 @@ def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND)
     if not mask.any():
         raise EstimationError(f"no spectral bins inside band {band}")
     inband = spec[mask]
-    total = inband.sum()
-    if total <= 0.0:
+    if inband.sum() <= 0.0:
         raise EstimationError("waveform has no in-band energy")
-    peak = int(np.argmax(inband))
-    return HrEstimate(bpm=60.0 * freqs[mask][peak],
-                      peak_power_fraction=float(inband[peak] / total))
+    return 60.0 * freqs[mask][int(np.argmax(inband))]
 
 
 def integrate_diff(pred: SignalTrace) -> SignalTrace:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn_ops, tensor as T
 from .errors import ConfigurationError, DimensionError
-from .nn_ops import BatchNormState, RelativeBias
+from .nn_ops import RelativeBias
 from .tensor import Tensor
 
 OUTPUT_FORMATS = ("Signal", "HR")
@@ -126,10 +126,6 @@ def stage_grids(cfg: ModelConfig) -> list[tuple[int, int, int]]:
     return grids
 
 
-def stage_channels(cfg: ModelConfig) -> list[int]:
-    return [cfg.base_width * 2 ** i for i in range(4)]
-
-
 def head_upsample_count(cfg: ModelConfig) -> int:
     """Number of temporal x2 upsampling modules needed to restore T."""
     t = cfg.input_dims[0]
@@ -171,10 +167,10 @@ class _ParamStore:
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value: np.ndarray) -> Tensor:
         if name in self.params:
             raise ConfigurationError(f"duplicate parameter name {name}")
-        t = Tensor(value, requires_grad=trainable)
+        t = Tensor(value, requires_grad=True)
         self.params[name] = t
         return t
 
@@ -222,14 +218,14 @@ class MultiscaleVideoTransformer:
         self.cfg = cfg.validate()
         try:
             self._build(cfg, seed)
-        except MemoryError as e:
+        except (MemoryError, ValueError) as e:   # numpy's ValueError: beyond its index range
             raise ConfigurationError(
                 f"base width {cfg.base_width} needs more memory than is available "
                 f"for the model's parameters") from e
 
     def _build(self, cfg: ModelConfig, seed: int) -> None:
         self.grids = stage_grids(cfg)
-        self.channels = stage_channels(cfg)
+        self.channels = [cfg.base_width * 2 ** i for i in range(4)]
         self.store = _ParamStore()
         rng = np.random.default_rng(seed)
         p = self.store.add
@@ -271,7 +267,6 @@ class MultiscaleVideoTransformer:
                 self.trans_b.append(p(f"transition{i + 1}.b", np.zeros(2 * ch)))
 
         ch = self.channels[-1]
-        self.bn_states: list[BatchNormState] = []
         self.head_convs: list[tuple[Tensor, Tensor]] = []
         self.head_bns: list[tuple[Tensor, Tensor]] = []
         if cfg.output_format == "Signal":
@@ -281,10 +276,8 @@ class MultiscaleVideoTransformer:
                                         p(f"head.up{k}.conv.b", np.zeros(ch))))
                 self.head_bns.append((p(f"head.up{k}.bn.gamma", np.ones(ch)),
                                       p(f"head.up{k}.bn.beta", np.zeros(ch))))
-                state = BatchNormState(ch)
-                self.bn_states.append(state)
-                self.store.buffers[f"head.up{k}.bn.running_mean"] = state.running_mean
-                self.store.buffers[f"head.up{k}.bn.running_var"] = state.running_var
+                self.store.buffers[f"head.up{k}.bn.running_mean"] = np.zeros(ch)
+                self.store.buffers[f"head.up{k}.bn.running_var"] = np.ones(ch)
         self.out_w = p("head.out.w", trunc_normal(rng, (1, ch)))
         self.out_b = p("head.out.b", np.zeros(1))
 
@@ -314,9 +307,6 @@ class MultiscaleVideoTransformer:
                     f"checkpoint has {len(names)} {kind} array(s), first {min(names)}")
         for name, dest in dests.items():
             _copy_checked(name, arrays[name], dest)
-
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.store.params.values())
 
     # -- forward ------------------------------------------------------------
 
@@ -379,17 +369,19 @@ class MultiscaleVideoTransformer:
         w, b = self.head_convs[k]
         g = nn_ops.conv3d(g, w, b, stride=(1, 1, 1), pad=(1, 0, 0))
         gamma, beta = self.head_bns[k]
-        g = nn_ops.batchnorm3d(g, gamma, beta, self.bn_states[k], training=training)
+        buf = self.store.buffers
+        g = nn_ops.batchnorm3d(g, gamma, beta, buf[f"head.up{k}.bn.running_mean"],
+                               buf[f"head.up{k}.bn.running_var"], training=training)
         return T.elu(g)
 
     def predict(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass without tape recording, inside nn_ops.one_blas_thread.
+        """Forward pass inside nn_ops.one_blas_thread; it records nothing.
 
         x is (C, T, H, W) or batched.
         """
         single = x.ndim == 4
         if single:
             x = x[None]
-        with T.no_grad(), nn_ops.one_blas_thread():
+        with nn_ops.one_blas_thread():
             y = self.forward(Tensor(x), training=training)
         return y.data[0] if single else y.data

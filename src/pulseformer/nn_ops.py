@@ -14,19 +14,8 @@ dtype of ``tensor`` (float32 unless inside ``tensor.float64()``). An op that
 allocates its own output or scratch array gives it that result dtype too, so
 float64 operands are never rounded through a float32 buffer.
 
-Attention's (head, query block) items are split statically over as many
-workers as OpenBLAS had threads when ``one_blas_thread`` was entered:
-worker ``w`` takes items ``w::workers``, worker 0 on the calling thread and
-the rest on threads joined within the call. That region holds OpenBLAS at
-one thread, so the elementwise passes over score tiles use every core
-instead of only the GEMMs. ``train_model`` holds it for its whole epoch loop
-and ``predict`` for one call, so OpenBLAS is switched twice per call, not
-around every attention sweep; ``attention_core`` enters it too, which is a
-no-op inside those and holds it per sweep when called directly. Every other
-op in the region runs its GEMMs on one thread. Workers write disjoint output
-rows, and each sums its key, value and bias-table gradients in its own
-buffers, which are added in worker order after the join, so a run is
-bit-identical to the next with the same worker count.
+Attention splits its work over threads inside ``one_blas_thread``; see
+``attention_core``.
 """
 
 from __future__ import annotations
@@ -187,26 +176,13 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
 # normalisation
 # ---------------------------------------------------------------------------
 
-class BatchNormState:
-    """Per-channel running statistics shared between training steps."""
-
-    def __init__(self, channels: int):
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-
-    def copy(self) -> "BatchNormState":
-        s = BatchNormState(len(self.running_mean))
-        s.running_mean = self.running_mean.copy()
-        s.running_var = self.running_var.copy()
-        return s
-
-
-def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool, momentum: float = 0.1,
+                eps: float = 1e-5) -> Tensor:
     """Per-channel batch normalisation over (N, T, H, W) with affine.
 
     Training mode normalises by population batch statistics and updates the
-    running estimates in place; eval mode uses the running estimates.
+    float64 running estimates in place; eval mode uses them.
     """
     if x.ndim != 5:
         raise DimensionError(f"batchnorm3d expects 5-D input, got {x.shape}")
@@ -217,12 +193,12 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState,
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         # in place, so the model's checkpoint buffers see the update
-        state.running_mean[...] = (1 - momentum) * state.running_mean + momentum * mu
-        state.running_var[...] = (1 - momentum) * state.running_var + momentum * var
+        running_mean[...] = (1 - momentum) * running_mean + momentum * mu
+        running_var[...] = (1 - momentum) * running_var + momentum * var
     else:   # the float64 running buffers, in the inputs' dtype
         dt = np.result_type(x.data, gamma.data, beta.data)
-        mu = state.running_mean.astype(dt, copy=False)
-        var = state.running_var.astype(dt, copy=False)
+        mu = running_mean.astype(dt, copy=False)
+        var = running_var.astype(dt, copy=False)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu.reshape(shape)) * inv.reshape(shape)
     y = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
@@ -404,12 +380,8 @@ def one_blas_thread():
     """Hold OpenBLAS at one thread; attention runs as many workers as it had.
 
     The outermost entry reads the count N, sets it to 1 and restores N on
-    exit, also when the body raises. Nested entries do nothing. Holding the
-    count for a whole call instead of switching it 2 -> 1 -> 2 around every
-    attention sweep took search_small from a median 16.5 s to 14.6 s on a
-    2-core Xeon. Not switching at all is worse: with one worker per CPU and
-    OpenBLAS left at its own count, a train_general step took about 1.6x as
-    long, median 2.47 -> 4.04 s.
+    exit, also when the body raises. Nested entries do nothing.
+    ``train_model`` holds it for its epoch loop and ``predict`` for one call.
     """
     global _held
     blas = _openblas()
@@ -493,13 +465,15 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
 
     Both passes run inside ``one_blas_thread`` (a no-op under ``train_model``
     and ``predict``, which already hold it) and split the (head, block) items
-    statically over ``_workers()`` workers (see the module docstring). The
-    forward fixes the worker count for both. The bias views and every worker's
-    tiles are made on the calling thread, so workers read no context
-    variable and never touch the tape. Forward workers
-    write disjoint rows of y and lse, backward workers disjoint rows of dq;
-    dk, dv and the table gradients have one buffer per worker, summed in
-    worker order. One worker runs exactly the sequential sweep.
+    statically over ``_workers()`` workers: worker ``w`` takes items
+    ``w::workers``, worker 0 on the calling thread and the rest on threads
+    joined within the call. The forward fixes the worker count for both. The
+    bias views and every worker's tiles are made on the calling thread, so
+    workers read no context variable and never touch the tape. Forward
+    workers write disjoint rows of y and lse, backward workers disjoint rows
+    of dq; dk, dv and the table gradients have one buffer per worker, summed
+    in worker order, so a run is bit-identical to the next with the same
+    worker count. One worker runs exactly the sequential sweep.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")

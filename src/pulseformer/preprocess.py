@@ -33,8 +33,9 @@ class VideoClip:
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 4:
-            raise InputError(f"clip frames must be T x H x W x C, got {self.frames.shape}")
+        if self.frames.ndim != 4 or 0 in self.frames.shape[1:]:
+            raise InputError(f"clip frames must be T x H x W x C with positive H, W and C, "
+                             f"got {self.frames.shape}")
         if self.frames.shape[0] < 2:
             raise InputError("clip needs at least 2 frames")
         check_fps(self.fps)
@@ -78,9 +79,7 @@ def diffnorm_frames(clip: VideoClip, eps: float = EPS) -> VideoClip:
     global standard deviation (floored at eps), non-finite values are
     zeroed, and a zero frame is appended to restore length T.
     """
-    f = clip.frames
-    if f.shape[0] < 2:
-        raise InputError("difference frames need at least 2 input frames")
+    f = clip.frames   # a VideoClip has at least 2 frames
     d = (f[1:] - f[:-1]) / np.maximum(f[1:] + f[:-1], eps)
     d = np.where(np.isfinite(d), d, 0.0)
     d = d / max(d.std(), eps)
@@ -176,8 +175,7 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
         tr = trace.samples[sl].copy()
 
         if cfg.output_format == "HR":
-            est = hr_from_signal(SignalTrace(tr, trace.fps))
-            target = np.asarray(est.bpm)
+            target = np.asarray(hr_from_signal(SignalTrace(tr, trace.fps)))
         else:
             if cfg.frame_format == "DiffNorm":
                 target = diff_labels(SignalTrace(tr, trace.fps)).samples

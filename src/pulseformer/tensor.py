@@ -1,15 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are contiguous row-major numpy arrays in the compute dtype. Every
-differentiable operation appends a pull-back closure to a process-global
-tape; ``backward`` pops the tape in reverse execution order (a valid
-topological order by construction) and accumulates gradients into every
-reachable tensor with ``requires_grad``. It releases each entry and its
-output's gradient as it goes, so after a backward only leaf tensors (those
-no recorded op produced) keep a ``.grad``. The tape is confined to one
-logical thread and is empty after each backward pass; the grad-recording
-flag and the compute dtype are context variables, so ``no_grad`` and
-``float64`` in one thread do not change them in another.
+Values are contiguous row-major numpy arrays in the compute dtype. Inside
+``record()`` every differentiable op appends a pull-back closure to a
+process-global tape; outside it, ops record nothing. ``backward`` pops the
+tape in reverse execution order (a valid topological order by construction)
+and accumulates gradients into every reachable tensor with ``requires_grad``,
+releasing each entry and its output's gradient as it goes, so only leaf
+tensors keep a ``.grad``. The tape is shared, so record in one thread at a
+time; the recording flag and the compute dtype are context variables, so
+``record`` and ``float64`` in one thread do not change them in another.
 
 Storage follows the compute dtype: float32 by default, for train and
 predict, and float64 inside ``float64()``, as finite-difference gradient
@@ -25,6 +24,7 @@ affine terms; everything else requires exact shape agreement.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -33,50 +33,43 @@ import numpy as np
 from .errors import DimensionError, PulseformerError
 
 _tape: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
-# per thread (and per asyncio task): a worker inside no_grad() or float64()
+# per thread (and per asyncio task): a thread inside record() or float64()
 # leaves every other thread's flags alone
-_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_recording: ContextVar[bool] = ContextVar("recording", default=False)
 _compute_dtype: ContextVar[type] = ContextVar("compute_dtype", default=np.float32)
 
 
-class _SetVar:
-    """Context manager that sets a context variable and restores it on exit."""
+@contextmanager
+def record():
+    """Record differentiable ops on the tape for ``backward``.
 
-    _var: ContextVar
-    _value: object
-
-    def __enter__(self):
-        self._token = self._var.set(self._value)
-        return self
-
-    def __exit__(self, *exc):
-        self._var.reset(self._token)
-        return False
-
-
-class no_grad(_SetVar):
-    """Context manager that suspends tape recording (inference fast path)."""
-
-    _var, _value = _grad_enabled, False
+    The outermost exit empties the tape, also when the body raised; a nested
+    ``record()`` does nothing.
+    """
+    if _recording.get():
+        yield
+        return
+    token = _recording.set(True)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+        _tape.clear()
 
 
-class float64(_SetVar):
-    """Context manager that stores new tensors in float64 (finite-difference checks)."""
-
-    _var, _value = _compute_dtype, np.float64
+@contextmanager
+def float64():
+    """Store new tensors in float64 (finite-difference checks)."""
+    token = _compute_dtype.set(np.float64)
+    try:
+        yield
+    finally:
+        _compute_dtype.reset(token)
 
 
 def compute_dtype() -> type:
     """The dtype new tensors are stored in: float32, or float64 inside ``float64()``."""
     return _compute_dtype.get()
-
-
-def tape_size() -> int:
-    return len(_tape)
-
-
-def clear_tape() -> None:
-    _tape.clear()
 
 
 class Tensor:
@@ -121,7 +114,7 @@ class Tensor:
 
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
-    if _grad_enabled.get() and out.requires_grad:
+    if _recording.get() and out.requires_grad:
         _tape.append((out, pull))
 
 
@@ -137,7 +130,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _needs_grad(*ts: Tensor) -> bool:
-    return _grad_enabled.get() and any(t.requires_grad for t in ts)
+    return _recording.get() and any(t.requires_grad for t in ts)
 
 
 def backward(loss: Tensor) -> None:
@@ -146,22 +139,21 @@ def backward(loss: Tensor) -> None:
     Every leaf tensor with ``requires_grad`` reachable from ``loss`` receives
     dLoss/dTensor in ``.grad``. Each tape entry is popped before its pull
     runs, and its output's gradient is taken from it, so the closure, the
-    arrays it saved and the intermediate gradient are freed once used; the
-    tape is empty afterwards.
+    arrays it saved and the intermediate gradient are freed once used. Call it
+    inside the ``record()`` that built the graph.
     """
+    if not _recording.get():
+        raise PulseformerError("backward needs a graph built inside tensor.record()")
     if loss.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise PulseformerError("loss is not connected to any tensor requiring gradients")
     loss.grad = np.ones_like(loss.data)
-    try:
-        while _tape:
-            out, pull = _tape.pop()
-            g, out.grad = out.grad, None
-            if g is not None:
-                pull(g)
-    finally:
-        _tape.clear()
+    while _tape:
+        out, pull = _tape.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            pull(g)
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +248,7 @@ def mean(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(range(x.ndim))
     else:
         axes = tuple(sorted(a % x.ndim for a in axes))
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
+    count = math.prod(x.shape[a] for a in axes)
     y = x.data.mean(axis=axes)
     out = Tensor(y, requires_grad=_needs_grad(x))
 

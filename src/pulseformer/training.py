@@ -161,7 +161,7 @@ class PerfectStub:
 
     def predict_example(self, ex: WindowExample) -> np.ndarray:
         if self.cfg.output_format == "HR":
-            return np.asarray(hr_from_signal(SignalTrace(ex.trace_window, ex.fps)).bpm)
+            return np.asarray(hr_from_signal(SignalTrace(ex.trace_window, ex.fps)))
         return ex.trace_window.copy()
 
 
@@ -189,7 +189,7 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
     for ex in examples:
         wid = f"{ex.clip_id}#{ex.window_index}"
         try:
-            label = hr_from_signal(SignalTrace(ex.trace_window, ex.fps)).bpm
+            label = hr_from_signal(SignalTrace(ex.trace_window, ex.fps))
             pred = predictor.predict_example(ex)
             if cfg.output_format == "HR":
                 pred_bpm = float(pred)
@@ -199,7 +199,7 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
                 trace = SignalTrace(np.asarray(pred, dtype=np.float64), ex.fps)
                 if integrate:
                     trace = integrate_diff(trace)
-                pred_bpm = hr_from_signal(trace).bpm
+                pred_bpm = hr_from_signal(trace)
         except EstimationError:
             excluded += 1
             continue
@@ -235,7 +235,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     With an empty validation set the final epoch's parameters are kept.
     Aborts with a diagnostic naming the batch and step if the loss goes
     non-finite. The epoch loop, validation included, runs inside
-    ``nn_ops.one_blas_thread``.
+    ``nn_ops.one_blas_thread``; each step records inside ``tensor.record()``.
     """
     train_cfg.validate()
     if not train_examples:
@@ -256,7 +256,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
             for b0 in range(0, n, train_cfg.batch_size):
                 idx = order[b0:b0 + train_cfg.batch_size]
                 x, target = _batch(train_examples, idx)
-                try:
+                with T.record():
                     pred = model.forward(x, training=True)
                     loss = T.mse_loss(pred, target)
                     value = loss.item()
@@ -266,9 +266,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                             f"(batch indices {idx.tolist()})")
                     opt.zero_grad()
                     loss.backward()
-                finally:
-                    # a step that raised part-way must not leave its closures on the tape
-                    T.clear_tape()
                 opt.step()
                 losses.append(value)
                 step += 1

@@ -1,6 +1,7 @@
 """File-format round trips and CLI behaviour."""
 
 import json
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -91,6 +92,17 @@ def _clip_bytes(fps=30.0):
     """A valid 2x2x2x3 clip file."""
     return (fileio.CLIP_MAGIC + struct.pack("<IIIIIf", fileio.FORMAT_VERSION, 2, 2, 2, 3, fps)
             + np.full(24, 0.5, dtype="<f4").tobytes())
+
+
+def _zero_extent(path, axis: int) -> None:
+    """Rewrite a clip file's header with extent ``axis`` (1 H, 2 W, 3 C) set to 0.
+
+    The payload is dropped with it, so the file is consistent with its header.
+    """
+    head = path.read_bytes()[:28]
+    version, *dims, fps = struct.unpack("<IIIIIf", head[4:])
+    dims[axis] = 0
+    path.write_bytes(head[:4] + struct.pack("<IIIIIf", version, *dims, fps))
 
 
 def _trace_bytes(fps=30.0):
@@ -242,6 +254,14 @@ class TestBinaryFormats:
             (tmp_path / name).write_bytes(blob)
             with pytest.raises(InputError, match="frame rate"):
                 reader(tmp_path / name)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3], ids=["H", "W", "C"])
+    def test_zero_extent_clip_header_rejected(self, tmp_path, axis):
+        path = tmp_path / "c.gvtc"
+        path.write_bytes(_clip_bytes())
+        _zero_extent(path, axis)
+        with pytest.raises(InputError, match="positive H, W and C"):
+            fileio.read_clip(path)
 
     def test_fuzz_seed_files_are_valid(self):
         for kind, (reader, blob, _) in READERS.items():
@@ -524,16 +544,28 @@ class TestCliTrainEval:
         assert name in capsys.readouterr().err
 
     def test_train_unallocatable_model_data_error(self, micro_dataset, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"base_width": 2 ** 40, "input_dims": [60, 32, 32],
-                                   "split_mode": "cross"}))
-        rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+        for width in (2 ** 40, 2 ** 62, 10 ** 30):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"base_width": width, "input_dims": [60, 32, 32],
+                                       "split_mode": "cross"}))
+            rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+                       "--out", str(tmp_path / f"r{width}")])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "data error" in err and f"base width {width} " in err
+            assert "Traceback" not in err
+            assert not list((tmp_path / f"r{width}").glob("**/config.json"))
+
+    def test_train_zero_extent_clip_data_error(self, micro_dataset, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(micro_dataset, data)
+        _zero_extent(next(data.glob("*.gvtc")), 1)
+        rc = main(["train", "--data", str(data), "--config", str(_write_micro_config(tmp_path)),
                    "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "data error" in err and "base width" in err
+        assert "data error" in err and "positive H, W and C" in err
         assert "Traceback" not in err
-        assert not list((tmp_path / "r").glob("**/config.json"))
 
     @pytest.mark.parametrize("command", ["train", "search"])
     def test_uncreatable_out_data_error_before_training(self, micro_dataset, tmp_path,

@@ -35,9 +35,8 @@ def dft_argmax_oracle(samples, fps, band=(0.6, 3.3)):
 class TestHrFromSignal:
     def test_planted_sinusoid(self):
         t = np.arange(600) / 30.0
-        est = hr_from_signal(SignalTrace(np.sin(2 * np.pi * 1.5 * t), 30.0))
-        assert abs(est.bpm - 90.0) <= 0.5
-        assert 0.0 < est.peak_power_fraction <= 1.0
+        bpm = hr_from_signal(SignalTrace(np.sin(2 * np.pi * 1.5 * t), 30.0))
+        assert abs(bpm - 90.0) <= 0.5
 
     def test_constant_rejected(self):
         with pytest.raises(EstimationError):
@@ -56,25 +55,25 @@ class TestHrFromSignal:
     def test_dominant_peak_wins(self):
         t = np.arange(600) / 30.0
         s = 1.0 * np.sin(2 * np.pi * 1.0 * t) + 0.3 * np.sin(2 * np.pi * 2.0 * t)
-        est = hr_from_signal(SignalTrace(s, 30.0))
-        assert abs(est.bpm - 60.0) <= 0.5
+        bpm = hr_from_signal(SignalTrace(s, 30.0))
+        assert abs(bpm - 60.0) <= 0.5
 
     @pytest.mark.parametrize("f", [0.8, 1.5, 2.5])
     def test_matches_brute_force_dft(self, f):
         t = np.arange(600) / 30.0
         rng = np.random.default_rng(3)
         s = np.sin(2 * np.pi * f * t + 0.3) + 0.05 * rng.standard_normal(600)
-        est = hr_from_signal(SignalTrace(s, 30.0))
+        bpm = hr_from_signal(SignalTrace(s, 30.0))
         oracle = dft_argmax_oracle(s, 30.0)
-        assert est.bpm == oracle
-        assert abs(est.bpm - 60.0 * f) <= 0.5
+        assert bpm == oracle
+        assert abs(bpm - 60.0 * f) <= 0.5
 
     def test_amplitude_invariance(self):
         t = np.arange(450) / 30.0
         s = np.sin(2 * np.pi * 1.2 * t) + 0.2 * np.cos(2 * np.pi * 2.9 * t)
         a = hr_from_signal(SignalTrace(s, 30.0))
         b = hr_from_signal(SignalTrace(123.4 * s, 30.0))
-        assert a.bpm == b.bpm
+        assert a == b
 
 
 class TestIntegrateDiff:
@@ -91,8 +90,8 @@ class TestIntegrateDiff:
         s = np.sin(2 * np.pi * 1.3 * t) + 0.5 * np.sin(4 * np.pi * 1.3 * t + 0.4)
         d = diff_labels(SignalTrace(s, 30.0))
         rec = integrate_diff(d)
-        est = hr_from_signal(rec)
-        assert abs(est.bpm - 60.0 * 1.3) <= 0.5
+        bpm = hr_from_signal(rec)
+        assert abs(bpm - 60.0 * 1.3) <= 0.5
 
 
 class TestComputeMetrics:

@@ -54,7 +54,6 @@ class TestShapeSchedule:
         hr_cfg = ModelConfig(**{**TINY, "output_format": "HR"})
         mh = MultiscaleVideoTransformer(hr_cfg, seed=0)
         assert mh.forward(x).shape == (2,)
-        T.clear_tape()
 
     def test_indivisible_dims_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -84,10 +83,13 @@ class TestShapeSchedule:
             ModelConfig(mlp_ratio=1e308).validate()
 
     def test_unallocatable_width_is_configuration_error(self):
-        cfg = ModelConfig(**{**TINY, "base_width": 2 ** 40})
-        with pytest.raises(ConfigurationError, match="base width") as info:
-            MultiscaleVideoTransformer(cfg)
-        assert isinstance(info.value.__cause__, MemoryError)
+        """Too large to allocate (MemoryError) or for numpy to shape (ValueError)."""
+        for width, cause in ((2 ** 40, MemoryError), (2 ** 62, ValueError),
+                             (10 ** 30, ValueError)):
+            cfg = ModelConfig(**{**TINY, "base_width": width})
+            with pytest.raises(ConfigurationError, match=f"base width {width} ") as info:
+                MultiscaleVideoTransformer(cfg)
+            assert isinstance(info.value.__cause__, cause)
 
 
 class TestEncodings:
@@ -95,8 +97,7 @@ class TestEncodings:
         cfg = ModelConfig(**{**TINY, "pos_encoding": pos})
         m = MultiscaleVideoTransformer(cfg, seed=seed)
         x = Tensor(np.random.default_rng(9).standard_normal((1, 3, 8, 32, 32)))
-        with T.no_grad():
-            return m.forward(x).data
+        return m.forward(x).data
 
     def test_zero_init_encodings_agree(self):
         base = self._forward("ABS")
@@ -107,10 +108,9 @@ class TestEncodings:
         cfg = ModelConfig(**{**TINY, "pos_encoding": "ABS"})
         m = MultiscaleVideoTransformer(cfg, seed=0)
         x = Tensor(np.random.default_rng(9).standard_normal((1, 3, 8, 32, 32)))
-        with T.no_grad():
-            before = m.forward(x).data.copy()
-            m.parameters()["pos.abs"].data += 0.5
-            after = m.forward(x).data
+        before = m.forward(x).data.copy()
+        m.parameters()["pos.abs"].data += 0.5
+        after = m.forward(x).data
         assert np.abs(after - before).max() > 1e-6
 
     def test_rel_tables_registered_per_stage(self):
@@ -140,7 +140,7 @@ class TestDeterminism:
         m = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=0)
         x = np.random.default_rng(5).standard_normal((1, 3, 8, 32, 32))
         m.predict(x, training=True)
-        assert np.any(m.bn_states[0].running_mean != 0.0)
+        assert np.any(m.store.buffers["head.up0.bn.running_mean"] != 0.0)
         restored = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=1)
         restored.load_arrays(m.named_arrays())
         np.testing.assert_array_equal(restored.predict(x[0]), m.predict(x[0]))
@@ -152,11 +152,6 @@ class TestDeterminism:
         assert {t.data.dtype for t in m.parameters().values()} == {np.dtype(dtype)}
         assert {b.dtype for b in m.store.buffers.values()} == {np.dtype(np.float64)}
 
-    def test_parameter_count_pure_function(self):
-        cfg = ModelConfig(**TINY)
-        assert (MultiscaleVideoTransformer(cfg, seed=0).parameter_count()
-                == MultiscaleVideoTransformer(cfg, seed=99).parameter_count())
-
     def test_trunc_normal_bounded(self):
         x = trunc_normal(np.random.default_rng(0), (1000,), std=0.02)
         assert np.abs(x).max() <= 0.04
@@ -167,9 +162,7 @@ class TestStageBehaviour:
         cfg = ModelConfig(**{**TINY, "stage_depths": (0, 0, 0, 0)})
         m = MultiscaleVideoTransformer(cfg, seed=0)
         x = Tensor(np.random.default_rng(2).standard_normal((1, 3, 8, 32, 32)))
-        with T.no_grad():
-            y = m.forward(x)
-        assert y.shape == (1, 8)
+        assert m.forward(x).shape == (1, 8)
 
     def test_zero_block_weights_residual_identity(self):
         cfg = ModelConfig(**TINY)
@@ -183,8 +176,7 @@ class TestStageBehaviour:
         blk.fc2_w.data[:] = 0.0
         blk.fc2_b.data[:] = 0.0
         tok = Tensor(np.random.default_rng(3).standard_normal((1, 6, 4)))
-        with T.no_grad():
-            out = blk(tok, None)
+        out = blk(tok, None)
         np.testing.assert_array_equal(out.data, tok.data)
 
     def test_error_names_failing_component(self):
@@ -199,8 +191,7 @@ class TestStageBehaviour:
         m.parameters()["stem.w"].data[:] = 0.0
         m.parameters()["stem.b"].data[:] = 0.25
         x = Tensor(np.random.default_rng(4).standard_normal((1, 3, 8, 32, 32)))
-        with T.no_grad():
-            g = nn_ops.conv3d(x, m.stem_w, m.stem_b, stride=(2, 4, 4), pad=(1, 3, 3))
+        g = nn_ops.conv3d(x, m.stem_w, m.stem_b, stride=(2, 4, 4), pad=(1, 3, 3))
         np.testing.assert_allclose(g.data, 0.25, atol=1e-15)
 
 

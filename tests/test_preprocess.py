@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseformer.errors import InputError
 from pulseformer.model import ModelConfig
@@ -53,6 +54,22 @@ class TestDiffNorm:
         a = diffnorm_frames(VideoClip(frames, 30.0))
         b = diffnorm_frames(VideoClip(0.37 * frames, 30.0))
         np.testing.assert_allclose(a.frames, b.frames, atol=1e-9)
+
+    @given(st.data())
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    def test_global_scale_property(self, data):
+        """A power-of-two scale gives the same bits; any scale in [0.25, 4] agrees to 1e-12."""
+        shape = [data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4)),
+                 data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        frames = rng.uniform(0.05, 1.0, shape)
+        base = diffnorm_frames(VideoClip(frames, 30.0)).frames
+        k = data.draw(st.integers(-4, 4))
+        exact = diffnorm_frames(VideoClip(frames * 2.0 ** k, 30.0)).frames
+        assert exact.tobytes() == base.tobytes()
+        s = data.draw(st.floats(0.25, 4.0))
+        scaled = diffnorm_frames(VideoClip(frames * s, 30.0)).frames
+        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
 
 class TestStandardize:

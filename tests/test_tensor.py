@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pulseformer import nn_ops
 from pulseformer import tensor as T
-from pulseformer.errors import DimensionError
+from pulseformer.errors import DimensionError, PulseformerError
 from pulseformer.gradcheck import max_relative_error, promote
-from pulseformer.nn_ops import BatchNormState
 from pulseformer.tensor import Tensor
 
 
@@ -98,8 +97,9 @@ class TestConv3d:
             np.testing.assert_allclose(y.data, conv3d_oracle(x, w, b, stride, pad), atol=1e-12)
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             g = rng.standard_normal(y.shape)
-            yt = nn_ops.conv3d(xt, wt, None, stride=stride, pad=pad)
-            T.mean(T.linear(T.reshape(yt, (1, g.size)), Tensor(g.reshape(1, -1)))).backward()
+            with T.record():
+                yt = nn_ops.conv3d(xt, wt, None, stride=stride, pad=pad)
+                T.mean(T.linear(T.reshape(yt, (1, g.size)), Tensor(g.reshape(1, -1)))).backward()
         gy = float((g * (y.data - b[None, :, None, None, None])).sum())
         np.testing.assert_allclose([(xt.grad * x).sum(), (wt.grad * w).sum()], [gy, gy],
                                    rtol=1e-10, atol=1e-10)
@@ -140,7 +140,7 @@ class TestNorms:
         x = Tensor(np.full((2, 3, 2, 2, 2), 5.0))
         g = Tensor(np.ones(3))
         b = Tensor(np.zeros(3))
-        y = nn_ops.batchnorm3d(x, g, b, BatchNormState(3), training=True)
+        y = nn_ops.batchnorm3d(x, g, b, np.zeros(3), np.ones(3), training=True)
         np.testing.assert_allclose(y.data, 0.0, atol=1e-8)
 
     def test_batchnorm_plus_minus_one(self):
@@ -150,7 +150,7 @@ class TestNorms:
         data[1] = 1.0
         with T.float64():
             y = nn_ops.batchnorm3d(Tensor(data), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                                   BatchNormState(1), training=True, eps=eps)
+                                   np.zeros(1), np.ones(1), training=True, eps=eps)
         np.testing.assert_allclose(y.data.ravel(), data.ravel() / np.sqrt(1 + eps), rtol=1e-12)
 
     def test_batchnorm_eval_identity(self):
@@ -158,16 +158,16 @@ class TestNorms:
         x = rng.standard_normal((1, 2, 2, 2, 2))
         with T.float64():
             y = nn_ops.batchnorm3d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                                   BatchNormState(2), training=False, eps=1e-12)
+                                   np.zeros(2), np.ones(2), training=False, eps=1e-12)
         np.testing.assert_allclose(y.data, x, rtol=1e-9)
 
     def test_batchnorm_updates_running_stats(self):
-        state = BatchNormState(1)
+        mean, var = np.zeros(1), np.ones(1)
         x = Tensor(np.arange(8.0).reshape(2, 1, 2, 2, 1))
-        nn_ops.batchnorm3d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), state,
+        nn_ops.batchnorm3d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), mean, var,
                            training=True, momentum=0.5)
-        np.testing.assert_allclose(state.running_mean, 0.5 * 3.5)
-        np.testing.assert_allclose(state.running_var, 0.5 * 1.0 + 0.5 * np.var(np.arange(8.0)))
+        np.testing.assert_allclose(mean, 0.5 * 3.5)
+        np.testing.assert_allclose(var, 0.5 * 1.0 + 0.5 * np.var(np.arange(8.0)))
 
     def test_layernorm_constant_row(self):
         y = nn_ops.layernorm(Tensor([1.0, 1.0, 1.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -223,7 +223,8 @@ def loss_grads(loss, params):
     """Fresh gradients of every param after one backward of ``loss()``."""
     for p in params:
         p.zero_grad()
-    loss().backward()
+    with T.record():
+        loss().backward()
     return [p.grad.copy() for p in params]
 
 
@@ -361,7 +362,6 @@ class TestAttention:
             return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
 
         y = nn_ops.attention_core(q, k, v, rel=rel).data
-        T.clear_tape()
         assert np.isfinite(y).all()
         # a float32 score near 300 is rounded by up to 1.5e-5 (half an ulp),
         # so the output is held to the gradients' scale-relative tolerance
@@ -386,7 +386,6 @@ class TestAttention:
 
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", 8)
         y = nn_ops.attention_core(q, k, v).data
-        T.clear_tape()
         np.testing.assert_allclose(y, dense_attention(q.data, k.data, v.data),
                                    rtol=1e-5, atol=1e-6)
         g32 = loss_grads(loss, [q, k, v])
@@ -414,7 +413,6 @@ class TestAttention:
         q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, grid)
         monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
         y = nn_ops.attention_core(q, k, v, rel=rel).data
-        T.clear_tape()
         return y, loss_grads(loss, [q, k, v, *rel.tables()])
 
     @rel_grids
@@ -435,7 +433,6 @@ class TestAttention:
         with T.float64():
             q, k, v, rel, expect, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
             y = nn_ops.attention_core(q, k, v, rel=rel)
-        T.clear_tape()
         assert y.data.dtype == np.float64
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
@@ -455,19 +452,19 @@ class TestAttention:
 
         monkeypatch.setattr(rel, "accumulate_grads", fail_off_main_thread)
         monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
-        with pytest.raises(WorkerFailure, match="worker 1"):
+        with pytest.raises(WorkerFailure, match="worker 1"), T.record():
             loss().backward()
         monkeypatch.undo()
         assert nn_ops._openblas()[0]() == threads_before
-        assert T.tape_size() == 0
+        assert not T._tape
 
     def test_forward_records_one_tape_entry(self, monkeypatch):
         q, k, v, rel, _, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
         monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
-        before = T.tape_size()
-        nn_ops.attention_core(q, k, v, rel=rel)
-        assert T.tape_size() == before + 1
-        T.clear_tape()
+        with T.record():
+            nn_ops.attention_core(q, k, v, rel=rel)
+            assert len(T._tape) == 1
+        assert not T._tape
 
     def test_inputs_made_under_another_dtype(self):
         """float32 q, k, v under float64() give a float64 output and float32 leaf grads."""
@@ -521,9 +518,9 @@ class TestElementwise:
     def test_upsample_grad_counts_replicas(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.standard_normal((1, 1, 3, 2, 2)), requires_grad=True)
-        y = nn_ops.nearest_upsample3d(x, (2, 1, 1))
-        total = scale(T.mean(y), y.size)  # sum
-        total.backward()
+        with T.record():
+            y = nn_ops.nearest_upsample3d(x, (2, 1, 1))
+            scale(T.mean(y), y.size).backward()  # a sum
         np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0))
 
 
@@ -545,36 +542,35 @@ class TestMseAndBackward:
 
     def test_sum_backward_all_ones(self):
         x = Tensor(np.zeros((3, 4)), requires_grad=True)
-        loss = scale(T.mean(x), x.size)
-        loss.backward()
+        with T.record():
+            scale(T.mean(x), x.size).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_hand_chain_rule(self):
         w = Tensor([2.0], requires_grad=True)
         x = Tensor([3.0])
         y = Tensor([5.0])
-        pred = T.linear(x, T.reshape(w, (1, 1)), None)
-        loss = T.mse_loss(pred, y)
-        loss.backward()
+        with T.record():
+            T.mse_loss(T.linear(x, T.reshape(w, (1, 1)), None), y).backward()
         np.testing.assert_allclose(w.grad, [6.0])
 
     def test_accumulation_sums_over_uses(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal(4), requires_grad=True)
         t = Tensor(rng.standard_normal(4))
-        loss = T.mse_loss(T.add(x, x), t)
-        loss.backward()
+        with T.record():
+            T.mse_loss(T.add(x, x), t).backward()
         g_two_uses = x.grad.copy()
 
         x.zero_grad()
-        loss = T.mse_loss(scale(x, 2.0), t)
-        loss.backward()
+        with T.record():
+            T.mse_loss(scale(x, 2.0), t).backward()
         np.testing.assert_array_equal(g_two_uses, x.grad)
 
     def test_backward_releases_tape_as_it_goes(self):
         """Each entry is popped before its pull; only leaves keep a grad."""
         rng = np.random.default_rng(4)
-        with T.float64():
+        with T.float64(), T.record():
             x = Tensor(rng.standard_normal(5), requires_grad=True)
             w = Tensor(rng.standard_normal(5), requires_grad=True)
             t = rng.standard_normal(5)
@@ -582,7 +578,7 @@ class TestMseAndBackward:
             y = Tensor(2.0 * x.data, requires_grad=True)   # y = 2x, recorded first
 
             def pull(g):
-                tape_in_first_pull.append(T.tape_size())
+                tape_in_first_pull.append(len(T._tape))
                 T._accum(x, 2.0 * g)
 
             T._record(y, pull)
@@ -597,7 +593,7 @@ class TestMseAndBackward:
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros(3), requires_grad=True)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError), T.record():
             T.backward(T.add(x, x))
 
     def test_determinism_bit_identical(self):
@@ -605,9 +601,10 @@ class TestMseAndBackward:
             rng = np.random.default_rng(11)
             x = Tensor(rng.standard_normal((2, 8, 4)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-            y = T.linear(T.gelu(T.linear(x, w, None)), w, None)
-            loss = T.mse_loss(y, Tensor(rng.standard_normal((2, 8, 4))))
-            loss.backward()
+            with T.record():
+                y = T.linear(T.gelu(T.linear(x, w, None)), w, None)
+                loss = T.mse_loss(y, Tensor(rng.standard_normal((2, 8, 4))))
+                loss.backward()
             return loss.item(), x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()
@@ -621,43 +618,73 @@ class TestMseAndBackward:
         assert T.compute_dtype() is np.float32
 
     def test_flags_are_per_thread(self):
-        """A worker inside no_grad() and float64() leaves the main thread's flags alone."""
+        """A thread inside record() and float64() leaves the main thread unrecorded, in float32."""
         inside, done = threading.Event(), threading.Event()
         seen = {}
 
         def worker():
-            with T.no_grad(), T.float64():
+            with T.record(), T.float64():
+                y = T.elu(Tensor(np.ones(2), requires_grad=True))
+                seen["worker"] = (T.compute_dtype(), y.requires_grad, len(T._tape))
                 inside.set()
                 done.wait(10)
-                seen["worker"] = (T.compute_dtype(),
-                                  T.elu(Tensor(np.ones(2), requires_grad=True)).requires_grad)
 
         thread = threading.Thread(target=worker)
         thread.start()
         try:
             assert inside.wait(10)
             assert T.compute_dtype() is np.float32
-            assert T.elu(Tensor(np.ones(2), requires_grad=True)).requires_grad
+            assert not T.elu(Tensor(np.ones(2), requires_grad=True)).requires_grad
+            assert len(T._tape) == 1   # the worker's entry only
         finally:
             done.set()
             thread.join(10)
-            T.clear_tape()
-        assert seen["worker"] == (np.float64, False)
+        assert seen["worker"] == (np.float64, True, 1)
         assert T.compute_dtype() is np.float32
+        assert not T._tape
 
-    def test_no_grad_suppresses_tape(self):
+
+class TestRecord:
+    def test_nothing_recorded_outside_record(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        with T.no_grad():
-            y = T.elu(x)
+        y = T.mean(T.elu(x))
         assert not y.requires_grad
-        assert T.tape_size() == 0
+        assert not T._tape
+
+    def test_body_that_raised_leaves_tape_empty(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DimensionError), T.record():
+            T.elu(x)
+            assert len(T._tape) == 1
+            T.add(x, Tensor(np.ones(2)))
+        assert not T._tape
+        assert not T.elu(x).requires_grad
+
+    def test_nested_scope_keeps_outer_tape(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        with T.record():
+            y = T.add(x, x)
+            with T.record():
+                z = T.mean(y)
+            assert len(T._tape) == 2
+            z.backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        assert not T._tape
+
+    def test_backward_outside_record_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(PulseformerError, match=r"record\(\)"):
+            T.mean(x).backward()
+        with T.record():
+            loss = T.mean(T.elu(x))
+        with pytest.raises(PulseformerError, match=r"record\(\)"):
+            loss.backward()
+        assert x.grad is None
 
 
 def _bn_eval(x, gamma, beta):
-    state = BatchNormState(3)
-    state.running_mean[:] = [0.3, -0.2, 0.1]
-    state.running_var[:] = [1.5, 0.7, 1.1]
-    return nn_ops.batchnorm3d(x, gamma, beta, state, training=False)
+    return nn_ops.batchnorm3d(x, gamma, beta, np.array([0.3, -0.2, 0.1]),
+                              np.array([1.5, 0.7, 1.1]), training=False)
 
 
 def _rel_attention(q, k, v, table_t, table_h, table_w):
@@ -673,7 +700,7 @@ OP_CASES = {
                lambda x, w, b: nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))),
     "layernorm": ([(2, 3, 4), (4,), (4,)], nn_ops.layernorm),
     "batchnorm3d_train": ([(2, 3, 2, 2, 2), (3,), (3,)],
-                          lambda x, g, b: nn_ops.batchnorm3d(x, g, b, BatchNormState(3),
+                          lambda x, g, b: nn_ops.batchnorm3d(x, g, b, np.zeros(3), np.ones(3),
                                                              training=True)),
     "batchnorm3d_eval": ([(2, 3, 2, 2, 2), (3,), (3,)], _bn_eval),
     "gelu": ([(3, 4)], T.gelu),
@@ -690,8 +717,7 @@ def test_float32_op_matches_float64(name):
     shapes, op = OP_CASES[name]
     rng = np.random.default_rng(14)
     params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
-    with T.no_grad():
-        y32 = op(*params).data
+    y32 = op(*params).data
     target = Tensor(rng.standard_normal(y32.shape))
 
     def loss():
@@ -700,7 +726,7 @@ def test_float32_op_matches_float64(name):
     g32 = loss_grads(loss, params)
     assert y32.dtype == np.float32 and all(g.dtype == np.float32 for g in g32)
     promote(params)
-    with T.float64(), T.no_grad():
+    with T.float64():
         y64 = op(*params).data
     with T.float64():
         g64 = loss_grads(loss, params)
