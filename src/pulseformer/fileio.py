@@ -253,8 +253,8 @@ def write_result(run_dir, result: ExperimentResult) -> None:
 def write_search_trace(path, trace) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["phase", "candidate", "mae", "selected"])
+        w.writerow(["phase", "candidate", "mae", "selected", "seconds", "cached", "error"])
         for s in trace.steps:
             w.writerow([s.phase, s.candidate,
                         "inf" if not np.isfinite(s.mae) else f"{s.mae:.12g}",
-                        int(s.selected)])
+                        int(s.selected), f"{s.seconds:.3f}", int(s.cached), s.error])

@@ -2,12 +2,15 @@
 
 The three-dimensional convolution is evaluated as one GEMM per batch item
 over a strided patch view (column layout chosen so the backward scatter
-adds along aligned axes). Attention is evaluated in query blocks; the
-forward saves one log-sum-exp per query row, and the backward recomputes
-the softmax probabilities from it with a single exp, so memory stays bounded
-for long token sequences. The decomposed relative position bias of a query
-block is added from a zero-copy strided view of one per-head table, and its
-gradient is binned per axis from the marginals of the score gradient.
+adds along aligned axes). Attention is evaluated in two-dimensional tiles,
+ATTN_BLOCK query rows by KEY_BLOCK keys, so every score tile stays in a
+core's L2 cache however long the token sequence is. The forward sweeps a
+query block over its key tiles with a running row max, as FlashAttention
+does, and saves one log-sum-exp per query row; the backward rebuilds each
+tile's softmax probabilities from it with a single exp. The decomposed
+relative position bias of a tile is added from a zero-copy strided view of
+one per-head table, and its gradient is binned per axis from the marginals
+of the score gradient, summed tile by tile.
 
 Every op computes in the result dtype of its inputs, which is the storage
 dtype of ``tensor`` (float32 unless inside ``tensor.float64()``). An op that
@@ -33,10 +36,12 @@ from . import tensor as T
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor, _accum, _needs_grad, _record
 
-# query rows per attention block; keeps score tiles cache-friendly. With a
-# relative bias a block is whole (h, w) planes, or whole w-lines of one plane,
-# so it may reach the grid width when that exceeds this.
+# query rows per attention block and keys per score tile: a float32 tile of
+# 256 x 1024 is 1 MiB, so the passes over it run from L2. With a relative bias
+# both are cut as whole (h, w) planes, or whole w-lines of one plane, so either
+# may reach the grid width when that exceeds it.
 ATTN_BLOCK = 256
+KEY_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ class RelativeBias:
     """Decomposed per-axis relative position tables for one token grid.
 
     Tables have shape (heads, 2*extent - 1) per axis; the pairwise bias is
-    B[i, j] = T[ti-tj] + H[hi-hj] + W[wi-wj]. Each query block reads its
+    B[i, j] = T[ti-tj] + H[hi-hj] + W[wi-wj]. Each score tile reads its
     bias as a zero-copy strided view of one per-head table, and the table
     gradients are binned from the per-axis difference marginals of dS.
     """
@@ -297,11 +302,13 @@ class RelativeBias:
         return (self.table_t, self.table_h, self.table_w)
 
     def blocks(self, size: int) -> list[tuple[int, int, tuple[slice, slice]]]:
-        """Query-row blocks as (i0, i1, (t slice, h slice)) of the token grid.
+        """Token-row blocks as (i0, i1, (t slice, h slice)) of the token grid.
 
-        A block is whole (h, w) planes, or whole w-lines of one plane when a
-        plane has more than ``size`` rows, so its rows are contiguous and no
-        block has more than max(size, gw) rows.
+        Attention cuts both its query blocks and its key tiles with this. A
+        block is whole (h, w) planes, or whole w-lines of one plane when a
+        plane has more than ``size`` rows, so its rows are contiguous, no
+        block has more than max(size, gw) rows, and the bias of a query block
+        over a key tile is the view ``bias[qb][:, :, :, kb[0], kb[1]]``.
         """
         gt, gh, gw = self.grid
         plane = gh * gw
@@ -330,26 +337,42 @@ class RelativeBias:
         windows = sliding_window_view(lines, (gt, gh), axis=(1, 2))
         return windows[:, ::-1, ::-1].transpose(1, 2, 0, 4, 5, 3)
 
-    def accumulate_grads(self, ds: np.ndarray, block: tuple[slice, slice], head: int,
-                         grads: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
-        """Bin one block's score gradient dS into the table gradients of ``head``.
+    def add_key_sums(self, ds: np.ndarray, key_block: tuple[slice, slice],
+                     sum_t: np.ndarray, sum_hw: np.ndarray) -> None:
+        """Add the two key marginals of one score-gradient tile to a query block's sums.
 
-        Only the per-axis index-difference marginals of dS are needed, so the
-        full pair matrix never has to be binned. The two sums over the whole
-        tile (over tj, and over (hj, wj)) are matrix products with a ones
-        vector, so BLAS does them; the bins add in float64.
+        ``ds`` is (rows, keys) over the key rows of ``key_block``. Its sum over
+        the key t index is added to the (rows, gh*gw) ``sum_t`` at the tile's
+        key (h, w) positions, and its sum over the key (h, w) plane to the
+        (rows, gt) ``sum_hw`` at the tile's key t indices. Both sums are
+        products with a ones vector, which measured faster than ``sum``.
+        """
+        gt, gh, gw = self.grid
+        t0, t1, _ = key_block[0].indices(gt)
+        h0, h1, _ = key_block[1].indices(gh)
+        rows, nt, cols = ds.shape[0], t1 - t0, (h1 - h0) * gw
+        sum_t[:, h0 * gw:h1 * gw] += np.matmul(np.ones(nt, dtype=ds.dtype),
+                                              ds.reshape(rows, nt, cols))
+        sum_hw[:, t0:t1] += (ds.reshape(rows * nt, cols)
+                             @ np.ones(cols, dtype=ds.dtype)).reshape(rows, nt)
+
+    def accumulate_grads(self, sum_t: np.ndarray, sum_hw: np.ndarray,
+                         block: tuple[slice, slice], head: int,
+                         grads: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Bin one query block's key sums of dS into the table gradients of ``head``.
+
+        ``sum_t`` and ``sum_hw`` are the block's dS summed over the key t index
+        and over the key (h, w) plane (see ``add_key_sums``). Only the per-axis
+        index-difference marginals of dS are needed, and they follow from
+        these, so the full pair matrix never has to be binned; the bins add in
+        float64.
         """
         gt, gh, gw = self.grid
         ts, hs = block
         q_t = np.arange(gt)[ts]
         q_h = np.arange(gh)[hs]
-        rows, plane = ds.shape[0], gh * gw
-        cube = ds.reshape(rows, gt, plane)
-        red_t = np.matmul(np.ones(gt, dtype=ds.dtype), cube).reshape(
-            len(q_t), len(q_h), gw, gh, gw)                     # (ti, hi, wi, hj, wj)
-        red_hw = (ds.reshape(rows * gt, plane) @ np.ones(plane, dtype=ds.dtype)).reshape(
-            len(q_t), len(q_h) * gw, gt)                        # (ti, hi·wi, tj)
-        marginals = (red_hw.sum(axis=1),                        # (ti, tj)
+        red_t = sum_t.reshape(len(q_t), len(q_h), gw, gh, gw)   # (ti, hi, wi, hj, wj)
+        marginals = (sum_hw.reshape(len(q_t), len(q_h) * gw, gt).sum(axis=1),   # (ti, tj)
                      red_t.sum(axis=(0, 2, 4)),                 # (hi, hj)
                      red_t.sum(axis=(0, 1, 3)))                 # (wi, wj)
         for grad, m, q, extent in zip(grads, marginals, (q_t, q_h, np.arange(gw)), self.grid):
@@ -370,32 +393,41 @@ def _openblas():
     return None
 
 
-# OpenBLAS's thread count before the outermost one_blas_thread entry, 0 outside
-# one. Module-level, not a ContextVar: the OpenBLAS count is process-global.
+# OpenBLAS's thread count before the first holder of one_blas_thread entered,
+# 0 while none holds it, and the number of holders. Module-level, not a
+# ContextVar: the OpenBLAS count is process-global.
 _held = 0
+_holders = 0
+_held_lock = threading.Lock()
 
 
 @contextlib.contextmanager
 def one_blas_thread():
     """Hold OpenBLAS at one thread; attention runs as many workers as it had.
 
-    The outermost entry reads the count N, sets it to 1 and restores N on
-    exit, also when the body raises. Nested entries do nothing.
-    ``train_model`` holds it for its epoch loop and ``predict`` for one call.
+    A counted region, shared by every thread: the first holder to enter
+    reads the count N and sets it to 1, and the last holder to leave
+    restores N, also when its body raised. ``train_model`` holds it for its
+    epoch loop and ``predict`` for one call.
     """
-    global _held
+    global _held, _holders
     blas = _openblas()
-    if _held or blas is None:
+    if blas is None:
         yield
         return
-    n = max(1, blas[0]())
-    _held = n
+    with _held_lock:
+        if _holders == 0:
+            _held = max(1, blas[0]())
+            blas[1](1)
+        _holders += 1
     try:
-        blas[1](1)
         yield
     finally:
-        _held = 0
-        blas[1](n)
+        with _held_lock:
+            _holders -= 1
+            if _holders == 0:
+                blas[1](_held)
+                _held = 0
 
 
 def _workers() -> int:
@@ -448,24 +480,31 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                    rel: RelativeBias | None = None) -> Tensor:
     """softmax(q kᵀ / sqrt(d) + B) v over (N, heads, L, d) tensors.
 
-    Scores are produced in blocks of ATTN_BLOCK query rows (cut along the
-    token grid by RelativeBias.blocks when ``rel`` is given), and bias views
-    are shared across the batch. The forward takes each row's softmax sum
-    l from its PV product, [y | l] = exp(S - m) [v | 1], divides only the
-    rows×d output by l, and saves one log-sum-exp per query row,
-    lse = m + log(l). The backward rebuilds the probabilities with one exp,
-    P = exp([q | -lse] [k | 1]ᵀ + B), and gets dS = P∘([g | rs] [v | -1]ᵀ)
-    with rs = rowsum(g∘y), so no max, sum or divide pass runs over a score
-    tile there. Only ``lse`` (N, heads, L) is kept for the backward, so peak
-    memory stays O(block * L) regardless of sequence length. q, k and v
-    share one dtype, and score tiles, ``lse`` and the output are made in it;
-    dS and the q/k/v gradients take the result dtype of it and the incoming
-    gradient, which is the same dtype unless the inputs were made under
-    another compute dtype than the call's.
+    Scores are made in tiles of ATTN_BLOCK query rows by KEY_BLOCK keys (both
+    cut along the token grid by RelativeBias.blocks when ``rel`` is given;
+    L <= KEY_BLOCK is one key tile), so a tile fits in L2 whatever L is, and
+    bias views are shared across the batch. The forward sweeps each query
+    block over its key tiles with a running row max m and an accumulator
+    [y·l | l]: per tile m' = max(m, rowmax(S)), P = exp(S - m'), and the
+    accumulator is rescaled by exp(m - m') before P [v | 1] is added. It then
+    divides only the rows×d output by l and saves one log-sum-exp per query
+    row, lse = m + log(l). The backward needs no max: per tile it rebuilds
+    the probabilities from lse alone with one exp, P = exp([q | -lse]
+    [k | 1]ᵀ + B), gets dS = P∘([g | rs] [v | -1]ᵀ) with rs = rowsum(g∘y),
+    and adds Pᵀg to dv, dS k to dq and dSᵀq to dk. With a bias, each tile's
+    dS is reduced at once to its sums over the key t index and over the key
+    (h, w) plane, which add up over tiles and the batch in per-query-block
+    buffers and are binned into the table gradients once per block. Only
+    ``lse`` (N, heads, L) is kept for the backward, so peak memory stays
+    O(ATTN_BLOCK * KEY_BLOCK) per worker regardless of sequence length. q,
+    k and v share one dtype, and score tiles, ``lse`` and the output are
+    made in it; dS and the q/k/v gradients take the result dtype of it and
+    the incoming gradient, which is the same dtype unless the inputs were
+    made under another compute dtype than the call's.
 
     Both passes run inside ``one_blas_thread`` (a no-op under ``train_model``
-    and ``predict``, which already hold it) and split the (head, block) items
-    statically over ``_workers()`` workers: worker ``w`` takes items
+    and ``predict``, which already hold it) and split the (head, query block)
+    items statically over ``_workers()`` workers: worker ``w`` takes items
     ``w::workers``, worker 0 on the calling thread and the rest on threads
     joined within the call. The forward fixes the worker count for both. The
     bias views and every worker's tiles are made on the calling thread, so
@@ -483,23 +522,32 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             f"attention dtypes differ: {dt}, {k.data.dtype}, {v.data.dtype}")
     n, heads, ln, d = q.shape
     scl = 1.0 / float(np.sqrt(d))   # a Python float keeps float32 products float32
-    if rel is None:
-        blocks = [(i0, min(i0 + ATTN_BLOCK, ln), None) for i0 in range(0, ln, ATTN_BLOCK)]
-    else:
-        blocks = rel.blocks(ATTN_BLOCK)
+
+    def cut(size):
+        """Token-row blocks of about ``size`` rows as (i0, i1, grid slices or None)."""
+        if rel is None:
+            return [(i0, min(i0 + size, ln), None) for i0 in range(0, ln, size)]
+        return rel.blocks(size)
+
+    blocks, key_blocks = cut(ATTN_BLOCK), cut(KEY_BLOCK)
     bs = max(i1 - i0 for i0, i1, _ in blocks)
+    tile_size = bs * max(j1 - j0 for j0, j1, _ in key_blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())
     work = [(hh, i0, i1, block) for hh in range(heads) for i0, i1, block in blocks]
 
-    def bias_views():
-        """Per-head bias views (or Nones), read on the calling thread."""
-        return [rel.bias_view(hh) if rel is not None else None for hh in range(heads)]
+    def block_biases():
+        """Per (head, query block) bias views (or Nones), read on the calling thread."""
+        if rel is None:
+            return [None] * len(work)
+        views = [rel.bias_view(hh) for hh in range(heads)]
+        return [views[hh][block] for hh, _, _, block in work]
 
-    def scores(s, a, b, bias, block):
-        """s = a bᵀ (+ the block's bias)."""
+    def scores(buf, a, b, bias, key_block):
+        """a bᵀ (+ the tile's bias) in a contiguous (rows, keys) view of ``buf``."""
+        s = buf[:len(a) * len(b)].reshape(len(a), len(b))
         np.dot(a, b.T, out=s)
         if bias is not None:
-            bb = bias[block]
+            bb = bias[:, :, :, key_block[0], key_block[1]]
             sv = s.reshape(bb.shape)
             sv += bb
         return s
@@ -509,25 +557,30 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     v1 = _augment(v.data, 1.0)
     y = np.empty(q.shape, dtype=dt)
     lse = np.empty((n, heads, ln), dtype=dt)
-    biases = bias_views()
+    biases = block_biases()
 
     def forward(w):
-        for hh, i0, i1, block in work[w::nw]:
+        for (hh, i0, i1, _), bias in zip(work[w::nw], biases[w::nw]):
             for i in range(n):
-                sb = scores(tiles[w][:i1 - i0], qs[i, hh, i0:i1], kk[i, hh], biases[hh], block)
-                m = sb.max(axis=1, keepdims=True)
-                sb -= m
-                np.exp(sb, out=sb)
-                yl = sb @ v1[i, hh]                       # [y·l | l]
+                m = np.full(i1 - i0, -np.inf, dtype=dt)
+                yl = np.zeros((i1 - i0, d + 1), dtype=dt)      # [y·l | l]
+                for j0, j1, key_block in key_blocks:
+                    sb = scores(tiles[w], qs[i, hh, i0:i1], kk[i, hh, j0:j1], bias, key_block)
+                    m_new = np.maximum(m, sb.max(axis=1))
+                    sb -= m_new[:, None]
+                    np.exp(sb, out=sb)
+                    yl *= np.exp(m - m_new)[:, None]
+                    yl += sb @ v1[i, hh, j0:j1]
+                    m = m_new
                 np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
                 np.log(yl[:, d], out=lse[i, hh, i0:i1])
-                lse[i, hh, i0:i1] += m[:, 0]
+                lse[i, hh, i0:i1] += m
 
     with one_blas_thread():
         nw = min(_workers(), len(work))
-        # one array per tile, made on this thread: a stacked (workers, bs, L) array,
+        # one array per tile, made on this thread: a stacked (workers, ...) array,
         # or tiles made by the worker threads, measured a higher peak RSS
-        tiles = [np.empty((bs, ln), dtype=dt) for _ in range(nw)]
+        tiles = [np.empty(tile_size, dtype=dt) for _ in range(nw)]
         _run_workers(forward, nw)
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
@@ -536,35 +589,36 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         kx = _augment(k.data, 1.0)                # [k | 1]
         vx = _augment(v.data, -1.0)               # [v | -1]
         gx = _augment(g, (g * out.data).sum(axis=-1))   # [g | rs]
-        gt = np.result_type(gx, vx)               # of dS and the q/k/v grads
-        dq = np.zeros(q.shape, dtype=gt)
-        dks, dvs = (np.zeros((nw,) + q.shape, dtype=gt) for _ in range(2))
+        gdt = np.result_type(gx, vx)              # of dS and the q/k/v grads
+        dq = np.zeros(q.shape, dtype=gdt)
+        dks, dvs = (np.zeros((nw,) + q.shape, dtype=gdt) for _ in range(2))
         dtables = [[np.zeros_like(t.data) for t in params[3:]] for _ in range(nw)]
-        biases = bias_views()
-        # per worker: P, dS, and with a bias over a batch a second dS, as the
-        # first item's dS sums the batch for the table gradients
-        acc = rel is not None and n > 1
-        tiles = [[np.empty((bs, ln), dtype=t) for t in (dt, gt, gt)[:2 + acc]]
+        biases = block_biases()
+        tiles = [(np.empty(tile_size, dtype=dt), np.empty(tile_size, dtype=gdt))
                  for _ in range(nw)]
 
         def backward(w):
             dk, dv = dks[w], dvs[w]
-            p_tile, *ds_tiles = tiles[w]
-            for hh, i0, i1, block in work[w::nw]:
-                rows = i1 - i0
+            p_tile, ds_tile = tiles[w]
+            for (hh, i0, i1, block), bias in zip(work[w::nw], biases[w::nw]):
+                if rel is not None:   # dS summed over key t and over key (h, w)
+                    gt, gh, gw = rel.grid
+                    sum_t = np.zeros((i1 - i0, gh * gw), dtype=gdt)
+                    sum_hw = np.zeros((i1 - i0, gt), dtype=gdt)
                 for i in range(n):
-                    p = scores(p_tile[:rows], qx[i, hh, i0:i1], kx[i, hh], biases[hh], block)
-                    np.exp(p, out=p)
-                    gb = gx[i, hh, i0:i1]
-                    dv[i, hh] += p.T @ gb[:, :d]
-                    ds = np.dot(gb, vx[i, hh].T, out=ds_tiles[1 if acc and i > 0 else 0][:rows])
-                    ds *= p
-                    if acc and i > 0:
-                        ds_tiles[0][:rows] += ds
-                    np.dot(ds, kx[i, hh, :, :d], out=dq[i, hh, i0:i1])
-                    dk[i, hh] += ds.T @ qx[i, hh, i0:i1, :d]  # qx holds q·scl: dSᵀ q·scl
+                    qb, gb = qx[i, hh, i0:i1], gx[i, hh, i0:i1]
+                    for j0, j1, key_block in key_blocks:
+                        p = scores(p_tile, qb, kx[i, hh, j0:j1], bias, key_block)
+                        np.exp(p, out=p)
+                        dv[i, hh, j0:j1] += p.T @ gb[:, :d]
+                        ds = np.dot(gb, vx[i, hh, j0:j1].T, out=ds_tile[:p.size].reshape(p.shape))
+                        ds *= p
+                        dq[i, hh, i0:i1] += ds @ kx[i, hh, j0:j1, :d]
+                        dk[i, hh, j0:j1] += ds.T @ qb[:, :d]   # qx holds q·scl: dSᵀ q·scl
+                        if rel is not None:
+                            rel.add_key_sums(ds, key_block, sum_t, sum_hw)
                 if rel is not None:
-                    rel.accumulate_grads(ds_tiles[0][:rows], block, hh, dtables[w])
+                    rel.accumulate_grads(sum_t, sum_hw, block, hh, dtables[w])
 
         with one_blas_thread():
             _run_workers(backward, nw)

@@ -5,13 +5,15 @@ output format, frame format x signal normalisation, positional encoding,
 scaling strategy); each phase keeps the configuration with the lowest
 validation MAE and later phases build on it. Evaluations are memoised by
 full configuration, and a candidate whose evaluation raises a
-PulseformerError scores +inf so the sweep goes on; any other exception is
-a bug and propagates. Ties resolve to the first candidate in declared order.
+PulseformerError scores +inf, keeping the error's type and message, so the
+sweep goes on; any other exception is a bug and propagates. Ties resolve to
+the first candidate in declared order.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import astuple, dataclass, field
 from typing import Callable
 
@@ -40,6 +42,8 @@ class SearchStep:
     mae: float
     selected: bool = False
     cached: bool = False
+    seconds: float = 0.0   # evaluator wall time; 0 for a cached result
+    error: str = ""        # "<type>: <message>" of the PulseformerError it raised
 
 
 @dataclass
@@ -73,28 +77,28 @@ def greedy_adapt(evaluator: Callable[[ModelConfig], float],
     space = DesignSpace()
     carried = start.copy(output_format="HR", frame_format="Raw", signal_norm=False, scaling=0)
     trace = SearchTrace()
-    memo: dict[tuple, float] = {}
+    memo: dict[tuple, dict] = {}
 
-    def score(cfg: ModelConfig) -> tuple[float, bool]:
+    def score(cfg: ModelConfig) -> dict:
+        """The SearchStep fields mae, error, and seconds or cached, of ``cfg``."""
         key = astuple(cfg)
         if key in memo:
-            return memo[key], True
+            return dict(memo[key], cached=True)
         trace.evaluator_calls += 1
+        error = ""
+        t0 = time.perf_counter()
         try:
             mae = float(evaluator(cfg))
             if math.isnan(mae):
                 mae = math.inf
-        except PulseformerError:
-            mae = math.inf
-        memo[key] = mae
-        return mae, False
+        except PulseformerError as e:
+            mae, error = math.inf, f"{type(e).__name__}: {e}"
+        memo[key] = dict(mae=mae, error=error)
+        return dict(memo[key], seconds=time.perf_counter() - t0)
 
     def run_phase(phase: str, candidates: list[tuple[str, ModelConfig]]) -> ModelConfig:
-        steps = []
-        for label, cfg in candidates:
-            mae, cached = score(cfg)
-            steps.append(SearchStep(phase=phase, candidate=label, config=cfg,
-                                    mae=mae, cached=cached))
+        steps = [SearchStep(phase=phase, candidate=label, config=cfg, **score(cfg))
+                 for label, cfg in candidates]
         best = min(range(len(steps)), key=lambda i: (steps[i].mae, i))
         steps[best].selected = True
         trace.steps.extend(steps)

@@ -80,6 +80,8 @@ class TestGreedyAdapt:
         failed = [s for s in trace.steps if not math.isfinite(s.mae)]
         assert len(failed) == 1
         assert failed[0].candidate == "spatial=128"
+        assert failed[0].error == "ConfigurationError: boom"
+        assert not any(s.error for s in trace.steps if math.isfinite(s.mae))
         assert trace.final_config.input_dims == (120, 64, 64)
 
     def test_evaluator_bug_propagates(self):

@@ -284,9 +284,11 @@ class TestAttention:
         np.testing.assert_array_equal(plain.data, biased.data)
 
     @staticmethod
-    def _rel_bias_case(monkeypatch, block, grid):
+    def _rel_bias_case(monkeypatch, block, grid, key_block=None):
         """q, k, v, filled tables, the dense-oracle output and an MSE loss."""
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", block)
+        if key_block is not None:
+            monkeypatch.setattr(nn_ops, "KEY_BLOCK", key_block)
         rng = np.random.default_rng(6)
         n, heads, d = 2, 2, 3
         ln = grid[0] * grid[1] * grid[2]
@@ -308,12 +310,17 @@ class TestAttention:
     rel_grids = pytest.mark.parametrize("grid", [(3, 2, 2), (2, 3, 3), (4, 3, 5)],
                                         ids=lambda g: "x".join(map(str, g)))
     rel_blocks = pytest.mark.parametrize("block", [256, 8, 3, 1], ids=lambda b: f"block{b}")
+    # the tests over rel_blocks run one key tile (KEY_BLOCK 1024 > L). Key tiles
+    # of 8 are two planes with a ragged one-plane last tile on 3x2x2, and
+    # w-lines on the grids whose plane is wider than 8 (ragged on 2x3x3); key
+    # tiles of 1 are single w-lines
+    key_tiles = pytest.mark.parametrize(
+        "block, key_block", [(256, 8), (8, 8), (3, 1), (256, 1)],
+        ids=["block256-keys8", "block8-keys8", "block3-keys1", "block256-keys1"])
 
-    @rel_grids
-    @rel_blocks
-    def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
+    def _check_rel_float64(self, monkeypatch, block, grid, key_block=None):
         with T.float64():
-            q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
+            q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid, key_block)
             y = nn_ops.attention_core(q, k, v, rel=rel)
             np.testing.assert_allclose(y.data, expect, atol=1e-12)
             err_tables = max_relative_error(loss, list(rel.tables()))
@@ -321,12 +328,10 @@ class TestAttention:
                                          rng=np.random.default_rng(7))
         assert max(err_tables, err_qkv) <= 1e-5
 
-    @rel_grids
-    @rel_blocks
-    def test_rel_bias_float32_matches_dense_oracle(self, monkeypatch, block, grid):
+    def _check_rel_float32(self, monkeypatch, block, grid, key_block=None):
         """The default float32 path against the oracle and the float64 gradients."""
         assert T.compute_dtype() is np.float32
-        q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid)
+        q, k, v, rel, expect, loss = self._rel_bias_case(monkeypatch, block, grid, key_block)
         y = nn_ops.attention_core(q, k, v, rel=rel)
         np.testing.assert_allclose(y.data, expect, rtol=1e-5, atol=1e-6)
         params = [q, k, v, *rel.tables()]
@@ -335,6 +340,27 @@ class TestAttention:
         with T.float64():
             g64 = loss_grads(loss, params)
         assert_float32_grads_close(g32, g64)
+
+    @rel_grids
+    @rel_blocks
+    def test_rel_bias_matches_dense_oracle(self, monkeypatch, block, grid):
+        self._check_rel_float64(monkeypatch, block, grid)
+
+    @rel_grids
+    @key_tiles
+    def test_rel_bias_key_tiles_match_dense_oracle(self, monkeypatch, block, key_block, grid):
+        self._check_rel_float64(monkeypatch, block, grid, key_block)
+
+    @rel_grids
+    @rel_blocks
+    def test_rel_bias_float32_matches_dense_oracle(self, monkeypatch, block, grid):
+        self._check_rel_float32(monkeypatch, block, grid)
+
+    @rel_grids
+    @key_tiles
+    def test_rel_bias_float32_key_tiles_match_dense_oracle(self, monkeypatch, block,
+                                                           key_block, grid):
+        self._check_rel_float32(monkeypatch, block, grid, key_block)
 
     @pytest.mark.parametrize("with_rel", [False, True], ids=["plain", "rel"])
     def test_float32_large_logits_match_float64(self, with_rel):
@@ -376,6 +402,15 @@ class TestAttention:
 
     def test_float32_ragged_blocks_backward(self, monkeypatch):
         """No bias, 37 rows in blocks of 8: the last block has 5 rows."""
+        self._check_ragged_float32(monkeypatch, None)
+
+    @pytest.mark.parametrize("key_block", [8, 5], ids=lambda b: f"keys{b}")
+    def test_float32_ragged_key_tiles_backward(self, monkeypatch, key_block):
+        """As above with key tiles of 8 or 5: the last key tile has 5 or 2 keys."""
+        self._check_ragged_float32(monkeypatch, key_block)
+
+    @staticmethod
+    def _check_ragged_float32(monkeypatch, key_block):
         rng = np.random.default_rng(13)
         q, k, v = (Tensor(rng.standard_normal((2, 2, 37, 4)), requires_grad=True)
                    for _ in range(3))
@@ -385,6 +420,8 @@ class TestAttention:
             return T.mse_loss(nn_ops.attention_core(q, k, v), target)
 
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", 8)
+        if key_block is not None:
+            monkeypatch.setattr(nn_ops, "KEY_BLOCK", key_block)
         y = nn_ops.attention_core(q, k, v).data
         np.testing.assert_allclose(y, dense_attention(q.data, k.data, v.data),
                                    rtol=1e-5, atol=1e-6)
@@ -408,24 +445,84 @@ class TestAttention:
         small = nn_ops.attention(*args, heads=2)
         np.testing.assert_allclose(small.data, full.data, atol=1e-13)
 
-    def _schedule_case(self, monkeypatch, grid, workers):
+    @pytest.mark.parametrize("key_block", [8, 5], ids=lambda b: f"keys{b}")
+    def test_key_tiles_match_one_tile(self, monkeypatch, key_block):
+        """37 keys in tiles of 8 or 5 (a ragged last tile) against one tile, in float64."""
+        rng = np.random.default_rng(9)
+        with T.float64():
+            q, k, v = (Tensor(rng.standard_normal((2, 2, 37, 4))) for _ in range(3))
+            one = nn_ops.attention_core(q, k, v).data
+            monkeypatch.setattr(nn_ops, "KEY_BLOCK", key_block)
+            tiled = nn_ops.attention_core(q, k, v).data
+        np.testing.assert_allclose(tiled, one, atol=1e-12)
+
+    @pytest.mark.parametrize("with_rel", [False, True], ids=["plain", "rel"])
+    def test_float32_row_max_in_last_key_tile(self, monkeypatch, with_rel):
+        """Logits rise along the keys to about 80, so each key tile raises the running max.
+
+        The float32 output must match the float64 oracle and, with the
+        gradients, stay finite; the float64 output must match it to 1e-12.
+        """
+        monkeypatch.setattr(nn_ops, "KEY_BLOCK", 8)
+        rng = np.random.default_rng(17)
+        n, heads, d, grid = 2, 2, 4, (4, 3, 5)
+        ln = grid[0] * grid[1] * grid[2]
+        ramp = np.linspace(0.0, 80.0, ln)[:, None] * np.sqrt(d) / d
+        q = Tensor(1.0 + 0.01 * rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+        k = Tensor(ramp + 0.01 * rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+        v = Tensor(rng.standard_normal((n, heads, ln, d)), requires_grad=True)
+        params, bias, rel = [q, k, v], 0.0, None
+        if with_rel:
+            rel = nn_ops.RelativeBias(heads, grid)
+            for table in rel.tables():
+                table.data[:] = 0.1 * rng.standard_normal(table.shape)
+            params += rel.tables()
+            bias = dense_rel_bias(rel)
+        s = q.data @ np.swapaxes(k.data, -1, -2) / np.sqrt(d) + bias
+        last_tile = rel.blocks(8)[-1][0] if with_rel else ln - ln % 8
+        assert (s.argmax(axis=-1) >= last_tile).all() and 78 < s.max() < 82
+        target = Tensor(rng.standard_normal(q.shape))
+
+        def loss():
+            return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
+
+        y = nn_ops.attention_core(q, k, v, rel=rel).data
+        assert np.isfinite(y).all()
+        expect = dense_attention(q.data, k.data, v.data, bias)
+        np.testing.assert_allclose(y, expect, rtol=1e-4, atol=1e-4 * np.abs(expect).max())
+        assert all(np.isfinite(g).all() for g in loss_grads(loss, params))
+        promote(params)
+        with T.float64():
+            y64 = nn_ops.attention_core(q, k, v, rel=rel).data
+        np.testing.assert_allclose(y64, dense_attention(q.data, k.data, v.data, bias),
+                                   atol=1e-12)
+
+    def _schedule_case(self, monkeypatch, grid, workers, key_block=None):
         """Output and gradients of the block-8 rel case run with ``workers`` workers."""
-        q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, grid)
+        q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, grid, key_block)
         monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
         y = nn_ops.attention_core(q, k, v, rel=rel).data
         return y, loss_grads(loss, [q, k, v, *rel.tables()])
 
+    def _check_workers(self, monkeypatch, grid, workers, key_block=None):
+        """Forward bit-identical to one worker; grads differ only in summation order."""
+        y1, g1 = self._schedule_case(monkeypatch, grid, 1, key_block)
+        y2, g2 = self._schedule_case(monkeypatch, grid, workers, key_block)
+        np.testing.assert_array_equal(y2, y1)
+        assert_float32_grads_close(g2, g1)
+        y2b, g2b = self._schedule_case(monkeypatch, grid, workers, key_block)
+        assert y2b.tobytes() == y2.tobytes()
+        assert [g.tobytes() for g in g2b] == [g.tobytes() for g in g2]
+
     @rel_grids
     @pytest.mark.parametrize("workers", [2, 3])
     def test_workers_match_one_worker(self, monkeypatch, grid, workers):
-        """Forward bit-identical to one worker; grads differ only in summation order."""
-        y1, g1 = self._schedule_case(monkeypatch, grid, 1)
-        y2, g2 = self._schedule_case(monkeypatch, grid, workers)
-        np.testing.assert_array_equal(y2, y1)
-        assert_float32_grads_close(g2, g1)
-        y2b, g2b = self._schedule_case(monkeypatch, grid, workers)
-        assert y2b.tobytes() == y2.tobytes()
-        assert [g.tobytes() for g in g2b] == [g.tobytes() for g in g2]
+        self._check_workers(monkeypatch, grid, workers)
+
+    @rel_grids
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_workers_match_one_worker_over_key_tiles(self, monkeypatch, grid, workers):
+        self._check_workers(monkeypatch, grid, workers, key_block=8)
 
     def test_workers_float64_match_dense_oracle(self, monkeypatch):
         """Workers are threads, so they must get float64 from the caller, not a ContextVar."""

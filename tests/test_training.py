@@ -1,6 +1,8 @@
 """Optimiser, split, training-loop, and evaluation tests."""
 
 import contextlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -380,6 +382,53 @@ class TestBlasRegion:
         assert blas.sets == [1, 2]
         assert blas.threads == 2
         assert nn_ops._workers() == 1
+
+    def test_overlapping_threads_restore_once_the_last_leaves(self, blas):
+        entered, release_a, a_left = threading.Event(), threading.Event(), threading.Event()
+
+        def hold_a():
+            with nn_ops.one_blas_thread():
+                entered.set()
+                release_a.wait(10)
+            a_left.set()
+
+        a = threading.Thread(target=hold_a)
+        a.start()
+        assert entered.wait(10)
+        with nn_ops.one_blas_thread():
+            release_a.set()
+            assert a_left.wait(10)
+            # A left while this thread still holds the region
+            assert blas.threads == 1 and blas.sets == [1]
+            assert nn_ops._workers() == 2
+        a.join(10)
+        assert not a.is_alive()
+        assert blas.sets == [1, 2]
+        assert nn_ops._workers() == 1
+
+    def test_many_threads_never_lose_the_count(self, blas):
+        """8 threads enter and leave 200 times each with a short switch interval."""
+        seen = []
+
+        def churn():
+            for _ in range(200):
+                with nn_ops.one_blas_thread():
+                    seen.append(blas.threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 1600 and set(seen) == {1}
+        assert blas.sets == [1, 2] * (len(blas.sets) // 2)
+        assert blas.threads == 2 and nn_ops._workers() == 1
 
     def test_one_worker_without_openblas(self, monkeypatch):
         monkeypatch.setattr(nn_ops, "_openblas", lambda: None)
