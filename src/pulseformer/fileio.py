@@ -246,7 +246,8 @@ def write_result(run_dir, result: ExperimentResult) -> None:
         for cid, pred, label in result.pairs:
             w.writerow([cid, f"{pred:.12g}", f"{label:.12g}"])
     doc = {"mae": result.mae, "rmse": result.rmse, "pearson": result.pearson,
-           "excluded_windows": result.excluded_windows}
+           "excluded_windows": result.excluded_windows,
+           "excluded": [{"window": wid, "error": msg} for wid, msg in result.excluded]}
     (run_dir / "metrics.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

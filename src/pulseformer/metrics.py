@@ -16,13 +16,21 @@ MIN_FFT = 4096
 
 @dataclass
 class ExperimentResult:
-    """MAE/RMSE/Pearson triple plus the per-window paired HR records."""
+    """MAE/RMSE/Pearson triple plus the per-window paired HR records.
+
+    ``excluded`` holds ("<clip_id>#<window_index>", error message) for each
+    window left out because its rate could not be estimated.
+    """
 
     mae: float
     rmse: float
     pearson: float | None
     pairs: list[tuple[str, float, float]] = field(default_factory=list)
-    excluded_windows: int = 0
+    excluded: list[tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def excluded_windows(self) -> int:
+        return len(self.excluded)
 
 
 def detrend_linear(x: np.ndarray) -> np.ndarray:

@@ -139,12 +139,18 @@ def head_upsample_count(cfg: ModelConfig) -> int:
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
-    """Normal(0, std) with resampling outside two standard deviations."""
+    """Normal(0, std) with resampling outside two standard deviations.
+
+    Each round re-draws only the entries still out of range, in ascending
+    flat order, so it takes the same draws into the same slots as
+    re-scanning the whole array would.
+    """
     x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return x
 
 

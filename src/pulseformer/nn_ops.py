@@ -1,24 +1,25 @@
 """Neural-network operators on the autodiff tape.
 
 The three-dimensional convolution is evaluated as one GEMM per batch item
-over a strided patch view (column layout chosen so the backward scatter
-adds along aligned axes). Attention is evaluated in two-dimensional tiles,
-ATTN_BLOCK query rows by KEY_BLOCK keys, so every score tile stays in a
-core's L2 cache however long the token sequence is. The forward sweeps a
-query block over its key tiles with a running row max, as FlashAttention
-does, and saves one log-sum-exp per query row; the backward rebuilds each
-tile's softmax probabilities from it with a single exp. The decomposed
-relative position bias of a tile is added from a zero-copy strided view of
-one per-head table, and its gradient is binned per axis from the marginals
-of the score gradient, summed tile by tile.
+over the item's columns, copied from a strided patch view (column layout
+chosen so the backward scatter adds along aligned axes). Attention is
+evaluated in two-dimensional tiles, ATTN_BLOCK query rows by KEY_BLOCK keys,
+so every score tile stays in a core's L2 cache however long the token
+sequence is. The forward sweeps a query block over its key tiles with a
+running row max, as FlashAttention does, and saves one log-sum-exp per query
+row; the backward rebuilds each tile's softmax probabilities from it with a
+single exp. The decomposed relative position bias of a tile is added from a
+zero-copy strided view of one per-head table, and its gradient is binned per
+axis from the marginals of the score gradient, summed tile by tile.
 
 Every op computes in the result dtype of its inputs, which is the storage
 dtype of ``tensor`` (float32 unless inside ``tensor.float64()``). An op that
 allocates its own output or scratch array gives it that result dtype too, so
 float64 operands are never rounded through a float32 buffer.
 
-Attention splits its work over threads inside ``one_blas_thread``; see
-``attention_core``.
+Attention and conv3d split their work into chunks that ``_run_chunks`` hands
+to as many workers as ``one_blas_thread`` holds; its docstring states the
+chunk contract, under which every worker count gives the same bits.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import threading
 from pathlib import Path
 
@@ -42,6 +44,9 @@ from .tensor import Tensor, _accum, _needs_grad, _record
 # may reach the grid width when that exceeds it.
 ATTN_BLOCK = 256
 KEY_BLOCK = 1024
+# contiguous chunks of (head, query block) items in one attention backward;
+# fixed, so the chunk-order sums of dk, dv and the tables are too
+CHUNKS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -59,20 +64,25 @@ def _conv3d_out_dims(dims, kernel, stride, pad):
     return tuple(out)
 
 
-def _extract_patches(xp: np.ndarray, kernel, stride, out_dims):
-    """View of the padded input as (N, C, kT, kH, kW, T', H', W'), then copy."""
-    n, c = xp.shape[:2]
+def _interior(dims, pad) -> tuple:
+    """Index of the ``dims`` interior of an array padded by ``pad`` on its last three axes."""
+    return (Ellipsis,) + tuple(slice(p, p + d) for d, p in zip(dims, pad))
+
+
+def _extract_patches(xp: np.ndarray, kernel, stride, out_dims, out: np.ndarray) -> np.ndarray:
+    """Copy the columns of one padded item (C, T, H, W) into ``out`` (C*kT*kH*kW, T'*H'*W')."""
     kt, kh, kw = kernel
     st, sh, sw = stride
     to, ho, wo = out_dims
-    sn, sc, s0, s1, s2 = xp.strides
+    sc, s0, s1, s2 = xp.strides
     view = as_strided(
         xp,
-        shape=(n, c, kt, kh, kw, to, ho, wo),
-        strides=(sn, sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw),
+        shape=(xp.shape[0], kt, kh, kw, to, ho, wo),
+        strides=(sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw),
         writeable=False,
     )
-    return np.ascontiguousarray(view.reshape(n, c * kt * kh * kw, to * ho * wo))
+    out.reshape(view.shape)[...] = view
+    return out
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
@@ -80,7 +90,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
            pad: tuple[int, int, int] = (0, 0, 0)) -> Tensor:
     """3-D convolution of x[N,C,T,H,W] with w[K,C,kT,kH,kW], zero padding.
 
-    Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis.
+    Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis. Each
+    batch item is one chunk of ``_run_chunks``: the forward copies the item
+    into its worker's zero-bordered buffer, builds the item's columns and
+    makes its output with one GEMM. The pull rebuilds those columns rather
+    than keeping them on the tape, keeps the item's dw product and scatters
+    its dx. The dw products are added in item order, so the result does not
+    depend on the worker count, and no more than one item's columns per
+    worker are alive at once.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -90,21 +107,32 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         raise DimensionError(f"conv3d strides must be >= 1, got {stride}")
     n, c = x.shape[:2]
     k = w.shape[0]
+    if b is not None and b.shape != (k,):
+        raise DimensionError(f"conv3d bias {b.shape} incompatible with {k} filters")
     kernel = w.shape[2:]
     out_dims = _conv3d_out_dims(x.shape[2:], kernel, stride, pad)
-    pt, ph, pw = pad
-
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-    cols = _extract_patches(xp, kernel, stride, out_dims)  # (N, C*kkk, P)
+    pad_shape = (c,) + tuple(d + 2 * p for d, p in zip(x.shape[2:], pad))
+    interior = _interior(x.shape[2:], pad)
     w2 = w.data.reshape(k, -1)
-    y = np.empty((n, k, cols.shape[2]),
+    col_shape = (w2.shape[1], int(np.prod(out_dims)))
+
+    def item_scratch():
+        """A zero-bordered item buffer and a column buffer, in x's dtype."""
+        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=x.data.dtype)
+
+    def item_columns(i, xp, cols):
+        xp[interior] = x.data[i]
+        return _extract_patches(xp, kernel, stride, out_dims, cols)
+
+    y = np.empty((n, k, col_shape[1]),
                  dtype=np.result_type(*(t.data for t in (x, w, b) if t is not None)))
-    for i in range(n):
-        np.dot(w2, cols[i], out=y[i])
-    if b is not None:
-        if b.shape != (k,):
-            raise DimensionError(f"conv3d bias {b.shape} incompatible with {k} filters")
-        y += b.data[None, :, None]
+
+    def forward(i, scratch):
+        np.dot(w2, item_columns(i, *scratch), out=y[i])
+        if b is not None:
+            y[i] += b.data[:, None]
+
+    _run_chunks(forward, n, item_scratch)
     req = _needs_grad(x, w) or (b is not None and _needs_grad(b))
     out = Tensor(y.reshape((n, k) + out_dims), requires_grad=req)
 
@@ -112,33 +140,46 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         g2 = g.reshape(n, k, -1)
         if b is not None:
             _accum(b, g2.sum(axis=(0, 2)))
+        gdt = np.result_type(w2, g2)
+        dws = [None] * n
+        dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None
+        st, sh, sw = stride
+        to, ho, wo = out_dims
+
+        def scratch():   # pages of a buffer that is never written are never touched
+            return item_scratch() + (np.empty(col_shape, dtype=gdt), np.zeros(pad_shape, dtype=gdt))
+
+        def backward(i, scratch):
+            xp, cols, dcols, dxp = scratch
+            if w.requires_grad:
+                dws[i] = g2[i] @ item_columns(i, xp, cols).T
+            if x.requires_grad:
+                np.dot(w2.T, g2[i], out=dcols)
+                dc = dcols.reshape((c,) + tuple(kernel) + out_dims)
+                dxp.fill(0)
+                for dt, dh, dw_ in np.ndindex(*kernel):
+                    dxp[:, dt:dt + st * to:st, dh:dh + sh * ho:sh,
+                        dw_:dw_ + sw * wo:sw] += dc[:, dt, dh, dw_]
+                dx[i] = dxp[interior]
+
+        _run_chunks(backward, n, scratch)
         if w.requires_grad:
-            # recompute columns rather than keeping them alive on the tape
-            xpb = np.pad(x.data, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
-            colsb = _extract_patches(xpb, kernel, stride, out_dims)
             dw2 = np.zeros_like(w2)
-            for i in range(n):
-                dw2 += g2[i] @ colsb[i].T
+            for dw_i in dws:
+                dw2 += dw_i
             _accum(w, dw2.reshape(w.shape))
         if x.requires_grad:
-            dcols = np.empty((n, c * kernel[0] * kernel[1] * kernel[2], g2.shape[2]),
-                             dtype=np.result_type(w2, g2))
-            for i in range(n):
-                np.dot(w2.T, g2[i], out=dcols[i])
-            pad_shape = (n, c, x.shape[2] + 2 * pt, x.shape[3] + 2 * ph, x.shape[4] + 2 * pw)
-            dxp = np.zeros(pad_shape, dtype=dcols.dtype)
-            dc = dcols.reshape((n, c) + tuple(kernel) + out_dims)
-            st, sh, sw = stride
-            to, ho, wo = out_dims
-            for dt in range(kernel[0]):
-                for dh in range(kernel[1]):
-                    for dw_ in range(kernel[2]):
-                        dxp[:, :, dt:dt + st * to:st, dh:dh + sh * ho:sh,
-                            dw_:dw_ + sw * wo:sw] += dc[:, :, dt, dh, dw_]
-            t, h, wl = x.shape[2:]
-            _accum(x, dxp[:, :, pt:pt + t, ph:ph + h, pw:pw + wl])
+            _accum(x, dx)
 
     _record(out, pull)
+    return out
+
+
+def _zero_pad(a: np.ndarray, pad) -> np.ndarray:
+    """``a`` with ``pad`` zeros on both sides of each of its last three axes."""
+    out = np.zeros(a.shape[:-3] + tuple(d + 2 * p for d, p in zip(a.shape[-3:], pad)),
+                   dtype=a.dtype)
+    out[_interior(a.shape[-3:], pad)] = a
     return out
 
 
@@ -150,7 +191,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     if w.ndim != 4 or w.shape[0] != x.shape[1] or w.shape[1:] != (3, 3, 3):
         raise DimensionError(f"depthwise kernel {w.shape} incompatible with input {x.shape}")
     n, c, t, h, wl = x.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+    xp = _zero_pad(x.data, (1, 1, 1))
     y = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
     for dt in range(3):
         for dh in range(3):
@@ -160,7 +201,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     out = Tensor(y, requires_grad=_needs_grad(x, w))
 
     def pull(g):
-        xpb = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
+        xpb = _zero_pad(x.data, (1, 1, 1))
         dw = np.zeros_like(w.data)
         dxp = np.zeros_like(xpb)
         for dt in range(3):
@@ -431,27 +472,50 @@ def one_blas_thread():
 
 
 def _workers() -> int:
-    """Attention workers: the count one_blas_thread holds, else 1."""
+    """Chunk workers: the count one_blas_thread holds, else 1."""
     return _held or 1
 
 
-def _run_workers(work, nw: int) -> None:
-    """work(w) for w < nw: 0 inline, the others on threads.
+def _run_chunks(fn, count: int, scratch) -> None:
+    """fn(chunk, buffers) for every chunk < count, on up to ``_workers()`` workers.
 
-    Call it inside one_blas_thread, so the workers' GEMMs do not also fan
-    out over OpenBLAS threads. The first exception in worker order is raised
-    once every worker has joined.
+    Worker 0 is the calling thread; the others are threads joined within the
+    call. Workers take chunk indices from one shared counter, so a worker
+    that is held up takes fewer chunks. Each passes ``fn`` its own
+    ``buffers``, made by ``scratch()`` on the calling thread (buffers made on
+    the worker threads measured a higher peak RSS). Once a chunk has failed
+    no later chunk starts, and once all workers have joined the lowest failed
+    chunk's exception is raised: the one a single worker would have stopped
+    at, since every earlier chunk was handed out before it.
+
+    The chunk contract: which chunks exist depends on the shapes alone, a
+    chunk writes only its own slice of a shared output, and a sum over
+    chunks adds one partial per chunk in chunk order (``_ChunkSum``). Then
+    every worker count gives the same bits. Workers read no context variable
+    and never touch the tape. Call it inside one_blas_thread, so the
+    workers' GEMMs do not also fan out over OpenBLAS threads; outside it
+    there is one worker.
     """
-    if nw == 1:
-        work(0)
+    nw = min(_workers(), count)
+    buffers = [scratch() for _ in range(nw)]
+    if nw <= 1:
+        for chunk in range(count):
+            fn(chunk, buffers[0])
         return
-    errors = [None] * nw
+    chunks = itertools.count()
+    errors = {}
+    end = [count]   # the lowest failed chunk, else count
 
     def run(w):
-        try:
-            work(w)
-        except BaseException as e:   # re-raised on the caller below
-            errors[w] = e
+        for chunk in chunks:
+            if chunk >= end[0]:
+                return
+            try:
+                fn(chunk, buffers[w])
+            except BaseException as e:   # re-raised on the caller below
+                errors[chunk] = e
+                end[0] = min(end[0], chunk)
+                return
 
     started = []
     try:
@@ -463,9 +527,40 @@ def _run_workers(work, nw: int) -> None:
     finally:
         for thread in started:
             thread.join()
-    for e in errors:
-        if e is not None:
-            raise e
+    if errors:
+        raise errors[min(errors)]
+
+
+class _ChunkSum:
+    """Adds per-chunk partials into ``total`` in chunk order, whatever order chunks finish in.
+
+    ``add`` takes a worker's partial buffers and zeroes them for its next
+    chunk; a chunk that finishes ahead of an earlier one is copied aside
+    until the earlier ones are in. Partials made and freed on the worker
+    threads instead measured a 10 MiB higher peak RSS on the general config.
+    """
+
+    def __init__(self, total: list):
+        self.total = total
+        self._next = 0
+        self._early = {}
+        self._lock = threading.Lock()
+
+    def add(self, chunk: int, parts: list) -> None:
+        with self._lock:
+            if chunk == self._next:
+                self._add(parts)
+                while self._next in self._early:
+                    self._add(self._early.pop(self._next))
+            else:
+                self._early[chunk] = [p.copy() for p in parts]
+        for p in parts:
+            p.fill(0)
+
+    def _add(self, parts: list) -> None:
+        for total, part in zip(self.total, parts):
+            total += part
+        self._next += 1
 
 
 def _augment(a: np.ndarray, col) -> np.ndarray:
@@ -503,16 +598,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     made under another compute dtype than the call's.
 
     Both passes run inside ``one_blas_thread`` (a no-op under ``train_model``
-    and ``predict``, which already hold it) and split the (head, query block)
-    items statically over ``_workers()`` workers: worker ``w`` takes items
-    ``w::workers``, worker 0 on the calling thread and the rest on threads
-    joined within the call. The forward fixes the worker count for both. The
-    bias views and every worker's tiles are made on the calling thread, so
-    workers read no context variable and never touch the tape. Forward
-    workers write disjoint rows of y and lse, backward workers disjoint rows
-    of dq; dk, dv and the table gradients have one buffer per worker, summed
-    in worker order, so a run is bit-identical to the next with the same
-    worker count. One worker runs exactly the sequential sweep.
+    and ``predict``, which already hold it) as chunks of ``_run_chunks`` over
+    the (head, query block) items. The bias views are made on the calling
+    thread. The forward takes one item per chunk; items write disjoint rows
+    of y and lse, so the output is the same at any worker count. The backward
+    cuts the items into CHUNKS contiguous ranges. Each range writes its own
+    rows of dq and keeps its own dk, dv and table partials, which are added
+    in chunk order, so the gradients are the same at any worker count too.
     """
     if q.shape != k.shape or q.shape != v.shape:
         raise DimensionError(f"attention shapes differ: {q.shape}, {k.shape}, {v.shape}")
@@ -559,29 +651,26 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     lse = np.empty((n, heads, ln), dtype=dt)
     biases = block_biases()
 
-    def forward(w):
-        for (hh, i0, i1, _), bias in zip(work[w::nw], biases[w::nw]):
-            for i in range(n):
-                m = np.full(i1 - i0, -np.inf, dtype=dt)
-                yl = np.zeros((i1 - i0, d + 1), dtype=dt)      # [y·l | l]
-                for j0, j1, key_block in key_blocks:
-                    sb = scores(tiles[w], qs[i, hh, i0:i1], kk[i, hh, j0:j1], bias, key_block)
-                    m_new = np.maximum(m, sb.max(axis=1))
-                    sb -= m_new[:, None]
-                    np.exp(sb, out=sb)
-                    yl *= np.exp(m - m_new)[:, None]
-                    yl += sb @ v1[i, hh, j0:j1]
-                    m = m_new
-                np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
-                np.log(yl[:, d], out=lse[i, hh, i0:i1])
-                lse[i, hh, i0:i1] += m
+    def forward(item, tile):
+        hh, i0, i1, _ = work[item]
+        bias = biases[item]
+        for i in range(n):
+            m = np.full(i1 - i0, -np.inf, dtype=dt)
+            yl = np.zeros((i1 - i0, d + 1), dtype=dt)      # [y·l | l]
+            for j0, j1, key_block in key_blocks:
+                sb = scores(tile, qs[i, hh, i0:i1], kk[i, hh, j0:j1], bias, key_block)
+                m_new = np.maximum(m, sb.max(axis=1))
+                sb -= m_new[:, None]
+                np.exp(sb, out=sb)
+                yl *= np.exp(m - m_new)[:, None]
+                yl += sb @ v1[i, hh, j0:j1]
+                m = m_new
+            np.divide(yl[:, :d], yl[:, d:], out=y[i, hh, i0:i1])
+            np.log(yl[:, d], out=lse[i, hh, i0:i1])
+            lse[i, hh, i0:i1] += m
 
     with one_blas_thread():
-        nw = min(_workers(), len(work))
-        # one array per tile, made on this thread: a stacked (workers, ...) array,
-        # or tiles made by the worker threads, measured a higher peak RSS
-        tiles = [np.empty(tile_size, dtype=dt) for _ in range(nw)]
-        _run_workers(forward, nw)
+        _run_chunks(forward, len(work), lambda: np.empty(tile_size, dtype=dt))
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
@@ -591,16 +680,22 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
         gx = _augment(g, (g * out.data).sum(axis=-1))   # [g | rs]
         gdt = np.result_type(gx, vx)              # of dS and the q/k/v grads
         dq = np.zeros(q.shape, dtype=gdt)
-        dks, dvs = (np.zeros((nw,) + q.shape, dtype=gdt) for _ in range(2))
-        dtables = [[np.zeros_like(t.data) for t in params[3:]] for _ in range(nw)]
         biases = block_biases()
-        tiles = [(np.empty(tile_size, dtype=dt), np.empty(tile_size, dtype=gdt))
-                 for _ in range(nw)]
+        nc = min(CHUNKS, len(work))
+        bounds = [len(work) * c // nc for c in range(nc + 1)]
 
-        def backward(w):
-            dk, dv = dks[w], dvs[w]
-            p_tile, ds_tile = tiles[w]
-            for (hh, i0, i1, block), bias in zip(work[w::nw], biases[w::nw]):
+        def partials():
+            """Zeroed dk, dv and table gradients."""
+            return [np.zeros(q.shape, dtype=gdt), np.zeros(q.shape, dtype=gdt),
+                    *(np.zeros_like(t.data) for t in params[3:])]
+
+        sums = _ChunkSum(partials())
+
+        def backward(chunk, scratch):
+            p_tile, ds_tile, parts = scratch
+            dk, dv, *dtables = parts
+            items = slice(bounds[chunk], bounds[chunk + 1])
+            for (hh, i0, i1, block), bias in zip(work[items], biases[items]):
                 if rel is not None:   # dS summed over key t and over key (h, w)
                     gt, gh, gw = rel.grid
                     sum_t = np.zeros((i1 - i0, gh * gw), dtype=gdt)
@@ -618,16 +713,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                         if rel is not None:
                             rel.add_key_sums(ds, key_block, sum_t, sum_hw)
                 if rel is not None:
-                    rel.accumulate_grads(sum_t, sum_hw, block, hh, dtables[w])
+                    rel.accumulate_grads(sum_t, sum_hw, block, hh, dtables)
+            sums.add(chunk, parts)
 
         with one_blas_thread():
-            _run_workers(backward, nw)
+            _run_chunks(backward, nc, lambda: (np.empty(tile_size, dtype=dt),
+                                               np.empty(tile_size, dtype=gdt), partials()))
         dq *= scl
-        grads = [dq, dks[0], dvs[0], *dtables[0]]
-        for w in range(1, nw):
-            for total, part in zip(grads[1:], [dks[w], dvs[w], *dtables[w]]):
-                total += part
-        for t, grad in zip(params, grads):
+        for t, grad in zip(params, [dq, *sums.total]):
             _accum(t, grad)
 
     _record(out, pull)

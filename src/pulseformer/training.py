@@ -178,14 +178,14 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
     estimation; a predictor that returns the waveform itself passes
     ``integrate=False``. Windows whose estimation fails (EstimationError),
     including a non-finite predicted rate, are excluded and counted, and any
-    other error propagates. Label rates always come from the untouched
-    ground-truth trace through the same estimator.
+    other error propagates; each excluded window's id and message are kept
+    on the result. Label rates always come from the untouched ground-truth
+    trace through the same estimator.
     """
     if not examples:
         raise InputError("evaluation set is empty")
     integrate = integrate and cfg.output_format == "Signal" and cfg.frame_format == "DiffNorm"
-    pairs = []
-    excluded = 0
+    pairs, excluded = [], []
     for ex in examples:
         wid = f"{ex.clip_id}#{ex.window_index}"
         try:
@@ -200,14 +200,14 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
                 if integrate:
                     trace = integrate_diff(trace)
                 pred_bpm = hr_from_signal(trace)
-        except EstimationError:
-            excluded += 1
+        except EstimationError as e:
+            excluded.append((wid, str(e)))
             continue
         pairs.append((wid, pred_bpm, label))
     if not pairs:
-        raise InputError(f"all {excluded} windows failed HR estimation")
+        raise InputError(f"all {len(excluded)} windows failed HR estimation")
     result = compute_metrics(pairs)
-    result.excluded_windows = excluded
+    result.excluded = excluded
     return result
 
 

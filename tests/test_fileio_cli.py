@@ -468,7 +468,8 @@ class TestCliTrainEval:
 
     def test_metrics_json_shape(self, micro_run):
         doc = json.loads((micro_run / "metrics.json").read_text())
-        assert set(doc) == {"mae", "rmse", "pearson", "excluded_windows"}
+        assert set(doc) == {"mae", "rmse", "pearson", "excluded_windows", "excluded"}
+        assert doc["excluded_windows"] == len(doc["excluded"])
         assert doc["rmse"] >= doc["mae"] >= 0.0
 
     def test_pairs_csv_header(self, micro_run):

@@ -156,6 +156,24 @@ class TestDeterminism:
         x = trunc_normal(np.random.default_rng(0), (1000,), std=0.02)
         assert np.abs(x).max() <= 0.04
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("shape", [(1000,), (32, 3, 3, 7, 7), (64, 17)])
+    def test_trunc_normal_matches_full_rescan(self, seed, shape):
+        """Same draws in the same slots as re-scanning the whole array each round."""
+        def rescan(rng, shape, std):
+            x = rng.normal(0.0, std, size=shape)
+            bad = np.abs(x) > 2 * std
+            while bad.any():
+                x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+                bad = np.abs(x) > 2 * std
+            return x
+
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = trunc_normal(rng, shape, std=0.02)
+        expect = rescan(oracle_rng, shape, 0.02)
+        assert x.shape == shape and x.tobytes() == expect.tobytes()
+        assert rng.random() == oracle_rng.random()   # both consumed the same draws
+
 
 class TestStageBehaviour:
     def test_zero_depth_stage_is_identity_path(self):

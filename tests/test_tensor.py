@@ -104,6 +104,21 @@ class TestConv3d:
         np.testing.assert_allclose([(xt.grad * x).sum(), (wt.grad * w).sum()], [gy, gy],
                                    rtol=1e-10, atol=1e-10)
 
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_workers_match_one_worker(self, monkeypatch, batch):
+        """Output and all gradients bit-identical for 1, 2 and 3 workers."""
+        rng = np.random.default_rng(batch)
+        arrays = [rng.standard_normal(s) for s in ((batch, 3, 6, 5, 5), (4, 3, 3, 3, 3), (4,))]
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+            x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+            with T.record():
+                y = nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))
+                T.mse_loss(y, Tensor(np.ones(y.shape))).backward()
+            results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
+        assert results[1] == results[0] and results[2] == results[0]
+
     def test_kernel_too_large(self):
         x = Tensor(np.zeros((1, 1, 2, 2, 2)))
         w = Tensor(np.zeros((1, 1, 5, 1, 1)))
@@ -505,14 +520,12 @@ class TestAttention:
         return y, loss_grads(loss, [q, k, v, *rel.tables()])
 
     def _check_workers(self, monkeypatch, grid, workers, key_block=None):
-        """Forward bit-identical to one worker; grads differ only in summation order."""
+        """Output and gradients bit-identical to one worker, run after run."""
         y1, g1 = self._schedule_case(monkeypatch, grid, 1, key_block)
-        y2, g2 = self._schedule_case(monkeypatch, grid, workers, key_block)
-        np.testing.assert_array_equal(y2, y1)
-        assert_float32_grads_close(g2, g1)
-        y2b, g2b = self._schedule_case(monkeypatch, grid, workers, key_block)
-        assert y2b.tobytes() == y2.tobytes()
-        assert [g.tobytes() for g in g2b] == [g.tobytes() for g in g2]
+        for _ in range(2):
+            y2, g2 = self._schedule_case(monkeypatch, grid, workers, key_block)
+            assert y2.tobytes() == y1.tobytes()
+            assert [g.tobytes() for g in g2] == [g.tobytes() for g in g1]
 
     @rel_grids
     @pytest.mark.parametrize("workers", [2, 3])
@@ -535,25 +548,57 @@ class TestAttention:
 
     @pytest.mark.skipif(nn_ops._openblas() is None, reason="no bundled OpenBLAS to switch")
     def test_worker_exception_propagates_and_restores_blas(self, monkeypatch):
-        class WorkerFailure(Exception):
+        """One backward chunk raises: the same error at 1, 2 and 3 workers."""
+        class ChunkFailure(Exception):
             pass
 
         threads_before = nn_ops._openblas()[0]()
         q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))
         accumulate = rel.accumulate_grads
+        failing = rel.blocks(8)[5][2]   # one query block of head 1, so one chunk
 
-        def fail_off_main_thread(*args):
-            if threading.current_thread() is not threading.main_thread():
-                raise WorkerFailure("raised in worker 1")
-            accumulate(*args)
+        def fail_on_one_block(sum_t, sum_hw, block, head, grads):
+            if head == 1 and block == failing:
+                raise ChunkFailure(f"head {head} block {block}")
+            accumulate(sum_t, sum_hw, block, head, grads)
 
-        monkeypatch.setattr(rel, "accumulate_grads", fail_off_main_thread)
-        monkeypatch.setattr(nn_ops, "_workers", lambda: 2)
-        with pytest.raises(WorkerFailure, match="worker 1"), T.record():
-            loss().backward()
-        monkeypatch.undo()
-        assert nn_ops._openblas()[0]() == threads_before
-        assert not T._tape
+        monkeypatch.setattr(rel, "accumulate_grads", fail_on_one_block)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+            with pytest.raises(ChunkFailure, match="head 1"), T.record():
+                loss().backward()
+            assert nn_ops._openblas()[0]() == threads_before
+            assert not T._tape
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failed_chunk_raises(self, monkeypatch, workers):
+        """Chunks 2 and 5 of 9 raise; chunk 2's error is raised at any worker count."""
+        monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+        started = []
+
+        def fn(chunk, buffers):
+            started.append(chunk)
+            if chunk in (2, 5):
+                raise ValueError(f"chunk {chunk}")
+
+        with pytest.raises(ValueError, match="chunk 2"):
+            nn_ops._run_chunks(fn, 9, tuple)
+        if workers == 1:
+            assert started == [0, 1, 2]
+
+    def test_chunk_sum_adds_in_chunk_order(self):
+        """Chunks handed in out of order sum to the in-order bits; buffers come back zeroed."""
+        rng = np.random.default_rng(3)
+        parts = [[rng.standard_normal(5).astype(np.float32) * 10.0 ** e] for e in range(4)]
+        expect = np.zeros(5, dtype=np.float32)
+        for (part,) in parts:
+            expect += part
+        sums = nn_ops._ChunkSum([np.zeros(5, dtype=np.float32)])
+        for chunk in (2, 0, 3, 1):
+            buf = [parts[chunk][0].copy()]
+            sums.add(chunk, buf)
+            assert not buf[0].any()
+        assert sums.total[0].tobytes() == expect.tobytes()
 
     def test_forward_records_one_tape_entry(self, monkeypatch):
         q, k, v, rel, _, _ = self._rel_bias_case(monkeypatch, 8, (4, 3, 5))

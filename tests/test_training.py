@@ -1,6 +1,7 @@
 """Optimiser, split, training-loop, and evaluation tests."""
 
 import contextlib
+import json
 import sys
 import threading
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from pulseformer import nn_ops, tensor as T
-from pulseformer.errors import DimensionError, InputError, NumericError
+from pulseformer.errors import DimensionError, EstimationError, InputError, NumericError
+from pulseformer.fileio import write_result
 from pulseformer.metrics import hr_from_signal
 from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, WindowExample, make_example
@@ -204,6 +206,26 @@ class TestEvaluate:
         expect = np.mean([abs(90.0 - l) for l in labels])
         assert abs(res.mae - expect) <= 1e-9
 
+    def test_excluded_window_kept_with_its_message(self, tmp_path):
+        """One flat predicted waveform is excluded by id and message, and written out."""
+        examples = self._signal_examples(TINY_CFG)
+        flat = examples[1]
+
+        class FlatOnOne(PerfectStub):
+            def predict_example(self, ex):
+                return np.zeros_like(ex.trace_window) if ex is flat else super().predict_example(ex)
+
+        with pytest.raises(EstimationError) as err:
+            hr_from_signal(SignalTrace(np.zeros_like(flat.trace_window), flat.fps))
+        res = evaluate(FlatOnOne(TINY_CFG), TINY_CFG, examples, integrate=False)
+        wid = f"{flat.clip_id}#{flat.window_index}"
+        assert res.excluded == [(wid, str(err.value))]
+        assert res.excluded_windows == 1 and len(res.pairs) == len(examples) - 1
+        write_result(tmp_path, res)
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        assert doc["excluded_windows"] == 1
+        assert doc["excluded"] == [{"window": wid, "error": str(err.value)}]
+
     def test_non_finite_hr_never_scores(self):
         cfg = TINY_CFG.copy(output_format="HR")
         examples = [_hr_example(60.0), _hr_example(90.0)]
@@ -269,6 +291,17 @@ class TestTrainModel:
         _, h1 = train_model(cfg, tcfg, train)
         _, h2 = train_model(cfg, tcfg, train)
         assert h1.rows() == h2.rows()
+
+    def test_same_bits_at_any_worker_count(self, monkeypatch):
+        """Batches of 2 run conv3d and attention on 1, 2 and 3 workers alike."""
+        train = window_examples(TINY_CFG, 4, seed=6)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+            model, hist = train_model(TINY_CFG, TrainConfig(epochs=2, batch_size=2, seed=0),
+                                      train)
+            runs.append((hist.rows(), {k: a.tobytes() for k, a in model.named_arrays().items()}))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(InputError):
