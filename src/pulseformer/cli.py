@@ -1,7 +1,9 @@
 """Command-line interface: dataset generation, training, evaluation, search.
 
 ``train`` splits subjects by the config's ``split_mode`` and ``fold``;
-``search`` always splits them 8:2 (cross, fold 0) and ignores both.
+``search`` always splits them 8:2 (cross, fold 0) and ignores both. ``train``
+writes the step and epoch rows of ``train_model``'s ``log`` to
+``telemetry.jsonl`` in its run dir as it trains.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -178,12 +180,15 @@ def cmd_train(args) -> int:
     val_ex = _windows(loaded, model_cfg, val_subj)
     run_dir = _writable_dir(args.out)
 
-    def log(row):
-        val = "" if row["val_mae"] is None else f" val_mae {row['val_mae']:.3f}"
-        print(f"epoch {row['epoch']}: train_loss {row['train_loss']:.6f}{val}")
+    with open(run_dir / "telemetry.jsonl", "w") as telemetry:
+        def log(row):
+            telemetry.write(json.dumps(row) + "\n")
+            if row["kind"] == "epoch":
+                val = "" if row["val_mae"] is None else f" val_mae {row['val_mae']:.3f}"
+                print(f"epoch {row['epoch']}: train_loss {row['train_loss']:.6f}{val}")
 
-    model, history = train_model(model_cfg, train_cfg, train_ex,
-                                 val_examples=val_ex or None, log=log)
+        model, history = train_model(model_cfg, train_cfg, train_ex,
+                                     val_examples=val_ex or None, log=log)
     fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
     fileio.write_history(run_dir, history)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())

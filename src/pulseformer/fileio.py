@@ -1,8 +1,9 @@
 """Bit-exact file formats: clips, traces, checkpoints, manifests, run dirs.
 
 All binary formats are little-endian with a four-byte magic and a u32
-version. Clip and trace payloads are f32 on disk and promoted to f64 in
-memory on load. Checkpoints hold f64 arrays whatever the parameters' dtype;
+version. Clip and trace payloads are f32 on disk. A clip keeps its f32
+payload in memory (read-only, without a copy); a trace is promoted to f64 on
+load. Checkpoints hold f64 arrays whatever the parameters' dtype;
 ``MultiscaleVideoTransformer.load_arrays`` casts each to its parameter's.
 """
 
@@ -67,7 +68,7 @@ def read_clip(path) -> VideoClip:
         payload = np.frombuffer(_read_exact(f, 4 * math.prod((t, h, w, c))), dtype="<f4")
         if f.read(1):
             raise InputError(f"{path}: trailing bytes after payload")
-    return VideoClip(payload.astype(np.float64).reshape(t, h, w, c), float(fps))
+    return VideoClip(payload.reshape(t, h, w, c), float(fps))
 
 
 def write_trace(path, trace: SignalTrace) -> None:

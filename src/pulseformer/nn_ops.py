@@ -139,7 +139,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     def pull(g):
         g2 = g.reshape(n, k, -1)
         if b is not None:
-            _accum(b, g2.sum(axis=(0, 2)))
+            _accum(b, g2.sum(axis=(0, 2)), fresh=True)
         gdt = np.result_type(w2, g2)
         dws = [None] * n
         dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None
@@ -167,9 +167,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
             dw2 = np.zeros_like(w2)
             for dw_i in dws:
                 dw2 += dw_i
-            _accum(w, dw2.reshape(w.shape))
+            _accum(w, dw2.reshape(w.shape), fresh=True)
         if x.requires_grad:
-            _accum(x, dx)
+            _accum(x, dx, fresh=True)
 
     _record(out, pull)
     return out
@@ -211,7 +211,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
                     dw[:, dt, dh, dw_] = np.einsum("ncthw,ncthw->c", g, sl)
                     dxp[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl] += \
                         w.data[None, :, dt, dh, dw_, None, None, None] * g
-        _accum(w, dw)
+        _accum(w, dw, fresh=True)
         _accum(x, dxp[:, :, 1:1 + t, 1:1 + h, 1:1 + wl])
 
     _record(out, pull)
@@ -228,7 +228,9 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     """Per-channel batch normalisation over (N, T, H, W) with affine.
 
     Training mode normalises by population batch statistics and updates the
-    float64 running estimates in place; eval mode uses them.
+    float64 running estimates in place; eval mode uses them. The pull
+    rebuilds x̂ from the input and the per-channel mean and 1/std rather than
+    keeping it, so the op keeps no full-size array besides its output.
     """
     if x.ndim != 5:
         raise DimensionError(f"batchnorm3d expects 5-D input, got {x.shape}")
@@ -245,49 +247,54 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         dt = np.result_type(x.data, gamma.data, beta.data)
         mu = running_mean.astype(dt, copy=False)
         var = running_var.astype(dt, copy=False)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(shape)) * inv.reshape(shape)
-    y = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    mu, inv = mu.reshape(shape), (1.0 / np.sqrt(var + eps)).reshape(shape)
+    y = gamma.data.reshape(shape) * ((x.data - mu) * inv) + beta.data.reshape(shape)
     out = Tensor(y, requires_grad=_needs_grad(x, gamma, beta))
 
     def pull(g):
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+        xhat = (x.data - mu) * inv
+        _accum(gamma, (g * xhat).sum(axis=axes), fresh=True)
+        _accum(beta, g.sum(axis=axes), fresh=True)
         if not x.requires_grad:
             return
         gx = g * gamma.data.reshape(shape)
         if training:
             mean_gx = gx.mean(axis=axes).reshape(shape)
             mean_gxx = (gx * xhat).mean(axis=axes).reshape(shape)
-            _accum(x, inv.reshape(shape) * (gx - mean_gx - xhat * mean_gxx))
+            _accum(x, inv * (gx - mean_gx - xhat * mean_gxx), fresh=True)
         else:
-            _accum(x, gx * inv.reshape(shape))
+            _accum(x, gx * inv, fresh=True)
 
     _record(out, pull)
     return out
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalise over the last axis (population variance), then affine."""
+    """Normalise over the last axis (population variance), then affine.
+
+    The pull rebuilds x̂ from the input and the per-row mean and 1/std rather
+    than keeping it, so the op keeps no full-size array besides its output.
+    """
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layernorm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(gamma.data * xhat + beta.data, requires_grad=_needs_grad(x, gamma, beta))
+    out = Tensor(gamma.data * ((x.data - mu) * inv) + beta.data,
+                 requires_grad=_needs_grad(x, gamma, beta))
 
     def pull(g):
+        xhat = (x.data - mu) * inv
         red = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=red))
-        _accum(beta, g.sum(axis=red))
+        _accum(gamma, (g * xhat).sum(axis=red), fresh=True)
+        _accum(beta, g.sum(axis=red), fresh=True)
         if not x.requires_grad:
             return
         gx = g * gamma.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         mean_gxx = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gx - mean_gx - xhat * mean_gxx))
+        _accum(x, inv * (gx - mean_gx - xhat * mean_gxx), fresh=True)
 
     _record(out, pull)
     return out
@@ -313,7 +320,7 @@ def nearest_upsample3d(x: Tensor, factor: tuple[int, int, int]) -> Tensor:
 
     def pull(g):
         n, c, t, h, w = x.shape
-        _accum(x, g.reshape(n, c, t, ft, h, fh, w, fw).sum(axis=(3, 5, 7)))
+        _accum(x, g.reshape(n, c, t, ft, h, fh, w, fw).sum(axis=(3, 5, 7)), fresh=True)
 
     _record(out, pull)
     return out
@@ -721,7 +728,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                                                np.empty(tile_size, dtype=gdt), partials()))
         dq *= scl
         for t, grad in zip(params, [dq, *sums.total]):
-            _accum(t, grad)
+            _accum(t, grad, fresh=True)
 
     _record(out, pull)
     return out

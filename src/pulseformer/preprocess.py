@@ -1,9 +1,12 @@
 """Clip and waveform preprocessing: frame formats, normalisation, windowing.
 
-Frames travel as T x H x W x C float arrays in [0, 1]; the paired waveform
-is sampled at the clip frame rate. The normalised-difference frame format
-computes the per-pixel ratio of successive-frame difference to sum, which
-cancels any static multiplicative illumination exactly.
+Frames travel as T x H x W x C float arrays in [0, 1], float32 as read from
+a clip file or float64 as synthesised; the paired waveform is float64,
+sampled at the clip frame rate. ``make_example`` widens one window at a time
+to float64 for resizing and normalisation and stores the model input in
+float32, the dtype the model computes in. The normalised-difference frame
+format computes the per-pixel ratio of successive-frame difference to sum,
+which cancels any static multiplicative illumination exactly.
 """
 
 from __future__ import annotations
@@ -26,13 +29,19 @@ def check_fps(fps: float) -> None:
 
 @dataclass
 class VideoClip:
-    """Dense T x H x W x C sample grid with its frame rate in Hz."""
+    """Dense T x H x W x C sample grid with its frame rate in Hz.
+
+    Float32 and float64 frames are kept as given; any other input becomes
+    float64.
+    """
 
     frames: np.ndarray
     fps: float
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = np.asarray(self.frames)
+        if self.frames.dtype not in (np.float32, np.float64):
+            self.frames = self.frames.astype(np.float64)
         if self.frames.ndim != 4 or 0 in self.frames.shape[1:]:
             raise InputError(f"clip frames must be T x H x W x C with positive H, W and C, "
                              f"got {self.frames.shape}")
@@ -77,14 +86,19 @@ def diffnorm_frames(clip: VideoClip, eps: float = EPS) -> VideoClip:
     the eps floor only guards black pixels, so a global illumination scale
     cancels exactly. The stack of T-1 difference frames is divided by its
     global standard deviation (floored at eps), non-finite values are
-    zeroed, and a zero frame is appended to restore length T.
+    zeroed, and a zero frame is appended to restore length T. Every step
+    writes into the float64 output, whose last frame stays zero.
     """
     f = clip.frames   # a VideoClip has at least 2 frames
-    d = (f[1:] - f[:-1]) / np.maximum(f[1:] + f[:-1], eps)
-    d = np.where(np.isfinite(d), d, 0.0)
-    d = d / max(d.std(), eps)
-    d = np.where(np.isfinite(d), d, 0.0)
-    out = np.concatenate([d, np.zeros_like(f[:1])], axis=0)
+    out = np.zeros(f.shape)
+    d = out[:-1]
+    np.subtract(f[1:], f[:-1], out=d, dtype=np.float64)
+    den = np.add(f[1:], f[:-1], dtype=np.float64)
+    d /= np.maximum(den, eps, out=den)
+    del den   # before std() makes its own full-size temporary
+    d[~np.isfinite(d)] = 0.0
+    d /= max(d.std(), eps)
+    d[~np.isfinite(d)] = 0.0
     return VideoClip(out, clip.fps)
 
 
@@ -98,12 +112,15 @@ def diff_labels(trace: SignalTrace) -> SignalTrace:
 
 
 def resize_bilinear(clip: VideoClip, out_h: int, out_w: int) -> VideoClip:
-    """Per-frame bilinear resampling with half-pixel centers, edge-clamped."""
+    """Per-frame bilinear resampling with half-pixel centers, edge-clamped.
+
+    A clip already of the target size is returned as it is.
+    """
     if out_h < 1 or out_w < 1:
         raise InputError(f"target size must be positive, got {out_h}x{out_w}")
     t, h, w, c = clip.frames.shape
     if (h, w) == (out_h, out_w):
-        return VideoClip(clip.frames.copy(), clip.fps)
+        return clip
 
     def axis_weights(n_in, n_out):
         centers = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -115,11 +132,11 @@ def resize_bilinear(clip: VideoClip, out_h: int, out_w: int) -> VideoClip:
 
     y0, y1, fy = axis_weights(h, out_h)
     x0, x1, fx = axis_weights(w, out_w)
-    f = clip.frames
-    top = f[:, y0][:, :, x0] * (1 - fx)[None, None, :, None] + \
-        f[:, y0][:, :, x1] * fx[None, None, :, None]
-    bot = f[:, y1][:, :, x0] * (1 - fx)[None, None, :, None] + \
-        f[:, y1][:, :, x1] * fx[None, None, :, None]
+    # np.take, unlike fancy indexing, gathers into C order, so the output is C-contiguous
+    f0, f1 = np.take(clip.frames, y0, axis=1), np.take(clip.frames, y1, axis=1)
+    wx0, wx1 = (1 - fx)[None, None, :, None], fx[None, None, :, None]
+    top = np.take(f0, x0, axis=2) * wx0 + np.take(f0, x1, axis=2) * wx1
+    bot = np.take(f1, x0, axis=2) * wx0 + np.take(f1, x1, axis=2) * wx1
     out = top * (1 - fy)[None, :, None, None] + bot * fy[None, :, None, None]
     return VideoClip(out, clip.fps)
 
@@ -128,9 +145,10 @@ def resize_bilinear(clip: VideoClip, out_h: int, out_w: int) -> VideoClip:
 class WindowExample:
     """One non-overlapping window prepared for the model.
 
-    ``x`` is channel-first (C, T, H, W); ``target`` is a length-T waveform
-    for signal output or a scalar array for HR output. ``trace_window`` keeps
-    the untouched ground-truth samples for label HR estimation.
+    ``x`` is channel-first (C, T, H, W) float32; ``target`` is a float64
+    length-T waveform for signal output or a scalar array for HR output.
+    ``trace_window`` keeps the untouched ground-truth samples for label HR
+    estimation.
     """
 
     x: np.ndarray
@@ -166,7 +184,7 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     out = []
     for wi in range(n_win):
         sl = slice(wi * t_cfg, (wi + 1) * t_cfg)
-        win = VideoClip(clip.frames[sl], clip.fps)
+        win = VideoClip(clip.frames[sl].astype(np.float64, copy=False), clip.fps)
         win = resize_bilinear(win, h_cfg, w_cfg)
         if cfg.frame_format == "DiffNorm":
             win = diffnorm_frames(win)
@@ -184,7 +202,7 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
             if cfg.signal_norm:
                 target = standardize(target)
         out.append(WindowExample(
-            x=np.ascontiguousarray(np.moveaxis(win.frames, 3, 0)),
+            x=np.ascontiguousarray(np.moveaxis(win.frames, 3, 0), dtype=np.float32),
             target=target,
             trace_window=tr,
             fps=trace.fps,

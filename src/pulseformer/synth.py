@@ -98,8 +98,8 @@ def generate_clip(preset: SynthPreset, t: int, h: int, w: int, fps: float, seed,
                 frames[i] = np.roll(frames[i], (sy, sx), axis=(0, 1))
 
     if preset.noise_std > 0:
-        frames = frames + rng.normal(0.0, preset.noise_std, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0)
+        frames += rng.normal(0.0, preset.noise_std, size=frames.shape)
+    np.clip(frames, 0.0, 1.0, out=frames)
 
     return LabeledClip(clip=VideoClip(frames, fps), trace=SignalTrace(g, fps),
                        planted_hr=hr, subject_id=subject_id, clip_id=clip_id)

@@ -118,13 +118,18 @@ def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
         _tape.append((out, pull))
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a gradient contribution; sums over all uses of ``t``."""
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Accumulate a gradient contribution; sums over all uses of ``t``.
+
+    A first contribution is copied, so later in-place accumulation never
+    writes into a buffer that something else reads, unless ``fresh``: the
+    pull has just made ``g`` and keeps no other reference to it, and ``g``
+    becomes the gradient as it is (cast only if its dtype differs).
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy so later in-place accumulation never aliases another buffer
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g, dtype=t.data.dtype) if fresh else np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -181,7 +186,7 @@ def add_embedding(x: Tensor, e: Tensor) -> Tensor:
 
     def pull(g):
         _accum(x, g)
-        _accum(e, g.sum(axis=0))
+        _accum(e, g.sum(axis=0), fresh=True)
 
     _record(out, pull)
     return out
@@ -217,7 +222,7 @@ def elu(x: Tensor) -> Tensor:
     out = Tensor(y, requires_grad=_needs_grad(x))
 
     def pull(g):
-        _accum(x, g * np.where(neg, y + 1.0, 1.0))
+        _accum(x, g * np.where(neg, y + 1.0, 1.0), fresh=True)
 
     _record(out, pull)
     return out
@@ -226,17 +231,25 @@ def elu(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(v: np.ndarray) -> np.ndarray:
+    return np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Smooth GELU (tanh form)."""
+    """Smooth GELU (tanh form).
+
+    The pull rebuilds tanh(u) from the input rather than keeping it, so the
+    op keeps no array besides its output.
+    """
     v = x.data
-    u = _GELU_C * (v + 0.044715 * (v * v * v))
-    th = np.tanh(u)
+    th = _gelu_tanh(v)
     out = Tensor(0.5 * v * (1.0 + th), requires_grad=_needs_grad(x))
 
     def pull(g):
+        th = _gelu_tanh(v)
         du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         d = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th**2) * du
-        _accum(x, g * d)
+        _accum(x, g * d, fresh=True)
 
     _record(out, pull)
     return out
@@ -277,10 +290,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def pull(g):
         g2 = g.reshape(-1, w.shape[0])
-        _accum(x, (g2 @ w.data).reshape(x.shape))
-        _accum(w, g2.T @ x2)
+        _accum(x, (g2 @ w.data).reshape(x.shape), fresh=True)
+        _accum(w, g2.T @ x2, fresh=True)
         if b is not None:
-            _accum(b, g2.sum(axis=0))
+            _accum(b, g2.sum(axis=0), fresh=True)
 
     _record(out, pull)
     return out
@@ -296,8 +309,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def pull(g):
         gd = (2.0 / n) * g * diff
-        _accum(pred, gd)
-        _accum(target, -gd)
+        _accum(pred, gd, fresh=True)
+        _accum(target, -gd, fresh=True)
 
     _record(out, pull)
     return out

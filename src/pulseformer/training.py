@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import resource
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,6 +228,20 @@ def _batch(examples: list[WindowExample], idx) -> tuple[Tensor, Tensor]:
     return Tensor(xs), Tensor(ts)
 
 
+def _grad_norm(params: dict[str, Tensor]) -> float:
+    """Global L2 norm of the parameter gradients, summed in float64."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    return math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads))
+
+
+def _step_row(epoch: int, step: int, loss: float, seconds: float,
+              grad_norm: float | None = None) -> dict:
+    return {"kind": "step", "epoch": epoch, "step": step, "loss": loss,
+            "grad_norm": grad_norm, "seconds": seconds,
+            "nonfinite": not math.isfinite(loss) or
+            (grad_norm is not None and not math.isfinite(grad_norm))}
+
+
 def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 train_examples: list[WindowExample],
                 val_examples: list[WindowExample] | None = None,
@@ -236,6 +252,14 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     Aborts with a diagnostic naming the batch and step if the loss goes
     non-finite. The epoch loop, validation included, runs inside
     ``nn_ops.one_blas_thread``; each step records inside ``tensor.record()``.
+
+    ``log``, when given, receives one row per step, ``{"kind": "step",
+    "epoch", "step", "loss", "grad_norm", "seconds", "nonfinite"}``, and one
+    per epoch, ``{"kind": "epoch", "epoch", "train_loss", "val_mae",
+    "seconds", "peak_rss_mb"}``. ``grad_norm`` is the global L2 norm of the
+    parameter gradients, computed only for ``log``; ``nonfinite`` is set when
+    the loss or that norm is not finite, and a step with a non-finite loss is
+    logged, without a norm, before the abort.
     """
     train_cfg.validate()
     if not train_examples:
@@ -251,9 +275,11 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     n = len(train_examples)
     with nn_ops.one_blas_thread():   # one OpenBLAS switch per call, not per attention
         for epoch in range(train_cfg.epochs):
+            epoch_start = time.perf_counter()
             order = shuffle_rng.permutation(n)
             losses = []
             for b0 in range(0, n, train_cfg.batch_size):
+                step_start = time.perf_counter()
                 idx = order[b0:b0 + train_cfg.batch_size]
                 x, target = _batch(train_examples, idx)
                 with T.record():
@@ -261,12 +287,17 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                     loss = T.mse_loss(pred, target)
                     value = loss.item()
                     if not np.isfinite(value):
+                        if log:
+                            log(_step_row(epoch, step, value, time.perf_counter() - step_start))
                         raise NumericError(
                             f"non-finite loss {value} at epoch {epoch} step {step} "
                             f"(batch indices {idx.tolist()})")
                     opt.zero_grad()
                     loss.backward()
                 opt.step()
+                if log:
+                    log(_step_row(epoch, step, value, time.perf_counter() - step_start,
+                                  _grad_norm(opt.params)))
                 losses.append(value)
                 step += 1
             val_mae = None
@@ -279,7 +310,9 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
             row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae}
             history.epochs.append(row)
             if log:
-                log(row)
+                rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # KiB on Linux
+                log({"kind": "epoch", **row, "seconds": time.perf_counter() - epoch_start,
+                     "peak_rss_mb": rss_kib / 1024})
     if best_state is not None:
         model.load_arrays(best_state)
     else:

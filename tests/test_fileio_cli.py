@@ -172,6 +172,7 @@ class TestBinaryFormats:
         path = tmp_path / "c.gvtc"
         fileio.write_clip(path, clip)
         again = fileio.read_clip(path)
+        assert again.frames.dtype == np.float32
         np.testing.assert_array_equal(again.frames, frames)
         assert again.fps == 30.0
         fileio.write_clip(tmp_path / "c2.gvtc", again)
@@ -646,6 +647,35 @@ class TestCliTrainEval:
         assert rc == 0
         for name in ("config.json", "model.gvtm"):
             assert (run / name).read_bytes() == (micro_run / name).read_bytes(), name
+
+    def test_train_writes_step_and_epoch_telemetry(self, micro_dataset, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**MICRO_CONFIG, "epochs": 2}))
+        run = tmp_path / "r"
+        rc = main(["train", "--data", str(micro_dataset), "--config", str(cfg),
+                   "--out", str(run)])
+        assert rc == 0
+        rows = [json.loads(line) for line in (run / "telemetry.jsonl").read_text().splitlines()]
+        # 8 training windows at batch 4: two steps, then the epoch row
+        assert [(r["kind"], r["epoch"]) for r in rows] == [
+            ("step", 0), ("step", 0), ("epoch", 0), ("step", 1), ("step", 1), ("epoch", 1)]
+        steps = [r for r in rows if r["kind"] == "step"]
+        epochs = [r for r in rows if r["kind"] == "epoch"]
+        assert all(set(r) == {"kind", "epoch", "step", "loss", "grad_norm", "seconds",
+                              "nonfinite"} for r in steps)
+        assert all(set(r) == {"kind", "epoch", "train_loss", "val_mae", "seconds",
+                              "peak_rss_mb"} for r in epochs)
+        assert [r["step"] for r in steps] == [0, 1, 2, 3]
+        assert all(r["grad_norm"] > 0 and r["seconds"] > 0 and r["nonfinite"] is False
+                   for r in steps)
+        assert all(r["seconds"] > 0 and r["peak_rss_mb"] > 0 and r["val_mae"] is not None
+                   for r in epochs)
+        for e in epochs:
+            assert e["train_loss"] == np.mean([r["loss"] for r in steps
+                                              if r["epoch"] == e["epoch"]])
+        history = (run / "history.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in history] == [
+            f"{e['train_loss']:.12g}" for e in epochs]
 
 
 class TestCliGradcheck:

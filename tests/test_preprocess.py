@@ -106,12 +106,69 @@ class TestDiffLabels:
         np.testing.assert_array_equal(out.samples, 0.0)
 
 
+class TestFrameDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_frames_kept_as_given(self, dtype):
+        frames = np.zeros((2, 3, 3, 3), dtype=dtype)
+        clip = VideoClip(frames, 30.0)
+        assert clip.frames.dtype == dtype and np.shares_memory(clip.frames, frames)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16])
+    def test_other_frames_become_float64(self, dtype):
+        clip = VideoClip(np.arange(54, dtype=dtype).reshape(2, 3, 3, 3), 30.0)
+        assert clip.frames.dtype == np.float64
+        np.testing.assert_array_equal(clip.frames, np.arange(54.0).reshape(2, 3, 3, 3))
+
+
+def _diffnorm_reference(f, eps=1e-7):
+    """DiffNorm out of place in float64, one new array per step."""
+    d = (f[1:] - f[:-1]) / np.maximum(f[1:] + f[:-1], eps)
+    d = np.where(np.isfinite(d), d, 0.0)
+    d = d / max(d.std(), eps)
+    d = np.where(np.isfinite(d), d, 0.0)
+    return np.concatenate([d, np.zeros_like(f[:1])], axis=0)
+
+
+class TestWindowDtype:
+    """``x`` is float32 and equals the float64 computation rounded once."""
+
+    @staticmethod
+    def _clip(dtype):
+        rng = np.random.default_rng(10)
+        frames = rng.random((60, 8, 8, 3))
+        frames[:, :2] = 0.0          # black in every frame: a zero sum
+        frames[::7, 5, 5] = 0.0      # black in some frames only
+        return VideoClip(frames.astype(dtype), 30.0)
+
+    @pytest.mark.parametrize("frame_format", ["DiffNorm", "Raw"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(8, 8), (6, 5)])
+    def test_x_is_rounded_float64_reference(self, frame_format, dtype, hw):
+        clip = self._clip(dtype)
+        cfg = ModelConfig(input_dims=(30,) + hw, frame_format=frame_format)
+        trace = SignalTrace(np.sin(np.arange(60) / 3.0), 30.0)
+        examples = make_example(clip, trace, cfg)
+        assert len(examples) == 2
+        for wi, ex in enumerate(examples):
+            win = VideoClip(clip.frames[30 * wi:30 * (wi + 1)].astype(np.float64), 30.0)
+            f = resize_bilinear(win, *hw).frames
+            ref = _diffnorm_reference(f) if frame_format == "DiffNorm" else standardize(f)
+            ref = np.moveaxis(ref, 3, 0).astype(np.float32)
+            assert (ex.x.dtype, ex.x.shape) == (np.float32, ref.shape)
+            assert ex.x.tobytes() == ref.tobytes()
+
+    def test_diffnorm_matches_reference_bit_for_bit(self):
+        frames = self._clip(np.float64).frames
+        got = diffnorm_frames(VideoClip(frames, 30.0)).frames
+        assert got.tobytes() == _diffnorm_reference(frames).tobytes()
+
+
 class TestResize:
     def test_same_size_identity(self):
         rng = np.random.default_rng(4)
         clip = VideoClip(rng.random((3, 4, 5, 3)), 30.0)
         out = resize_bilinear(clip, 4, 5)
-        np.testing.assert_array_equal(out.frames, clip.frames)
+        assert out is clip
 
     def test_two_by_two_to_one(self):
         f = np.array([[0.0, 2.0], [4.0, 6.0]]).reshape(1, 2, 2, 1).repeat(2, axis=0)
@@ -123,6 +180,7 @@ class TestResize:
         for hw in ((2, 2), (9, 11), (1, 1)):
             out = resize_bilinear(clip, *hw)
             np.testing.assert_allclose(out.frames, 0.3, atol=1e-12)
+            assert out.frames.flags.c_contiguous
 
 
 class TestMakeExample:
@@ -156,7 +214,8 @@ class TestMakeExample:
         tr = rng.random(60)
         (ex,) = make_example(clip, SignalTrace(tr, 30.0), cfg)
         np.testing.assert_array_equal(ex.target, tr)
-        assert abs(ex.x.mean()) < 1e-12  # frames standardized
+        ref = np.moveaxis(standardize(clip.frames), 3, 0).astype(np.float32)
+        assert (ex.x.dtype, ex.x.tobytes()) == (ref.dtype, ref.tobytes())
 
     def test_short_trace_rejected(self):
         cfg = general_config(simple=True)

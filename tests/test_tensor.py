@@ -1,6 +1,7 @@
 """Forward-path tests for the tensor core against independent oracles."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pulseformer import nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import DimensionError, PulseformerError
 from pulseformer.gradcheck import max_relative_error, promote
+from pulseformer.model import _Block, _ParamStore
 from pulseformer.tensor import Tensor
 
 
@@ -822,6 +824,53 @@ class TestRecord:
         with pytest.raises(PulseformerError, match=r"record\(\)"):
             loss.backward()
         assert x.grad is None
+
+
+class TestGradientOwnership:
+    def test_residual_block_grads_alias_nothing(self):
+        """Grads handed over without a copy share memory with no grad or tensor data."""
+        rng = np.random.default_rng(12)
+        store = _ParamStore()
+        block = _Block(store, "b", 8, 2, 2.0, rng)
+        rel = nn_ops.RelativeBias(2, (1, 2, 3))
+        x = Tensor(rng.standard_normal((2, 6, 8)), requires_grad=True)
+        z = Tensor(np.zeros(x.shape), requires_grad=True)
+        with T.record():
+            y = block(T.add(x, z), rel)
+            loss = T.mse_loss(y, Tensor(rng.standard_normal(y.shape)))
+            made = [out for out, _ in T._tape]
+            loss.backward()
+        leaves = [x, z, *store.params.values(), *rel.tables()]
+        grads = [t.grad for t in leaves]
+        assert all(g is not None for g in grads)
+        datas = [t.data for t in leaves + made]
+        for i, g in enumerate(grads):
+            assert not any(np.shares_memory(g, o) for o in grads[:i] + grads[i + 1:] + datas)
+
+
+class TestRetainedMemory:
+    @pytest.mark.parametrize("op", ["gelu", "layernorm", "batchnorm3d"])
+    def test_op_keeps_only_its_output(self, op):
+        """Under record(), the op's new allocations still alive are its output and row stats."""
+        rng = np.random.default_rng(13)
+        shape = (2, 4, 8, 16, 16) if op == "batchnorm3d" else (4, 512, 32)
+        c = shape[1] if op == "batchnorm3d" else shape[-1]
+        x = Tensor(rng.standard_normal(shape), requires_grad=True)
+        gamma = Tensor(np.ones(c), requires_grad=True)
+        beta = Tensor(np.zeros(c), requires_grad=True)
+        run = {"gelu": lambda: T.gelu(x),
+               "layernorm": lambda: nn_ops.layernorm(x, gamma, beta),
+               "batchnorm3d": lambda: nn_ops.batchnorm3d(x, gamma, beta, np.zeros(c),
+                                                         np.ones(c), training=True)}[op]
+        with T.record():
+            tracemalloc.start()
+            try:
+                out = run()
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(T._tape) == 1
+        assert out.data.nbytes <= kept < 1.1 * out.data.nbytes
 
 
 def _bn_eval(x, gamma, beta):

@@ -312,8 +312,11 @@ class TestTrainModel:
         train = window_examples(cfg, 4, seed=3)
         for ex in train:
             ex.target = ex.target * np.inf
+        rows = []
         with pytest.raises(NumericError, match="epoch 0 step 0"):
-            train_model(cfg, TrainConfig(epochs=1, seed=0), train)
+            train_model(cfg, TrainConfig(epochs=1, seed=0), train, log=rows.append)
+        assert [(r["kind"], r["step"], r["grad_norm"], r["nonfinite"]) for r in rows] == [
+            ("step", 0, None, True)]
 
     def test_forward_error_leaves_tape_empty(self, monkeypatch):
         """A forward that raises after recording ops leaves nothing on the tape."""
