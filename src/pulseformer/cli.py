@@ -2,8 +2,10 @@
 
 ``train`` splits subjects by the config's ``split_mode`` and ``fold``;
 ``search`` always splits them 8:2 (cross, fold 0) and ignores both. ``train``
-writes the step and epoch rows of ``train_model``'s ``log`` to
-``telemetry.jsonl`` in its run dir as it trains.
+evaluates on the test subjects, or on the validation windows when the split
+has no test set. Its run dir holds ``telemetry.jsonl`` (the step and epoch
+rows of ``train_model``'s ``log``, written as it trains), ``config.json``,
+``model.gvtm``, and the evaluation's ``pairs.csv`` and ``metrics.json``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -187,14 +189,12 @@ def cmd_train(args) -> int:
                 val = "" if row["val_mae"] is None else f" val_mae {row['val_mae']:.3f}"
                 print(f"epoch {row['epoch']}: train_loss {row['train_loss']:.6f}{val}")
 
-        model, history = train_model(model_cfg, train_cfg, train_ex,
-                                     val_examples=val_ex or None, log=log)
+        model, _ = train_model(model_cfg, train_cfg, train_ex,
+                               val_examples=val_ex or None, log=log)
     fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
-    fileio.write_history(run_dir, history)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())
-    eval_subj = test_subj or val_subj or train_subj
-    result = evaluate(ModelPredictor(model), model_cfg,
-                      _windows(loaded, model_cfg, eval_subj))
+    eval_ex = _windows(loaded, model_cfg, test_subj) if test_subj else val_ex
+    result = evaluate(ModelPredictor(model), model_cfg, eval_ex)
     fileio.write_result(run_dir, result)
     pearson = "n/a" if result.pearson is None else f"{result.pearson:.4f}"
     print(f"mae {result.mae:.4f} rmse {result.rmse:.4f} pearson {pearson} "

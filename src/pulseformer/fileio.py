@@ -231,14 +231,6 @@ def write_run_config(run_dir, model_cfg, train_cfg, split_mode="intra", fold=0) 
     (run_dir / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_history(run_dir, history) -> None:
-    with open(Path(run_dir) / "history.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "val_mae"])
-        for epoch, loss, val_mae in history.rows():
-            w.writerow([epoch, f"{loss:.12g}", "" if val_mae is None else f"{val_mae:.12g}"])
-
-
 def write_result(run_dir, result: ExperimentResult) -> None:
     run_dir = Path(run_dir)
     with open(run_dir / "pairs.csv", "w", newline="") as f:

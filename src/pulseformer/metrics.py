@@ -52,8 +52,8 @@ def power_spectrum(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndar
     return freqs, spec
 
 
-def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND) -> float:
-    """Dominant in-band spectral frequency as beats per minute.
+def hr_from_signal(trace: SignalTrace) -> float:
+    """Dominant spectral frequency in DEFAULT_BAND as beats per minute.
 
     Requires at least two seconds of finite samples and a non-constant waveform.
     """
@@ -66,9 +66,9 @@ def hr_from_signal(trace: SignalTrace, band: tuple[float, float] = DEFAULT_BAND)
     if np.ptp(s) == 0.0:
         raise EstimationError("waveform is constant; no dominant frequency")
     freqs, spec = power_spectrum(s, trace.fps)
-    mask = (freqs >= band[0]) & (freqs <= band[1])
+    mask = (freqs >= DEFAULT_BAND[0]) & (freqs <= DEFAULT_BAND[1])
     if not mask.any():
-        raise EstimationError(f"no spectral bins inside band {band}")
+        raise EstimationError(f"no spectral bins inside band {DEFAULT_BAND}")
     inband = spec[mask]
     if inband.sum() <= 0.0:
         raise EstimationError("waveform has no in-band energy")

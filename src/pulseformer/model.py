@@ -371,7 +371,7 @@ class MultiscaleVideoTransformer:
         return T.reshape(out, (x.shape[0], t_in))
 
     def _upsample_module(self, g: Tensor, k: int, training: bool) -> Tensor:
-        g = nn_ops.nearest_upsample3d(g, (2, 1, 1))
+        g = nn_ops.nearest_upsample3d(g)
         w, b = self.head_convs[k]
         g = nn_ops.conv3d(g, w, b, stride=(1, 1, 1), pad=(1, 0, 0))
         gamma, beta = self.head_bns[k]
@@ -380,8 +380,8 @@ class MultiscaleVideoTransformer:
                                buf[f"head.up{k}.bn.running_var"], training=training)
         return T.elu(g)
 
-    def predict(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        """Forward pass inside nn_ops.one_blas_thread; it records nothing.
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward pass inside nn_ops.one_blas_thread; it records nothing.
 
         x is (C, T, H, W) or batched.
         """
@@ -389,5 +389,5 @@ class MultiscaleVideoTransformer:
         if single:
             x = x[None]
         with nn_ops.one_blas_thread():
-            y = self.forward(Tensor(x), training=training)
+            y = self.forward(Tensor(x))
         return y.data[0] if single else y.data

@@ -304,23 +304,13 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 # nearest upsampling
 # ---------------------------------------------------------------------------
 
-def nearest_upsample3d(x: Tensor, factor: tuple[int, int, int]) -> Tensor:
-    """Repeat each sample ``factor`` times along (T, H, W); grads sum over replicas."""
-    ft, fh, fw = factor
-    if min(ft, fh, fw) < 1:
-        raise DimensionError(f"upsample factors must be >= 1, got {factor}")
-    y = x.data
-    if ft > 1:
-        y = np.repeat(y, ft, axis=2)
-    if fh > 1:
-        y = np.repeat(y, fh, axis=3)
-    if fw > 1:
-        y = np.repeat(y, fw, axis=4)
-    out = Tensor(y, requires_grad=_needs_grad(x))
+def nearest_upsample3d(x: Tensor) -> Tensor:
+    """Repeat each sample of x[N, C, T, H, W] twice along T; grads sum over both."""
+    out = Tensor(np.repeat(x.data, 2, axis=2), requires_grad=_needs_grad(x))
 
     def pull(g):
         n, c, t, h, w = x.shape
-        _accum(x, g.reshape(n, c, t, ft, h, fh, w, fw).sum(axis=(3, 5, 7)), fresh=True)
+        _accum(x, g.reshape(n, c, t, 2, h, w).sum(axis=3), fresh=True)
 
     _record(out, pull)
     return out
@@ -329,6 +319,25 @@ def nearest_upsample3d(x: Tensor, factor: tuple[int, int, int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------------
+
+def grid_blocks(grid: tuple[int, int, int], size: int) -> list[tuple]:
+    """Token-row blocks as (i0, i1, (t slice, h slice)) of a (gt, gh, gw) token grid.
+
+    Attention cuts both its query blocks and its key tiles with this. A block
+    is whole (h, w) planes, or whole w-lines of one plane when a plane has
+    more than ``size`` rows, so its rows are contiguous, no block has more
+    than max(size, gw) rows, and the bias of a query block over a key tile is
+    the view ``bias[qb][:, :, :, kb[0], kb[1]]``. On the grid (L, 1, 1) the
+    blocks are the plain ranges of ``size`` rows.
+    """
+    gt, gh, gw = grid
+    plane = gh * gw
+    nt = max(1, size // plane)           # planes per block
+    nh = min(gh, max(1, size // gw))     # w-lines per block
+    return [(t * plane + h * gw, (min(t + nt, gt) - 1) * plane + min(h + nh, gh) * gw,
+             (slice(t, t + nt), slice(h, h + nh)))
+            for t in range(0, gt, nt) for h in range(0, gh, nh)]
+
 
 class RelativeBias:
     """Decomposed per-axis relative position tables for one token grid.
@@ -348,23 +357,6 @@ class RelativeBias:
 
     def tables(self):
         return (self.table_t, self.table_h, self.table_w)
-
-    def blocks(self, size: int) -> list[tuple[int, int, tuple[slice, slice]]]:
-        """Token-row blocks as (i0, i1, (t slice, h slice)) of the token grid.
-
-        Attention cuts both its query blocks and its key tiles with this. A
-        block is whole (h, w) planes, or whole w-lines of one plane when a
-        plane has more than ``size`` rows, so its rows are contiguous, no
-        block has more than max(size, gw) rows, and the bias of a query block
-        over a key tile is the view ``bias[qb][:, :, :, kb[0], kb[1]]``.
-        """
-        gt, gh, gw = self.grid
-        plane = gh * gw
-        nt = max(1, size // plane)           # planes per block
-        nh = min(gh, max(1, size // gw))     # w-lines per block
-        return [(t * plane + h * gw, (min(t + nt, gt) - 1) * plane + min(h + nh, gh) * gw,
-                 (slice(t, t + nt), slice(h, h + nh)))
-                for t in range(0, gt, nt) for h in range(0, gh, nh)]
 
     def bias_view(self, head: int) -> np.ndarray:
         """Pairwise bias of one head as a read-only (gt, gh, gw, gt, gh, gw) view.
@@ -505,10 +497,6 @@ def _run_chunks(fn, count: int, scratch) -> None:
     """
     nw = min(_workers(), count)
     buffers = [scratch() for _ in range(nw)]
-    if nw <= 1:
-        for chunk in range(count):
-            fn(chunk, buffers[0])
-        return
     chunks = itertools.count()
     errors = {}
     end = [count]   # the lowest failed chunk, else count
@@ -583,9 +571,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     """softmax(q kᵀ / sqrt(d) + B) v over (N, heads, L, d) tensors.
 
     Scores are made in tiles of ATTN_BLOCK query rows by KEY_BLOCK keys (both
-    cut along the token grid by RelativeBias.blocks when ``rel`` is given;
-    L <= KEY_BLOCK is one key tile), so a tile fits in L2 whatever L is, and
-    bias views are shared across the batch. The forward sweeps each query
+    cut by ``grid_blocks`` along the token grid of ``rel``, or of (L, 1, 1)
+    without one; L <= KEY_BLOCK is one key tile), so a tile fits in L2
+    whatever L is, and bias views are shared across the batch. The forward sweeps each query
     block over its key tiles with a running row max m and an accumulator
     [y·l | l]: per tile m' = max(m, rowmax(S)), P = exp(S - m'), and the
     accumulator is rescaled by exp(m - m') before P [v | 1] is added. It then
@@ -622,13 +610,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     n, heads, ln, d = q.shape
     scl = 1.0 / float(np.sqrt(d))   # a Python float keeps float32 products float32
 
-    def cut(size):
-        """Token-row blocks of about ``size`` rows as (i0, i1, grid slices or None)."""
-        if rel is None:
-            return [(i0, min(i0 + size, ln), None) for i0 in range(0, ln, size)]
-        return rel.blocks(size)
-
-    blocks, key_blocks = cut(ATTN_BLOCK), cut(KEY_BLOCK)
+    grid = rel.grid if rel is not None else (ln, 1, 1)
+    blocks, key_blocks = grid_blocks(grid, ATTN_BLOCK), grid_blocks(grid, KEY_BLOCK)
     bs = max(i1 - i0 for i0, i1, _ in blocks)
     tile_size = bs * max(j1 - j0 for j0, j1, _ in key_blocks)
     params = (q, k, v) + (rel.tables() if rel is not None else ())

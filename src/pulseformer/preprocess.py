@@ -177,6 +177,8 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     if trace.length < clip.length:
         raise InputError(
             f"trace length {trace.length} shorter than clip length {clip.length}")
+    if trace.fps != clip.fps:
+        raise InputError(f"trace frame rate {trace.fps} Hz differs from clip's {clip.fps} Hz")
     if clip.length < t_cfg:
         raise InputError(f"clip length {clip.length} shorter than window {t_cfg}")
 

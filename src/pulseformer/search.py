@@ -21,17 +21,15 @@ from .errors import PulseformerError
 from .model import ModelConfig, scaling_label
 
 
-@dataclass(frozen=True)
-class DesignSpace:
-    spatial: tuple[int, ...] = (256, 128, 64, 32)
-    temporal: tuple[int, ...] = (240, 120, 60, 30)
-    outputs: tuple[str, ...] = ("HR", "Signal")
-    frame_norm: tuple[tuple[str, bool], ...] = (
-        ("Raw", False), ("Raw", True), ("DiffNorm", False), ("DiffNorm", True))
-    pos_encodings: tuple[str, ...] = ("ABS", "REL", "CPE")
-    scalings: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)
-    # spatial candidates are probed with the temporal extent pinned here
-    probe_temporal: int = 120
+# the candidates of each phase, in the order ties resolve
+SPATIAL = (256, 128, 64, 32)
+TEMPORAL = (240, 120, 60, 30)
+OUTPUTS = ("HR", "Signal")
+FRAME_NORM = (("Raw", False), ("Raw", True), ("DiffNorm", False), ("DiffNorm", True))
+POS_ENCODINGS = ("ABS", "REL", "CPE")
+SCALINGS = (0, 1, 2, 3, 4, 5, 6)
+# spatial candidates are probed with the temporal extent pinned here
+PROBE_TEMPORAL = 120
 
 
 @dataclass
@@ -74,7 +72,6 @@ def greedy_adapt(evaluator: Callable[[ModelConfig], float],
     The search starts unadapted: ``start`` with rate output, raw frames, no
     target normalisation and no temporal scaling (its input dims are unused).
     """
-    space = DesignSpace()
     carried = start.copy(output_format="HR", frame_format="Raw", signal_norm=False, scaling=0)
     trace = SearchTrace()
     memo: dict[tuple, dict] = {}
@@ -104,23 +101,20 @@ def greedy_adapt(evaluator: Callable[[ModelConfig], float],
         trace.steps.extend(steps)
         return steps[best].config
 
-    t_probe = space.probe_temporal
     carried = run_phase("spatial", [
-        (f"spatial={s}", carried.copy(input_dims=(t_probe, s, s)))
-        for s in space.spatial])
+        (f"spatial={s}", carried.copy(input_dims=(PROBE_TEMPORAL, s, s))) for s in SPATIAL])
     hw = carried.input_dims[1:]
     carried = run_phase("temporal", [
-        (f"temporal={t}", carried.copy(input_dims=(t,) + hw))
-        for t in space.temporal])
+        (f"temporal={t}", carried.copy(input_dims=(t,) + hw)) for t in TEMPORAL])
     carried = run_phase("output", [
-        (f"output={o}", carried.copy(output_format=o)) for o in space.outputs])
+        (f"output={o}", carried.copy(output_format=o)) for o in OUTPUTS])
     carried = run_phase("frame_norm", [
         (f"frame={f}{'+norm' if n else ''}", carried.copy(frame_format=f, signal_norm=n))
-        for f, n in space.frame_norm])
+        for f, n in FRAME_NORM])
     carried = run_phase("pos_encoding", [
-        (f"pos={p}", carried.copy(pos_encoding=p)) for p in space.pos_encodings])
+        (f"pos={p}", carried.copy(pos_encoding=p)) for p in POS_ENCODINGS])
     carried = run_phase("scaling", [
-        (scaling_label(s), carried.copy(scaling=s)) for s in space.scalings])
+        (scaling_label(s), carried.copy(scaling=s)) for s in SCALINGS])
 
     trace.final_config = carried
     return trace

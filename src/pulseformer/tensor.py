@@ -2,13 +2,15 @@
 
 Values are contiguous row-major numpy arrays in the compute dtype. Inside
 ``record()`` every differentiable op appends a pull-back closure to a
-process-global tape; outside it, ops record nothing. ``backward`` pops the
-tape in reverse execution order (a valid topological order by construction)
-and accumulates gradients into every reachable tensor with ``requires_grad``,
-releasing each entry and its output's gradient as it goes, so only leaf
-tensors keep a ``.grad``. The tape is shared, so record in one thread at a
-time; the recording flag and the compute dtype are context variables, so
-``record`` and ``float64`` in one thread do not change them in another.
+process-global tape; outside it, ops record nothing. ``backward(loss)`` pops
+the tape in reverse execution order (a valid topological order by
+construction) and accumulates gradients into every reachable tensor with
+``requires_grad``, releasing each entry and its output's gradient as it goes,
+so only leaf tensors keep a ``.grad``. Gradients add up over calls: set a
+leaf's ``grad`` to None to start it afresh. The tape is shared, so record in
+one thread at a time; the recording flag and the compute dtype are context
+variables, so ``record`` and ``float64`` in one thread do not change them in
+another.
 
 Storage follows the compute dtype: float32 by default, for train and
 predict, and float64 inside ``float64()``, as finite-difference gradient
@@ -102,12 +104,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

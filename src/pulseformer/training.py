@@ -47,19 +47,22 @@ class TrainConfig:
 # optimiser
 # ---------------------------------------------------------------------------
 
+# AdamW's moment decay rates and denominator floor
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-                 t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+                 t: int, lr: float, weight_decay: float = 0.0) -> None:
     """One decoupled-weight-decay step, in place; ``t`` counts from 1."""
     if weight_decay:
         p -= lr * weight_decay * p
-    m *= beta1
-    m += (1 - beta1) * g
-    v *= beta2
-    v += (1 - beta2) * g * g
-    mhat = m / (1 - beta1 ** t)
-    vhat = v / (1 - beta2 ** t)
-    p -= lr * mhat / (np.sqrt(vhat) + eps)
+    m *= BETA1
+    m += (1 - BETA1) * g
+    v *= BETA2
+    v += (1 - BETA2) * g * g
+    mhat = m / (1 - BETA1 ** t)
+    vhat = v / (1 - BETA2 ** t)
+    p -= lr * mhat / (np.sqrt(vhat) + EPS)
 
 
 class AdamW:
@@ -68,13 +71,10 @@ class AdamW:
     The moments are made in each parameter's dtype.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
@@ -86,12 +86,7 @@ class AdamW:
             if g is None:
                 continue
             adamw_update(p.data, g, self.m[name], self.v[name], self.t,
-                         self.lr, self.betas[0], self.betas[1], self.eps,
-                         self.weight_decay)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+                         self.lr, self.weight_decay)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +213,6 @@ class TrainHistory:
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
 
-    def rows(self):
-        return [(e["epoch"], e["train_loss"], e["val_mae"]) for e in self.epochs]
-
 
 def _batch(examples: list[WindowExample], idx) -> tuple[Tensor, Tensor]:
     xs = np.stack([examples[i].x for i in idx])
@@ -251,7 +243,8 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     With an empty validation set the final epoch's parameters are kept.
     Aborts with a diagnostic naming the batch and step if the loss goes
     non-finite. The epoch loop, validation included, runs inside
-    ``nn_ops.one_blas_thread``; each step records inside ``tensor.record()``.
+    ``nn_ops.one_blas_thread``. Each step records inside ``tensor.record()``,
+    sets every parameter's ``grad`` to None and runs ``tensor.backward(loss)``.
 
     ``log``, when given, receives one row per step, ``{"kind": "step",
     "epoch", "step", "loss", "grad_norm", "seconds", "nonfinite"}``, and one
@@ -292,8 +285,9 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                         raise NumericError(
                             f"non-finite loss {value} at epoch {epoch} step {step} "
                             f"(batch indices {idx.tolist()})")
-                    opt.zero_grad()
-                    loss.backward()
+                    for p in opt.params.values():
+                        p.grad = None
+                    T.backward(loss)
                 opt.step()
                 if log:
                     log(_step_row(epoch, step, value, time.perf_counter() - step_start,

@@ -456,7 +456,7 @@ def micro_run(micro_dataset, tmp_path_factory):
 
 class TestCliTrainEval:
     def test_run_directory_layout(self, micro_run):
-        for name in ("config.json", "history.csv", "pairs.csv",
+        for name in ("config.json", "telemetry.jsonl", "pairs.csv",
                      "metrics.json", "model.gvtm"):
             assert (micro_run / name).exists(), name
 
@@ -569,6 +569,33 @@ class TestCliTrainEval:
         assert "data error" in err and "positive H, W and C" in err
         assert "Traceback" not in err
 
+    def test_train_mismatched_frame_rates_data_error(self, micro_dataset, tmp_path, capsys):
+        data = tmp_path / "d"
+        shutil.copytree(micro_dataset, data)
+        path = next(data.glob("*.gvts"))
+        fileio.write_trace(path, SignalTrace(fileio.read_trace(path).samples, 50.0))
+        rc = main(["train", "--data", str(data), "--config", str(_write_micro_config(tmp_path)),
+                   "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "50.0 Hz" in err and "30.0 Hz" in err
+        assert not (tmp_path / "r" / "model.gvtm").exists()
+
+    def test_train_windows_each_clip_once(self, micro_dataset, tmp_path, monkeypatch):
+        """A cross split is evaluated on the validation windows training already made."""
+        calls = []
+        make_example = cli.make_example
+
+        def counting(*args):
+            calls.append(args[0])
+            return make_example(*args)
+
+        monkeypatch.setattr(cli, "make_example", counting)
+        rc = main(["train", "--data", str(micro_dataset),
+                   "--config", str(_write_micro_config(tmp_path)), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert len(calls) == 10
+
     @pytest.mark.parametrize("command", ["train", "search"])
     def test_uncreatable_out_data_error_before_training(self, micro_dataset, tmp_path,
                                                         capsys, monkeypatch, command):
@@ -673,9 +700,6 @@ class TestCliTrainEval:
         for e in epochs:
             assert e["train_loss"] == np.mean([r["loss"] for r in steps
                                               if r["epoch"] == e["epoch"]])
-        history = (run / "history.csv").read_text().splitlines()[1:]
-        assert [line.split(",")[1] for line in history] == [
-            f"{e['train_loss']:.12g}" for e in epochs]
 
 
 class TestCliGradcheck:

@@ -139,7 +139,7 @@ class TestDeterminism:
     def test_checkpoint_keeps_batchnorm_running_stats(self):
         m = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=0)
         x = np.random.default_rng(5).standard_normal((1, 3, 8, 32, 32))
-        m.predict(x, training=True)
+        m.forward(Tensor(x), training=True)
         assert np.any(m.store.buffers["head.up0.bn.running_mean"] != 0.0)
         restored = MultiscaleVideoTransformer(ModelConfig(**TINY), seed=1)
         restored.load_arrays(m.named_arrays())

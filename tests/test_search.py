@@ -7,7 +7,8 @@ import pytest
 
 from pulseformer.errors import ConfigurationError
 from pulseformer.model import ModelConfig
-from pulseformer.search import DesignSpace, general_config, greedy_adapt
+from pulseformer import search
+from pulseformer.search import general_config, greedy_adapt
 
 TARGET = dict(input_dims=(120, 64, 64), output_format="Signal",
               frame_format="DiffNorm", signal_norm=True,
@@ -63,12 +64,11 @@ class TestGreedyAdapt:
     def test_constant_evaluator_tie_breaking(self):
         trace = greedy_adapt(lambda cfg: 1.0)
         final = trace.final_config
-        space = DesignSpace()
-        assert final.input_dims == (space.temporal[0], space.spatial[0], space.spatial[0])
-        assert final.output_format == space.outputs[0]
-        assert (final.frame_format, final.signal_norm) == space.frame_norm[0]
-        assert final.pos_encoding == space.pos_encodings[0]
-        assert final.scaling == space.scalings[0]
+        assert final.input_dims == (search.TEMPORAL[0], search.SPATIAL[0], search.SPATIAL[0])
+        assert final.output_format == search.OUTPUTS[0]
+        assert (final.frame_format, final.signal_norm) == search.FRAME_NORM[0]
+        assert final.pos_encoding == search.POS_ENCODINGS[0]
+        assert final.scaling == search.SCALINGS[0]
 
     def test_failed_candidates_recorded_as_inf(self):
         def flaky(cfg):
@@ -108,14 +108,13 @@ class TestGreedyAdapt:
 
     def test_separable_evaluator_reaches_global_minimum(self):
         rng = np.random.default_rng(7)
-        space = DesignSpace()
         tables = {
-            "spatial": {s: rng.random() for s in space.spatial},
-            "temporal": {t: rng.random() for t in space.temporal},
-            "output": {o: rng.random() for o in space.outputs},
-            "frame": {fn: rng.random() for fn in space.frame_norm},
-            "pos": {p: rng.random() for p in space.pos_encodings},
-            "scale": {s: rng.random() for s in space.scalings},
+            "spatial": {s: rng.random() for s in search.SPATIAL},
+            "temporal": {t: rng.random() for t in search.TEMPORAL},
+            "output": {o: rng.random() for o in search.OUTPUTS},
+            "frame": {fn: rng.random() for fn in search.FRAME_NORM},
+            "pos": {p: rng.random() for p in search.POS_ENCODINGS},
+            "scale": {s: rng.random() for s in search.SCALINGS},
         }
 
         def separable(cfg):
@@ -160,5 +159,5 @@ class TestGeneralConfig:
         assert first.frame_format == "Raw"
         assert first.signal_norm is False
         assert first.scaling == 0
-        assert first.input_dims == (DesignSpace().probe_temporal, 256, 256)
+        assert first.input_dims == (search.PROBE_TEMPORAL, 256, 256)
         assert (first.base_width, first.pos_encoding) == (16, "REL")
