@@ -1,11 +1,12 @@
 """Command-line interface: dataset generation, training, evaluation, search.
 
 ``train`` splits subjects by the config's ``split_mode`` and ``fold``;
-``search`` always splits them 8:2 (cross, fold 0) and ignores both. ``train``
-evaluates on the test subjects, or on the validation windows when the split
-has no test set. Its run dir holds ``telemetry.jsonl`` (the step and epoch
-rows of ``train_model``'s ``log``, written as it trains), ``config.json``,
-``model.gvtm``, and the evaluation's ``pairs.csv`` and ``metrics.json``.
+``search`` always splits them 8:2 (cross, fold 0), but keeps both in the
+``config.json`` it writes. ``train`` evaluates on the test subjects, or on
+the validation windows when the split has no test set. Its run dir holds
+``telemetry.jsonl`` (the step and epoch rows of ``train_model``'s ``log``,
+written as it trains), ``config.json``, ``model.gvtm``, and the
+evaluation's ``pairs.csv`` and ``metrics.json``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import fileio
 from .errors import (ConfigurationError, EstimationError, InputError,
                      NumericError, PulseformerError)
-from .gradcheck import model_grad_check, run_op_suite
+from .gradcheck import SEEDS, model_grad_check, run_op_suite
 from .model import ModelConfig, MultiscaleVideoTransformer, stage_grids
 from .preprocess import make_example, window_key
 from .search import greedy_adapt
@@ -81,7 +82,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("search", help="greedy configuration search on a dataset",
                        description="Subjects are always split 8:2 (cross, fold 0); "
-                       "the config's split_mode and fold are ignored.")
+                       "the config's split_mode and fold are ignored for the search "
+                       "but kept in the config.json it writes.")
     s.add_argument("--data", type=str, required=True)
     s.add_argument("--config", type=str, default=None)
     s.add_argument("--out", type=str, required=True)
@@ -116,7 +118,6 @@ def _windows(loaded, cfg: ModelConfig, subjects=None):
         examples = make_example(clip, trace, cfg)
         for ex in examples:
             ex.clip_id = Path(entry["clip_path"]).stem
-            ex.subject_id = entry["subject_id"]
         out.extend(examples)
     return out
 
@@ -174,10 +175,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_cfg, train_cfg, split_mode, fold = _read_config(args.config)
+    model_cfg, train_cfg = _read_config(args.config)
     loaded, _ = _load_clips(args.data)
     train_subj, val_subj, test_subj = split_dataset(
-        (entry["subject_id"] for entry, _, _ in loaded), split_mode, train_cfg.seed, fold)
+        (entry["subject_id"] for entry, _, _ in loaded), train_cfg.split_mode,
+        train_cfg.seed, train_cfg.fold)
     train_ex = _windows(loaded, model_cfg, train_subj)
     val_ex = _windows(loaded, model_cfg, val_subj)
     run_dir = _writable_dir(args.out)
@@ -191,7 +193,7 @@ def cmd_train(args) -> int:
 
         model, _ = train_model(model_cfg, train_cfg, train_ex,
                                val_examples=val_ex or None, log=log)
-    fileio.write_run_config(run_dir, model_cfg, train_cfg, split_mode, fold)
+    fileio.write_run_config(run_dir, model_cfg, train_cfg)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())
     eval_ex = _windows(loaded, model_cfg, test_subj) if test_subj else val_ex
     result = evaluate(ModelPredictor(model), model_cfg, eval_ex)
@@ -207,7 +209,7 @@ def cmd_eval(args) -> int:
     cfg_path = run_dir / "config.json"
     if not cfg_path.exists():
         raise InputError(f"no config.json under {run_dir}")
-    model_cfg, train_cfg, _, _ = _read_config(cfg_path)
+    model_cfg, train_cfg = _read_config(cfg_path)
     loaded, _ = _load_clips(args.data)
     examples = _windows(loaded, model_cfg)
     if args.stub == "perfect":
@@ -227,7 +229,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
-    model_cfg, train_cfg, _, _ = _read_config(args.config)
+    model_cfg, train_cfg = _read_config(args.config)
     loaded, _ = _load_clips(args.data)
     run_dir = _writable_dir(args.out)
     train_subj, val_subj, _ = split_dataset(
@@ -264,12 +266,12 @@ def cmd_search(args) -> int:
 def cmd_gradcheck(args) -> int:
     failures = 0
     print(f"{'operator':28s}{'max rel err':>14s}  threshold")
-    worst = run_op_suite(seeds=(0, 1, 2))
+    worst = run_op_suite()
     for name, err in worst.items():
         ok = err <= OP_TOL
         failures += not ok
         print(f"{name:28s}{err:14.3e}  {OP_TOL:.0e} {'ok' if ok else 'FAIL'}")
-    e2e = max(model_grad_check(seed) for seed in (0, 1, 2))
+    e2e = max(model_grad_check(seed) for seed in SEEDS)
     ok = e2e <= E2E_TOL
     failures += not ok
     print(f"{'model_end_to_end':28s}{e2e:14.3e}  {E2E_TOL:.0e} {'ok' if ok else 'FAIL'}")

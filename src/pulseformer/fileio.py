@@ -24,7 +24,7 @@ from .errors import InputError
 from .metrics import ExperimentResult
 from .model import ModelConfig, parse_scaling, scaling_label
 from .preprocess import SignalTrace, VideoClip
-from .training import SPLIT_MODES, TrainConfig
+from .training import TrainConfig
 
 CLIP_MAGIC = b"GVTC"
 TRACE_MAGIC = b"GVTS"
@@ -164,12 +164,8 @@ def read_manifest(path) -> tuple[list[dict], dict]:
 # configuration documents
 # ---------------------------------------------------------------------------
 
-SPLIT_DEFAULTS = {"split_mode": "intra", "fold": 0}
-
-
-def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                   split_mode: str = "intra", fold: int = 0) -> dict:
-    d = {**asdict(model_cfg), **asdict(train_cfg), "split_mode": split_mode, "fold": fold}
+def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
+    d = {**asdict(model_cfg), **asdict(train_cfg)}
     d = {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
     d["scaling"] = scaling_label(model_cfg.scaling)
     return d
@@ -195,7 +191,7 @@ def _typed(key: str, value, default):
     raise InputError(f"config key {key!r} must be {want}, got {value!r}")
 
 
-def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig, str, int]:
+def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig]:
     """Parse a config document over the ``ModelConfig`` and ``TrainConfig`` fields.
 
     Missing keys keep their defaults; an unknown key or a value of the wrong
@@ -208,26 +204,23 @@ def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig, str, int]:
     """
     if not isinstance(doc, dict):
         raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
-    model_kw, train_kw, split = asdict(ModelConfig()), asdict(TrainConfig()), dict(SPLIT_DEFAULTS)
+    model_kw, train_kw = asdict(ModelConfig()), asdict(TrainConfig())
     for key, value in doc.items():
-        kw = next((kw for kw in (model_kw, train_kw, split) if key in kw), None)
+        kw = next((kw for kw in (model_kw, train_kw) if key in kw), None)
         if kw is None:
             raise InputError(f"unknown config key {key!r}")
         kw[key] = parse_scaling(value) if key == "scaling" else _typed(key, value, kw[key])
-    if split["split_mode"] not in SPLIT_MODES:
-        raise InputError(f"unknown config value for 'split_mode': {split['split_mode']!r}")
-    return (ModelConfig(**model_kw).validate(), TrainConfig(**train_kw).validate(),
-            split["split_mode"], split["fold"])
+    return ModelConfig(**model_kw).validate(), TrainConfig(**train_kw).validate()
 
 
 # ---------------------------------------------------------------------------
 # run directories
 # ---------------------------------------------------------------------------
 
-def write_run_config(run_dir, model_cfg, train_cfg, split_mode="intra", fold=0) -> None:
+def write_run_config(run_dir, model_cfg, train_cfg) -> None:
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    doc = config_to_dict(model_cfg, train_cfg, split_mode, fold)
+    doc = config_to_dict(model_cfg, train_cfg)
     (run_dir / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 

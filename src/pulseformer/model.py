@@ -127,15 +127,8 @@ def stage_grids(cfg: ModelConfig) -> list[tuple[int, int, int]]:
 
 
 def head_upsample_count(cfg: ModelConfig) -> int:
-    """Number of temporal x2 upsampling modules needed to restore T."""
-    t = cfg.input_dims[0]
-    final_t = stage_grids(cfg)[-1][0]
-    ratio = t / final_t
-    k = int(round(math.log2(ratio)))
-    if 2 ** k != ratio:
-        raise ConfigurationError(
-            f"target length {t} is not a power-of-two multiple of final grid {final_t}")
-    return k
+    """Temporal x2 upsamplings that restore T: the stem and each temporal transition halve it."""
+    return 1 + len(TEMPORAL_SCHEDULE[cfg.scaling])
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:

@@ -94,10 +94,10 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     batch item is one chunk of ``_run_chunks``: the forward copies the item
     into its worker's zero-bordered buffer, builds the item's columns and
     makes its output with one GEMM. The pull rebuilds those columns rather
-    than keeping them on the tape, keeps the item's dw product and scatters
-    its dx. The dw products are added in item order, so the result does not
-    depend on the worker count, and no more than one item's columns per
-    worker are alive at once.
+    than keeping them on the tape, makes the item's dw partial and scatters
+    its dx. ``_ChunkSum`` adds the dw partials in item order, so the result
+    does not depend on the worker count, and no more than one item's columns
+    per worker are alive at once.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -139,20 +139,22 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     def pull(g):
         g2 = g.reshape(n, k, -1)
         if b is not None:
-            _accum(b, g2.sum(axis=(0, 2)), fresh=True)
+            _accum(b, g2.sum(axis=(0, 2)))
         gdt = np.result_type(w2, g2)
-        dws = [None] * n
+        dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None
         st, sh, sw = stride
         to, ho, wo = out_dims
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return item_scratch() + (np.empty(col_shape, dtype=gdt), np.zeros(pad_shape, dtype=gdt))
+            return item_scratch() + (np.empty(col_shape, dtype=gdt), np.zeros(pad_shape, dtype=gdt),
+                                     [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
 
         def backward(i, scratch):
-            xp, cols, dcols, dxp = scratch
+            xp, cols, dcols, dxp, part = scratch
             if w.requires_grad:
-                dws[i] = g2[i] @ item_columns(i, xp, cols).T
+                np.matmul(g2[i], item_columns(i, xp, cols).T, out=part[0])
+                dw2.add(i, part)
             if x.requires_grad:
                 np.dot(w2.T, g2[i], out=dcols)
                 dc = dcols.reshape((c,) + tuple(kernel) + out_dims)
@@ -164,12 +166,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
 
         _run_chunks(backward, n, scratch)
         if w.requires_grad:
-            dw2 = np.zeros_like(w2)
-            for dw_i in dws:
-                dw2 += dw_i
-            _accum(w, dw2.reshape(w.shape), fresh=True)
+            _accum(w, dw2.total[0].reshape(w.shape))
         if x.requires_grad:
-            _accum(x, dx, fresh=True)
+            _accum(x, dx)
 
     _record(out, pull)
     return out
@@ -211,7 +210,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
                     dw[:, dt, dh, dw_] = np.einsum("ncthw,ncthw->c", g, sl)
                     dxp[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl] += \
                         w.data[None, :, dt, dh, dw_, None, None, None] * g
-        _accum(w, dw, fresh=True)
+        _accum(w, dw)
         _accum(x, dxp[:, :, 1:1 + t, 1:1 + h, 1:1 + wl])
 
     _record(out, pull)
@@ -222,9 +221,12 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
 # normalisation
 # ---------------------------------------------------------------------------
 
+# batch norm's running-estimate momentum, and the variance floor of both norms
+BN_MOMENTUM, NORM_EPS = 0.1, 1e-5
+
+
 def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                running_var: np.ndarray, training: bool, momentum: float = 0.1,
-                eps: float = 1e-5) -> Tensor:
+                running_var: np.ndarray, training: bool) -> Tensor:
     """Per-channel batch normalisation over (N, T, H, W) with affine.
 
     Training mode normalises by population batch statistics and updates the
@@ -241,35 +243,35 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         # in place, so the model's checkpoint buffers see the update
-        running_mean[...] = (1 - momentum) * running_mean + momentum * mu
-        running_var[...] = (1 - momentum) * running_var + momentum * var
+        running_mean[...] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
+        running_var[...] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
     else:   # the float64 running buffers, in the inputs' dtype
         dt = np.result_type(x.data, gamma.data, beta.data)
         mu = running_mean.astype(dt, copy=False)
         var = running_var.astype(dt, copy=False)
-    mu, inv = mu.reshape(shape), (1.0 / np.sqrt(var + eps)).reshape(shape)
+    mu, inv = mu.reshape(shape), (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
     y = gamma.data.reshape(shape) * ((x.data - mu) * inv) + beta.data.reshape(shape)
     out = Tensor(y, requires_grad=_needs_grad(x, gamma, beta))
 
     def pull(g):
         xhat = (x.data - mu) * inv
-        _accum(gamma, (g * xhat).sum(axis=axes), fresh=True)
-        _accum(beta, g.sum(axis=axes), fresh=True)
+        _accum(gamma, (g * xhat).sum(axis=axes))
+        _accum(beta, g.sum(axis=axes))
         if not x.requires_grad:
             return
         gx = g * gamma.data.reshape(shape)
         if training:
             mean_gx = gx.mean(axis=axes).reshape(shape)
             mean_gxx = (gx * xhat).mean(axis=axes).reshape(shape)
-            _accum(x, inv * (gx - mean_gx - xhat * mean_gxx), fresh=True)
+            _accum(x, inv * (gx - mean_gx - xhat * mean_gxx))
         else:
-            _accum(x, gx * inv, fresh=True)
+            _accum(x, gx * inv)
 
     _record(out, pull)
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalise over the last axis (population variance), then affine.
 
     The pull rebuilds x̂ from the input and the per-row mean and 1/std rather
@@ -280,21 +282,21 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(f"layernorm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     out = Tensor(gamma.data * ((x.data - mu) * inv) + beta.data,
                  requires_grad=_needs_grad(x, gamma, beta))
 
     def pull(g):
         xhat = (x.data - mu) * inv
         red = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=red), fresh=True)
-        _accum(beta, g.sum(axis=red), fresh=True)
+        _accum(gamma, (g * xhat).sum(axis=red))
+        _accum(beta, g.sum(axis=red))
         if not x.requires_grad:
             return
         gx = g * gamma.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         mean_gxx = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gx - mean_gx - xhat * mean_gxx), fresh=True)
+        _accum(x, inv * (gx - mean_gx - xhat * mean_gxx))
 
     _record(out, pull)
     return out
@@ -310,7 +312,7 @@ def nearest_upsample3d(x: Tensor) -> Tensor:
 
     def pull(g):
         n, c, t, h, w = x.shape
-        _accum(x, g.reshape(n, c, t, 2, h, w).sum(axis=3), fresh=True)
+        _accum(x, g.reshape(n, c, t, 2, h, w).sum(axis=3))
 
     _record(out, pull)
     return out
@@ -443,12 +445,13 @@ _held_lock = threading.Lock()
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Hold OpenBLAS at one thread; attention runs as many workers as it had.
+    """Hold OpenBLAS at one thread; ``_run_chunks`` runs as many workers as it had.
 
     A counted region, shared by every thread: the first holder to enter
     reads the count N and sets it to 1, and the last holder to leave
-    restores N, also when its body raised. ``train_model`` holds it for its
-    epoch loop and ``predict`` for one call.
+    restores N, also when its body raised. ``_run_chunks`` holds it for each
+    call, ``train_model`` for its epoch loop and ``predict`` for one call, so
+    there is one switch per train or predict call.
     """
     global _held, _holders
     blas = _openblas()
@@ -475,6 +478,7 @@ def _workers() -> int:
     return _held or 1
 
 
+@one_blas_thread()   # a fresh hold for each call
 def _run_chunks(fn, count: int, scratch) -> None:
     """fn(chunk, buffers) for every chunk < count, on up to ``_workers()`` workers.
 
@@ -491,9 +495,8 @@ def _run_chunks(fn, count: int, scratch) -> None:
     chunk writes only its own slice of a shared output, and a sum over
     chunks adds one partial per chunk in chunk order (``_ChunkSum``). Then
     every worker count gives the same bits. Workers read no context variable
-    and never touch the tape. Call it inside one_blas_thread, so the
-    workers' GEMMs do not also fan out over OpenBLAS threads; outside it
-    there is one worker.
+    and never touch the tape. The call holds ``one_blas_thread``, so the
+    workers' GEMMs do not also fan out over OpenBLAS threads.
     """
     nw = min(_workers(), count)
     buffers = [scratch() for _ in range(nw)]
@@ -592,12 +595,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     the incoming gradient, which is the same dtype unless the inputs were
     made under another compute dtype than the call's.
 
-    Both passes run inside ``one_blas_thread`` (a no-op under ``train_model``
-    and ``predict``, which already hold it) as chunks of ``_run_chunks`` over
-    the (head, query block) items. The bias views are made on the calling
-    thread. The forward takes one item per chunk; items write disjoint rows
-    of y and lse, so the output is the same at any worker count. The backward
-    cuts the items into CHUNKS contiguous ranges. Each range writes its own
+    Both passes run as chunks of ``_run_chunks`` over the (head, query
+    block) items. The bias views are made on the calling thread. The
+    forward takes one item per chunk; items write disjoint rows of y and
+    lse, so the output is the same at any worker count. The backward cuts
+    the items into CHUNKS contiguous ranges. Each range writes its own
     rows of dq and keeps its own dk, dv and table partials, which are added
     in chunk order, so the gradients are the same at any worker count too.
     """
@@ -659,8 +661,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             np.log(yl[:, d], out=lse[i, hh, i0:i1])
             lse[i, hh, i0:i1] += m
 
-    with one_blas_thread():
-        _run_chunks(forward, len(work), lambda: np.empty(tile_size, dtype=dt))
+    _run_chunks(forward, len(work), lambda: np.empty(tile_size, dtype=dt))
     out = Tensor(y, requires_grad=_needs_grad(*params))
 
     def pull(g):
@@ -706,12 +707,11 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                     rel.accumulate_grads(sum_t, sum_hw, block, hh, dtables)
             sums.add(chunk, parts)
 
-        with one_blas_thread():
-            _run_chunks(backward, nc, lambda: (np.empty(tile_size, dtype=dt),
-                                               np.empty(tile_size, dtype=gdt), partials()))
+        _run_chunks(backward, nc, lambda: (np.empty(tile_size, dtype=dt),
+                                           np.empty(tile_size, dtype=gdt), partials()))
         dq *= scl
         for t, grad in zip(params, [dq, *sums.total]):
-            _accum(t, grad, fresh=True)
+            _accum(t, grad)
 
     _record(out, pull)
     return out

@@ -12,7 +12,7 @@ which cancels any static multiplicative illumination exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,22 +70,22 @@ class SignalTrace:
         return self.samples.shape[0]
 
 
-def standardize(x: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """(x - mean) / max(std, eps) over all elements, population std."""
+def standardize(x: np.ndarray) -> np.ndarray:
+    """(x - mean) / max(std, EPS) over all elements, population std."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise InputError("cannot standardize an empty array")
     std = x.std()
-    return (x - x.mean()) / max(std, eps)
+    return (x - x.mean()) / max(std, EPS)
 
 
-def diffnorm_frames(clip: VideoClip, eps: float = EPS) -> VideoClip:
+def diffnorm_frames(clip: VideoClip) -> VideoClip:
     """Difference-over-sum frame format, globally standardised to unit spread.
 
-    d_t = (c_{t+1} - c_t) / max(c_{t+1} + c_t, eps) per pixel and channel;
-    the eps floor only guards black pixels, so a global illumination scale
+    d_t = (c_{t+1} - c_t) / max(c_{t+1} + c_t, EPS) per pixel and channel;
+    the EPS floor only guards black pixels, so a global illumination scale
     cancels exactly. The stack of T-1 difference frames is divided by its
-    global standard deviation (floored at eps), non-finite values are
+    global standard deviation (floored at EPS), non-finite values are
     zeroed, and a zero frame is appended to restore length T. Every step
     writes into the float64 output, whose last frame stays zero.
     """
@@ -94,10 +94,10 @@ def diffnorm_frames(clip: VideoClip, eps: float = EPS) -> VideoClip:
     d = out[:-1]
     np.subtract(f[1:], f[:-1], out=d, dtype=np.float64)
     den = np.add(f[1:], f[:-1], dtype=np.float64)
-    d /= np.maximum(den, eps, out=den)
+    d /= np.maximum(den, EPS, out=den)
     del den   # before std() makes its own full-size temporary
     d[~np.isfinite(d)] = 0.0
-    d /= max(d.std(), eps)
+    d /= max(d.std(), EPS)
     d[~np.isfinite(d)] = 0.0
     return VideoClip(out, clip.fps)
 
@@ -157,7 +157,6 @@ class WindowExample:
     fps: float
     clip_id: str = ""
     window_index: int = 0
-    subject_id: str = field(default="")
 
 
 def window_key(cfg) -> tuple:

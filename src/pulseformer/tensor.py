@@ -6,11 +6,12 @@ process-global tape; outside it, ops record nothing. ``backward(loss)`` pops
 the tape in reverse execution order (a valid topological order by
 construction) and accumulates gradients into every reachable tensor with
 ``requires_grad``, releasing each entry and its output's gradient as it goes,
-so only leaf tensors keep a ``.grad``. Gradients add up over calls: set a
-leaf's ``grad`` to None to start it afresh. The tape is shared, so record in
-one thread at a time; the recording flag and the compute dtype are context
-variables, so ``record`` and ``float64`` in one thread do not change them in
-another.
+so only leaf tensors keep a ``.grad``. A pull hands each input a gradient that
+nothing else reads, and ``_accum`` adopts it uncopied, so a ``.grad`` may be a
+strided view. Gradients add up over calls: set a leaf's ``grad`` to None to
+start it afresh. The tape is shared, so record in one thread at a time; the
+recording flag and the compute dtype are context variables, so ``record`` and
+``float64`` in one thread do not change them in another.
 
 Storage follows the compute dtype: float32 by default, for train and
 predict, and float64 inside ``float64()``, as finite-difference gradient
@@ -110,22 +111,22 @@ class Tensor:
 
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
-    if _recording.get() and out.requires_grad:
+    if out.requires_grad:   # set on an op output by _needs_grad, so only inside record()
         _tape.append((out, pull))
 
 
-def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+def _accum(t: Tensor, g: np.ndarray) -> None:
     """Accumulate a gradient contribution; sums over all uses of ``t``.
 
-    A first contribution is copied, so later in-place accumulation never
-    writes into a buffer that something else reads, unless ``fresh``: the
-    pull has just made ``g`` and keeps no other reference to it, and ``g``
-    becomes the gradient as it is (cast only if its dtype differs).
+    A first contribution becomes the gradient as it is (cast only if its
+    dtype differs), and later ones are added into it in place. So a pull
+    hands over only a writable array that nothing else reads: one it has
+    just made, or a view of its own ``g``, given to one tensor.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype) if fresh else np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -168,7 +169,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         _accum(a, g)
-        _accum(b, g)
+        _accum(b, g.copy())   # a adopts g itself
 
     _record(out, pull)
     return out
@@ -182,7 +183,7 @@ def add_embedding(x: Tensor, e: Tensor) -> Tensor:
 
     def pull(g):
         _accum(x, g)
-        _accum(e, g.sum(axis=0), fresh=True)
+        _accum(e, g.sum(axis=0))
 
     _record(out, pull)
     return out
@@ -218,7 +219,7 @@ def elu(x: Tensor) -> Tensor:
     out = Tensor(y, requires_grad=_needs_grad(x))
 
     def pull(g):
-        _accum(x, g * np.where(neg, y + 1.0, 1.0), fresh=True)
+        _accum(x, g * np.where(neg, y + 1.0, 1.0))
 
     _record(out, pull)
     return out
@@ -245,7 +246,7 @@ def gelu(x: Tensor) -> Tensor:
         th = _gelu_tanh(v)
         du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
         d = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th**2) * du
-        _accum(x, g * d, fresh=True)
+        _accum(x, g * d)
 
     _record(out, pull)
     return out
@@ -263,7 +264,7 @@ def mean(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
     def pull(g):
         ge = np.expand_dims(g, axes) if g.ndim else g.reshape((1,) * x.ndim)
-        _accum(x, np.broadcast_to(ge / count, x.shape))
+        _accum(x, np.broadcast_to(ge / count, x.shape).copy())
 
     _record(out, pull)
     return out
@@ -286,10 +287,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     def pull(g):
         g2 = g.reshape(-1, w.shape[0])
-        _accum(x, (g2 @ w.data).reshape(x.shape), fresh=True)
-        _accum(w, g2.T @ x2, fresh=True)
+        _accum(x, (g2 @ w.data).reshape(x.shape))
+        _accum(w, g2.T @ x2)
         if b is not None:
-            _accum(b, g2.sum(axis=0), fresh=True)
+            _accum(b, g2.sum(axis=0))
 
     _record(out, pull)
     return out
@@ -305,8 +306,8 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
     def pull(g):
         gd = (2.0 / n) * g * diff
-        _accum(pred, gd, fresh=True)
-        _accum(target, -gd, fresh=True)
+        _accum(pred, gd)
+        _accum(target, -gd)
 
     _record(out, pull)
     return out

@@ -28,6 +28,8 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     loss: str = "MSE"
+    split_mode: str = "intra"   # the subject split of ``pulseformer train``; search ignores it
+    fold: int = 0
 
     def validate(self) -> "TrainConfig":
         if self.batch_size < 1 or self.epochs < 1:
@@ -40,6 +42,8 @@ class TrainConfig:
             raise InputError("learning rate must be positive, weight decay non-negative")
         if self.loss != "MSE":
             raise InputError(f"unsupported loss {self.loss!r}")
+        if self.split_mode not in SPLIT_MODES:
+            raise InputError(f"unknown config value for 'split_mode': {self.split_mode!r}")
         return self
 
 

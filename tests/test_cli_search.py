@@ -29,8 +29,10 @@ def search_run(tmp_path_factory):
                "--fps", "50", "--seed", "1", "--out", str(data)])
     assert rc == 0
     cfg = tmp_path_factory.mktemp("scfg") / "cfg.json"
+    # the search ignores the split, and its config.json keeps it
     cfg.write_text(json.dumps({"base_width": 8, "stage_depths": [1, 1, 1, 1],
-                               "epochs": 1, "seed": 0, "batch_size": 8}))
+                               "epochs": 1, "seed": 0, "batch_size": 8,
+                               "split_mode": "kfold", "fold": 2}))
     run = tmp_path_factory.mktemp("srun") / "r"
     rc = main(["search", "--data", str(data), "--config", str(cfg),
                "--out", str(run), "--max-tokens", "4000"])
@@ -82,6 +84,7 @@ def test_search_monotone_selected_mae(search_run):
 def test_search_writes_final_config(search_run):
     doc = json.loads((search_run / "config.json").read_text())
     assert "scaling" in doc and "input_dims" in doc
+    assert (doc["split_mode"], doc["fold"]) == ("kfold", 2)
 
 
 def _gen(out, subjects):
@@ -112,7 +115,7 @@ def test_search_reuses_windows(tmp_path, monkeypatch):
     cached_calls = len(calls)
 
     # the same search with every candidate windowed afresh
-    model_cfg, train_cfg, _, _ = cli._read_config(str(cfg))
+    model_cfg, train_cfg = cli._read_config(str(cfg))
     loaded, _ = cli._load_clips(str(data))
     train_subj, val_subj, _ = split_dataset(
         (entry["subject_id"] for entry, _, _ in loaded), "cross", train_cfg.seed)

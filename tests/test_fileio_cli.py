@@ -313,10 +313,10 @@ class TestBinaryFormats:
 class TestConfigDocuments:
     def test_round_trip_defaults(self):
         doc = fileio.config_to_dict(ModelConfig(), TrainConfig())
-        mc, tc, split_mode, fold = fileio.config_from_dict(doc)
+        mc, tc = fileio.config_from_dict(doc)
         assert mc == ModelConfig()
         assert tc == TrainConfig()
-        assert (split_mode, fold) == ("intra", 0)
+        assert (tc.split_mode, tc.fold) == ("intra", 0)
 
     def test_scaling_serialised_as_label(self):
         doc = fileio.config_to_dict(ModelConfig(scaling=2), TrainConfig())
@@ -342,10 +342,10 @@ class TestConfigDocuments:
             fileio.config_from_dict({key: value})
 
     def test_integral_floats_become_ints(self):
-        mc, tc, _, fold = fileio.config_from_dict(
+        mc, tc = fileio.config_from_dict(
             {"base_width": 8.0, "input_dims": [60.0, 32, 32], "epochs": 2.0, "fold": 1.0})
-        assert (mc.base_width, mc.input_dims, tc.epochs, fold) == (8, (60, 32, 32), 2, 1)
-        assert all(type(v) is int for v in (mc.base_width, *mc.input_dims, tc.epochs, fold))
+        assert (mc.base_width, mc.input_dims, tc.epochs, tc.fold) == (8, (60, 32, 32), 2, 1)
+        assert all(type(v) is int for v in (mc.base_width, *mc.input_dims, tc.epochs, tc.fold))
 
     def test_generated_documents_cover_every_key(self):
         assert set(VALID_VALUES) == set(fileio.config_to_dict(ModelConfig(), TrainConfig()))

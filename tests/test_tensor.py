@@ -161,39 +161,39 @@ class TestNorms:
         np.testing.assert_allclose(y.data, 0.0, atol=1e-8)
 
     def test_batchnorm_plus_minus_one(self):
-        eps = 1e-5
         data = np.zeros((2, 1, 1, 1, 1))
         data[0] = -1.0
         data[1] = 1.0
         with T.float64():
             y = nn_ops.batchnorm3d(Tensor(data), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                                   np.zeros(1), np.ones(1), training=True, eps=eps)
-        np.testing.assert_allclose(y.data.ravel(), data.ravel() / np.sqrt(1 + eps), rtol=1e-12)
+                                   np.zeros(1), np.ones(1), training=True)
+        np.testing.assert_allclose(y.data.ravel(), data.ravel() / np.sqrt(1 + nn_ops.NORM_EPS),
+                                   rtol=1e-12)
 
     def test_batchnorm_eval_identity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((1, 2, 2, 2, 2))
         with T.float64():
             y = nn_ops.batchnorm3d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                                   np.zeros(2), np.ones(2), training=False, eps=1e-12)
-        np.testing.assert_allclose(y.data, x, rtol=1e-9)
+                                   np.zeros(2), np.ones(2), training=False)
+        np.testing.assert_allclose(y.data, x / np.sqrt(1 + nn_ops.NORM_EPS), rtol=1e-9)
 
     def test_batchnorm_updates_running_stats(self):
         mean, var = np.zeros(1), np.ones(1)
         x = Tensor(np.arange(8.0).reshape(2, 1, 2, 2, 1))
-        nn_ops.batchnorm3d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), mean, var,
-                           training=True, momentum=0.5)
-        np.testing.assert_allclose(mean, 0.5 * 3.5)
-        np.testing.assert_allclose(var, 0.5 * 1.0 + 0.5 * np.var(np.arange(8.0)))
+        nn_ops.batchnorm3d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)), mean, var, training=True)
+        m = nn_ops.BN_MOMENTUM
+        np.testing.assert_allclose(mean, m * 3.5)
+        np.testing.assert_allclose(var, (1 - m) * 1.0 + m * np.var(np.arange(8.0)))
 
     def test_layernorm_constant_row(self):
         y = nn_ops.layernorm(Tensor([1.0, 1.0, 1.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(y.data, 0.0, atol=1e-8)
 
     def test_layernorm_population_variance(self):
-        y = nn_ops.layernorm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                             eps=0.0)
-        np.testing.assert_allclose(y.data, [-1.22474487, 0.0, 1.22474487], atol=1e-6)
+        y = nn_ops.layernorm(Tensor([1.0, 2.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        expect = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3 + nn_ops.NORM_EPS)
+        np.testing.assert_allclose(y.data, expect, atol=1e-6)
 
     def test_layernorm_beta_passthrough(self):
         y = nn_ops.layernorm(Tensor([2.0, 2.0, 2.0]), Tensor(np.ones(3)),
@@ -840,6 +840,26 @@ class TestGradientOwnership:
         datas = [t.data for t in leaves + made]
         for i, g in enumerate(grads):
             assert not any(np.shares_memory(g, o) for o in grads[:i] + grads[i + 1:] + datas)
+
+    def test_mean_hand_over_takes_a_second_contribution(self):
+        """x's first gradient comes from mean's pull, and scale's is added into it."""
+        x = Tensor(np.ones((2, 4)), requires_grad=True)
+        with T.record():
+            z = scale(x, 3.0)
+            m = T.mean(x, axes=(0,))
+            T.backward(T.mean(T.add(m, T.mean(z, axes=(0,)))))
+        # 1/4 * 1/2 from the mean of x, three times that through z
+        np.testing.assert_array_equal(x.grad, np.full((2, 4), 0.5))
+
+    def test_add_hand_over_takes_a_second_contribution(self):
+        """add's pull hands g to x and a copy to w, whose later contribution leaves x alone."""
+        x = Tensor(np.ones(4), requires_grad=True)
+        w = Tensor(np.ones(4), requires_grad=True)
+        with T.record():
+            u = scale(w, 2.0)
+            T.backward(T.mean(T.add(T.add(x, w), u)))
+        np.testing.assert_array_equal(x.grad, np.full(4, 0.25))
+        np.testing.assert_array_equal(w.grad, np.full(4, 0.75))
 
 
 class TestRetainedMemory:

@@ -182,7 +182,6 @@ class TestEvaluate:
             exs = make_example(lc.clip, lc.trace, cfg)
             for ex in exs:
                 ex.clip_id = lc.clip_id
-                ex.subject_id = lc.subject_id
             out.extend(exs)
         return out
 
@@ -262,7 +261,6 @@ def window_examples(cfg, subjects, seed):
         exs = make_example(lc.clip, lc.trace, cfg)
         for ex in exs:
             ex.clip_id = lc.clip_id
-            ex.subject_id = lc.subject_id
         out.extend(exs)
     return out
 
@@ -360,7 +358,7 @@ class FakeBlas:
 
 
 class TestBlasRegion:
-    """OpenBLAS is switched to one thread once per train or predict call."""
+    """OpenBLAS is switched to one thread once per train or predict call, or per direct pass."""
 
     @pytest.fixture
     def blas(self, monkeypatch):
@@ -408,6 +406,26 @@ class TestBlasRegion:
             T.backward(T.mse_loss(nn_ops.attention_core(q, k, v), Tensor(np.zeros(q.shape))))
         assert blas.sets == [1, 2, 1, 2]
         assert nn_ops._workers() == 1
+
+    def test_direct_conv3d_call_switches_per_pass(self, blas, monkeypatch):
+        workers = []
+        run_chunks = nn_ops._run_chunks
+
+        def counted(fn, count, scratch):   # one scratch() per worker
+            made = []
+            run_chunks(fn, count, lambda: made.append(1) or scratch())
+            workers.append(len(made))
+
+        monkeypatch.setattr(nn_ops, "_run_chunks", counted)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3, 3)), requires_grad=True)
+        with T.record():
+            y = nn_ops.conv3d(x, w, None, pad=(1, 1, 1))
+            assert blas.sets == [1, 2]
+            T.backward(T.mse_loss(y, Tensor(np.zeros(y.shape))))
+        assert blas.sets == [1, 2, 1, 2]
+        assert workers == [2, 2]
 
     def test_count_restored_after_numeric_error(self, blas):
         train = window_examples(TINY_CFG, 2, seed=3)
