@@ -74,6 +74,7 @@ class ModelConfig:
         return replace(self, **changes)
 
     def validate(self) -> "ModelConfig":
+        """Check every field and return self; a ``"Scale-N"`` label becomes its id."""
         t, h, w = self.input_dims
         if min(t, h, w) < 1:
             raise ConfigurationError(f"input dims {self.input_dims} must be positive")
@@ -83,7 +84,7 @@ class ModelConfig:
             raise ConfigurationError(f"unknown frame format {self.frame_format!r}")
         if self.pos_encoding not in POS_ENCODINGS:
             raise ConfigurationError(f"unknown positional encoding {self.pos_encoding!r}")
-        parse_scaling(self.scaling)
+        self.scaling = parse_scaling(self.scaling)
         n_temporal = len(TEMPORAL_SCHEDULE[self.scaling])
         t_div = 2 * 2 ** n_temporal
         if t % t_div != 0:
@@ -128,7 +129,7 @@ def stage_grids(cfg: ModelConfig) -> list[tuple[int, int, int]]:
 
 def head_upsample_count(cfg: ModelConfig) -> int:
     """Temporal x2 upsamplings that restore T: the stem and each temporal transition halve it."""
-    return 1 + len(TEMPORAL_SCHEDULE[cfg.scaling])
+    return 1 + len(TEMPORAL_SCHEDULE[parse_scaling(cfg.scaling)])
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:

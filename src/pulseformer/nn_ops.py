@@ -94,10 +94,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     batch item is one chunk of ``_run_chunks``: the forward copies the item
     into its worker's zero-bordered buffer, builds the item's columns and
     makes its output with one GEMM. The pull rebuilds those columns rather
-    than keeping them on the tape, makes the item's dw partial and scatters
-    its dx. ``_ChunkSum`` adds the dw partials in item order, so the result
-    does not depend on the worker count, and no more than one item's columns
-    per worker are alive at once.
+    than keeping them on the tape, makes the item's dw partial, then writes
+    w2ᵀ g into the same column buffer and scatters it into dx. The buffer is
+    sized for the result dtype of x, w and g and read as x's dtype for the
+    columns and as w and g's for w2ᵀ g. ``_ChunkSum`` adds the dw partials in
+    item order, so the result does not depend on the worker count, and each
+    worker holds one column buffer.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -116,9 +118,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     w2 = w.data.reshape(k, -1)
     col_shape = (w2.shape[1], int(np.prod(out_dims)))
 
-    def item_scratch():
-        """A zero-bordered item buffer and a column buffer, in x's dtype."""
-        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=x.data.dtype)
+    def item_scratch(col_dtype=x.data.dtype):
+        """A zero-bordered item buffer in x's dtype and a column buffer."""
+        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=col_dtype)
 
     def item_columns(i, xp, cols):
         xp[interior] = x.data[i]
@@ -147,15 +149,17 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         to, ho, wo = out_dims
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return item_scratch() + (np.empty(col_shape, dtype=gdt), np.zeros(pad_shape, dtype=gdt),
-                                     [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
+            return item_scratch(np.result_type(x.data, gdt)) + (
+                np.zeros(pad_shape, dtype=gdt), [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
 
         def backward(i, scratch):
-            xp, cols, dcols, dxp, part = scratch
+            xp, buf, dxp, part = scratch
             if w.requires_grad:
-                np.matmul(g2[i], item_columns(i, xp, cols).T, out=part[0])
+                cols = item_columns(i, xp, np.ndarray(col_shape, x.data.dtype, buf))
+                np.matmul(g2[i], cols.T, out=part[0])
                 dw2.add(i, part)
             if x.requires_grad:
+                dcols = np.ndarray(col_shape, gdt, buf)
                 np.dot(w2.T, g2[i], out=dcols)
                 dc = dcols.reshape((c,) + tuple(kernel) + out_dims)
                 dxp.fill(0)

@@ -6,11 +6,13 @@ process-global tape; outside it, ops record nothing. ``backward(loss)`` pops
 the tape in reverse execution order (a valid topological order by
 construction) and accumulates gradients into every reachable tensor with
 ``requires_grad``, releasing each entry and its output's gradient as it goes,
-so only leaf tensors keep a ``.grad``. A pull hands each input a gradient that
-nothing else reads, and ``_accum`` adopts it uncopied, so a ``.grad`` may be a
-strided view. Gradients add up over calls: set a leaf's ``grad`` to None to
-start it afresh. The tape is shared, so record in one thread at a time; the
-recording flag and the compute dtype are context variables, so ``record`` and
+so only leaf tensors keep a ``.grad``. It drops an entry's output before the
+pull runs, so an output that no pull captured is freed before the pull
+allocates. A pull hands each input a gradient that nothing else reads, and
+``_accum`` adopts it uncopied, so a ``.grad`` may be a strided view.
+Gradients add up over calls: set a leaf's ``grad`` to None to start it
+afresh. The tape is shared, so record in one thread at a time; the recording
+flag and the compute dtype are context variables, so ``record`` and
 ``float64`` in one thread do not change them in another.
 
 Storage follows the compute dtype: float32 by default, for train and
@@ -139,10 +141,12 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss over the whole tape.
 
     Every leaf tensor with ``requires_grad`` reachable from ``loss`` receives
-    dLoss/dTensor in ``.grad``. Each tape entry is popped before its pull
-    runs, and its output's gradient is taken from it, so the closure, the
-    arrays it saved and the intermediate gradient are freed once used. Call it
-    inside the ``record()`` that built the graph.
+    dLoss/dTensor in ``.grad``. Each tape entry is popped, its output's
+    gradient taken from it and the output dropped before its pull runs, so
+    an output that only the tape held is freed before the pull allocates;
+    the closure, the arrays it saved and the intermediate gradient are freed
+    once the pull is done. Call it inside the ``record()`` that built the
+    graph.
     """
     if not _recording.get():
         raise PulseformerError("backward needs a graph built inside tensor.record()")
@@ -154,6 +158,7 @@ def backward(loss: Tensor) -> None:
     while _tape:
         out, pull = _tape.pop()
         g, out.grad = out.grad, None
+        del out   # freed here unless its pull captured it
         if g is not None:
             pull(g)
 
@@ -236,17 +241,28 @@ def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh form).
 
     The pull rebuilds tanh(u) from the input rather than keeping it, so the
-    op keeps no array besides its output.
+    op keeps no array besides its output. It builds the derivative in place,
+    so at most three new arrays of the input's size are alive at once.
     """
     v = x.data
     th = _gelu_tanh(v)
     out = Tensor(0.5 * v * (1.0 + th), requires_grad=_needs_grad(x))
 
     def pull(g):
+        # d = 0.5 (1 + th) + 0.5 v (1 - th^2) du, du = c (1 + 3 * 0.044715 v^2)
         th = _gelu_tanh(v)
-        du = _GELU_C * (1.0 + 3 * 0.044715 * (v * v))
-        d = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th**2) * du
-        _accum(x, g * d)
+        b = np.subtract(1.0, th * th)
+        b *= 0.5 * v
+        du = v * v
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        b *= du
+        del du
+        th += 1.0
+        th *= 0.5
+        th += b
+        _accum(x, g * th)
 
     _record(out, pull)
     return out

@@ -72,7 +72,8 @@ def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 class AdamW:
     """Decoupled weight-decay optimiser over a named parameter dict.
 
-    The moments are made in each parameter's dtype.
+    The moments are made at the first ``step()``, in each parameter's dtype,
+    so they take no memory while the first forward and backward run.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
@@ -80,10 +81,13 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
+        if not self.t:
+            self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+            self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.t += 1
         for name, p in self.params.items():
             g = p.grad

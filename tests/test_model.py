@@ -68,6 +68,12 @@ class TestShapeSchedule:
         with pytest.raises(ConfigurationError):
             parse_scaling("Scale-7")
 
+    def test_scaling_label_config_validates_to_its_id(self):
+        cfg = ModelConfig(**{**TINY, "scaling": "Scale-2"})
+        assert head_upsample_count(cfg) == 2
+        assert cfg.validate().scaling == 2
+        assert MultiscaleVideoTransformer(cfg, seed=0).grids == stage_grids(cfg)
+
     @pytest.mark.parametrize("label", [2.0, True, "Scale-", "2", None])
     def test_scaling_other_types_rejected(self, label):
         with pytest.raises(ConfigurationError):

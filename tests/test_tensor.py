@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pulseformer.errors import DimensionError, PulseformerError
 from pulseformer.gradcheck import max_relative_error, promote
 from pulseformer.model import _Block, _ParamStore
 from pulseformer.tensor import Tensor
+from pulseformer.training import AdamW
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -885,6 +887,53 @@ class TestRetainedMemory:
                 tracemalloc.stop()
             assert len(T._tape) == 1
         assert out.data.nbytes <= kept < 1.1 * out.data.nbytes
+
+    def test_backward_drops_the_output_before_its_pull(self):
+        """An output that only the tape holds is freed before its pull runs."""
+        x = Tensor(np.ones(4), requires_grad=True)
+        freed = []
+        with T.record():
+            out = Tensor(np.arange(4.0), requires_grad=True)
+            ref = weakref.ref(out.data)
+
+            def pull(g):
+                freed.append(ref() is None)
+                T._accum(x, g)
+
+            T._record(out, pull)
+            loss = T.mean(out)
+            del out
+            T.backward(loss)
+        assert freed == [True]
+
+    def test_gelu_pull_holds_three_arrays(self):
+        """GELU's pull peaks at three arrays of the input's size, its gradient included."""
+        x = Tensor(np.random.default_rng(16).standard_normal((4, 512, 32)), requires_grad=True)
+        g = np.ones_like(x.data)
+        with T.record():
+            T.gelu(x)
+            pull = T._tape[-1][1]
+            tracemalloc.start()
+            try:
+                pull(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3.5 * x.data.nbytes
+
+    def test_adamw_makes_its_moments_at_the_first_step(self):
+        """Building the optimiser allocates no moments; its first step makes them."""
+        params = {"w": Tensor(np.zeros(1 << 18), requires_grad=True)}   # 1 MiB of float32
+        tracemalloc.start()
+        try:
+            opt = AdamW(params, lr=0.1)
+            built = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built < 0.1 * params["w"].data.nbytes
+        params["w"].grad = np.ones_like(params["w"].data)
+        opt.step()
+        assert opt.m["w"].shape == opt.v["w"].shape == params["w"].shape
 
 
 def _bn_eval(x, gamma, beta):
