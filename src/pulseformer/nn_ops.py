@@ -118,9 +118,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
     w2 = w.data.reshape(k, -1)
     col_shape = (w2.shape[1], int(np.prod(out_dims)))
 
-    def item_scratch(col_dtype=x.data.dtype):
-        """A zero-bordered item buffer in x's dtype and a column buffer."""
-        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=col_dtype)
+    def item_scratch():
+        """A zero-bordered item buffer and a column buffer, in x's dtype."""
+        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=x.data.dtype)
 
     def item_columns(i, xp, cols):
         xp[interior] = x.data[i]
@@ -149,8 +149,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         to, ho, wo = out_dims
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return item_scratch(np.result_type(x.data, gdt)) + (
-                np.zeros(pad_shape, dtype=gdt), [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
+            return (np.zeros(pad_shape, dtype=x.data.dtype),
+                    np.empty(col_shape, dtype=np.result_type(x.data, gdt)),
+                    np.zeros(pad_shape, dtype=gdt), [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
 
         def backward(i, scratch):
             xp, buf, dxp, part = scratch

@@ -73,7 +73,8 @@ class AdamW:
     """Decoupled weight-decay optimiser over a named parameter dict.
 
     The moments are made at the first ``step()``, in each parameter's dtype,
-    so they take no memory while the first forward and backward run.
+    so they take no memory while the first forward and backward run; they
+    are resident through every later step.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):

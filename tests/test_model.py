@@ -69,9 +69,9 @@ class TestShapeSchedule:
             parse_scaling("Scale-7")
 
     def test_scaling_label_config_validates_to_its_id(self):
-        cfg = ModelConfig(**{**TINY, "scaling": "Scale-2"})
+        cfg = ModelConfig(**{**TINY, "scaling": "Scale-2"}).validate()
+        assert cfg.scaling == 2
         assert head_upsample_count(cfg) == 2
-        assert cfg.validate().scaling == 2
         assert MultiscaleVideoTransformer(cfg, seed=0).grids == stage_grids(cfg)
 
     @pytest.mark.parametrize("label", [2.0, True, "Scale-", "2", None])
