@@ -213,7 +213,7 @@ def cmd_eval(args) -> int:
     loaded, _ = _load_clips(args.data)
     examples = _windows(loaded, model_cfg)
     if args.stub == "perfect":
-        result = evaluate(PerfectStub(model_cfg), model_cfg, examples, integrate=False)
+        result = evaluate(PerfectStub(model_cfg), model_cfg, examples)
     else:
         ckpt = run_dir / "model.gvtm"
         if not ckpt.exists():

@@ -375,13 +375,6 @@ class MultiscaleVideoTransformer:
         return T.elu(g)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode forward pass inside nn_ops.one_blas_thread; it records nothing.
-
-        x is (C, T, H, W) or batched.
-        """
-        single = x.ndim == 4
-        if single:
-            x = x[None]
+        """Eval-mode forward pass of one (C, T, H, W) window inside nn_ops.one_blas_thread."""
         with nn_ops.one_blas_thread():
-            y = self.forward(Tensor(x))
-        return y.data[0] if single else y.data
+            return self.forward(Tensor(x[None])).data[0]

@@ -85,10 +85,10 @@ def _extract_patches(xp: np.ndarray, kernel, stride, out_dims, out: np.ndarray) 
     return out
 
 
-def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
+def conv3d(x: Tensor, w: Tensor, b: Tensor,
            stride: tuple[int, int, int] = (1, 1, 1),
            pad: tuple[int, int, int] = (0, 0, 0)) -> Tensor:
-    """3-D convolution of x[N,C,T,H,W] with w[K,C,kT,kH,kW], zero padding.
+    """3-D convolution of x[N,C,T,H,W] with w[K,C,kT,kH,kW] plus bias b[K], zero padding.
 
     Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis. Each
     batch item is one chunk of ``_run_chunks``: the forward copies the item
@@ -109,7 +109,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         raise DimensionError(f"conv3d strides must be >= 1, got {stride}")
     n, c = x.shape[:2]
     k = w.shape[0]
-    if b is not None and b.shape != (k,):
+    if b.shape != (k,):
         raise DimensionError(f"conv3d bias {b.shape} incompatible with {k} filters")
     kernel = w.shape[2:]
     out_dims = _conv3d_out_dims(x.shape[2:], kernel, stride, pad)
@@ -126,22 +126,18 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor | None,
         xp[interior] = x.data[i]
         return _extract_patches(xp, kernel, stride, out_dims, cols)
 
-    y = np.empty((n, k, col_shape[1]),
-                 dtype=np.result_type(*(t.data for t in (x, w, b) if t is not None)))
+    y = np.empty((n, k, col_shape[1]), dtype=np.result_type(x.data, w.data, b.data))
 
     def forward(i, scratch):
         np.dot(w2, item_columns(i, *scratch), out=y[i])
-        if b is not None:
-            y[i] += b.data[:, None]
+        y[i] += b.data[:, None]
 
     _run_chunks(forward, n, item_scratch)
-    req = _needs_grad(x, w) or (b is not None and _needs_grad(b))
-    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=req)
+    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=_needs_grad(x, w, b))
 
     def pull(g):
         g2 = g.reshape(n, k, -1)
-        if b is not None:
-            _accum(b, g2.sum(axis=(0, 2)))
+        _accum(b, g2.sum(axis=(0, 2)))
         gdt = np.result_type(w2, g2)
         dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None

@@ -286,27 +286,24 @@ def mean(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map over the last axis: y[..., o] = sum_i x[..., i] w[o, i] + b[o]."""
     din = x.shape[-1]
     if w.ndim != 2 or w.shape[1] != din:
         raise DimensionError(f"linear weight {w.shape} incompatible with input {x.shape}")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise DimensionError(f"linear bias {b.shape} incompatible with weight {w.shape}")
     x2 = x.data.reshape(-1, din)
     y2 = x2 @ w.data.T
-    if b is not None:
-        y2 += b.data
+    y2 += b.data
     out_shape = x.shape[:-1] + (w.shape[0],)
-    req = _needs_grad(x, w) or (b is not None and _needs_grad(b))
-    out = Tensor(y2.reshape(out_shape), requires_grad=req)
+    out = Tensor(y2.reshape(out_shape), requires_grad=_needs_grad(x, w, b))
 
     def pull(g):
         g2 = g.reshape(-1, w.shape[0])
         _accum(x, (g2 @ w.data).reshape(x.shape))
         _accum(w, g2.T @ x2)
-        if b is not None:
-            _accum(b, g2.sum(axis=0))
+        _accum(b, g2.sum(axis=0))
 
     _record(out, pull)
     return out

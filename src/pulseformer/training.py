@@ -145,22 +145,23 @@ def split_dataset(ids, mode: str, seed: int, fold: int = 0) -> tuple[set, set, s
 class ModelPredictor:
     """Adapter running the real model on a window's input tensor.
 
-    Signal predictions live in the difference domain when the frames were
-    difference-formatted, so ``evaluate`` integrates them (its default).
+    A Signal model on difference-formatted frames predicts the waveform's
+    difference, which is integrated back to the waveform here.
     """
 
     def __init__(self, model: MultiscaleVideoTransformer):
         self.model = model
 
     def predict_example(self, ex: WindowExample) -> np.ndarray:
-        return self.model.predict(ex.x)
+        y = self.model.predict(ex.x)
+        cfg = self.model.cfg
+        if cfg.output_format == "Signal" and cfg.frame_format == "DiffNorm":
+            return integrate_diff(SignalTrace(y, ex.fps)).samples
+        return y
 
 
 class PerfectStub:
-    """Returns the ground-truth trace (or its exact rate) for every window.
-
-    Its signal is already a waveform: evaluate it with ``integrate=False``.
-    """
+    """Returns the ground-truth trace (or its exact rate) for every window."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -175,22 +176,18 @@ class PerfectStub:
 # evaluation and training
 # ---------------------------------------------------------------------------
 
-def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
-             integrate: bool = True) -> ExperimentResult:
+def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> ExperimentResult:
     """Per-window HR pairing of predictions against ground truth.
 
-    With ``integrate`` (the model's case), Signal predictions under the
-    difference frame format are difference-domain and are integrated before
-    estimation; a predictor that returns the waveform itself passes
-    ``integrate=False``. Windows whose estimation fails (EstimationError),
-    including a non-finite predicted rate, are excluded and counted, and any
-    other error propagates; each excluded window's id and message are kept
-    on the result. Label rates always come from the untouched ground-truth
-    trace through the same estimator.
+    A predictor returns a rate for HR output and a waveform for Signal
+    output. Windows whose estimation fails (EstimationError), including a
+    non-finite predicted rate, are excluded and counted, and any other error
+    propagates; each excluded window's id and message are kept on the
+    result. Label rates always come from the untouched ground-truth trace
+    through the same estimator.
     """
     if not examples:
         raise InputError("evaluation set is empty")
-    integrate = integrate and cfg.output_format == "Signal" and cfg.frame_format == "DiffNorm"
     pairs, excluded = [], []
     for ex in examples:
         wid = f"{ex.clip_id}#{ex.window_index}"
@@ -202,10 +199,7 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample], *,
                 if not math.isfinite(pred_bpm):
                     raise EstimationError(f"predicted rate {pred_bpm} is not finite")
             else:
-                trace = SignalTrace(np.asarray(pred, dtype=np.float64), ex.fps)
-                if integrate:
-                    trace = integrate_diff(trace)
-                pred_bpm = hr_from_signal(trace)
+                pred_bpm = hr_from_signal(SignalTrace(pred, ex.fps))
         except EstimationError as e:
             excluded.append((wid, str(e)))
             continue
@@ -252,8 +246,9 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     With an empty validation set the final epoch's parameters are kept.
     Aborts with a diagnostic naming the batch and step if the loss goes
     non-finite. The epoch loop, validation included, runs inside
-    ``nn_ops.one_blas_thread``. Each step records inside ``tensor.record()``,
-    sets every parameter's ``grad`` to None and runs ``tensor.backward(loss)``.
+    ``nn_ops.one_blas_thread``. Each step sets every parameter's ``grad`` to
+    None before its forward, so the last step's gradients are freed first,
+    then records inside ``tensor.record()`` and runs ``tensor.backward(loss)``.
 
     ``log``, when given, receives one row per step, ``{"kind": "step",
     "epoch", "step", "loss", "grad_norm", "seconds", "nonfinite"}``, and one
@@ -284,6 +279,8 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 step_start = time.perf_counter()
                 idx = order[b0:b0 + train_cfg.batch_size]
                 x, target = _batch(train_examples, idx)
+                for p in opt.params.values():
+                    p.grad = None
                 with T.record():
                     pred = model.forward(x, training=True)
                     loss = T.mse_loss(pred, target)
@@ -294,8 +291,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                         raise NumericError(
                             f"non-finite loss {value} at epoch {epoch} step {step} "
                             f"(batch indices {idx.tolist()})")
-                    for p in opt.params.values():
-                        p.grad = None
                     T.backward(loss)
                 opt.step()
                 if log:

@@ -20,7 +20,7 @@ def test_grad_check_interface_linear():
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-    err = max_relative_error(lambda: T.mean(T.linear(x, w, None)), [x, w])
+    err = max_relative_error(lambda: T.mean(T.linear(x, w, Tensor(np.zeros(2)))), [x, w])
     assert err <= TOL
 
 

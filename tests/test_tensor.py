@@ -102,8 +102,9 @@ class TestConv3d:
             xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
             g = rng.standard_normal(y.shape)
             with T.record():
-                yt = nn_ops.conv3d(xt, wt, None, stride=stride, pad=pad)
-                T.backward(T.mean(T.linear(T.reshape(yt, (1, g.size)), Tensor(g.reshape(1, -1)))))
+                yt = nn_ops.conv3d(xt, wt, Tensor(np.zeros(k)), stride=stride, pad=pad)
+                T.backward(T.mean(T.linear(T.reshape(yt, (1, g.size)), Tensor(g.reshape(1, -1)),
+                                           Tensor(np.zeros(1)))))
         gy = float((g * (y.data - b[None, :, None, None, None])).sum())
         np.testing.assert_allclose([(xt.grad * x).sum(), (wt.grad * w).sum()], [gy, gy],
                                    rtol=1e-10, atol=1e-10)
@@ -127,7 +128,7 @@ class TestConv3d:
         x = Tensor(np.zeros((1, 1, 2, 2, 2)))
         w = Tensor(np.zeros((1, 1, 5, 1, 1)))
         with pytest.raises(DimensionError):
-            nn_ops.conv3d(x, w, None)
+            nn_ops.conv3d(x, w, Tensor(np.zeros(1)))
 
 
 class TestLinear:
@@ -151,7 +152,7 @@ class TestLinear:
 
     def test_extent_mismatch(self):
         with pytest.raises(DimensionError):
-            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), None)
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
 
 class TestNorms:
@@ -691,7 +692,7 @@ class TestMseAndBackward:
         x = Tensor([3.0])
         y = Tensor([5.0])
         with T.record():
-            T.backward(T.mse_loss(T.linear(x, T.reshape(w, (1, 1)), None), y))
+            T.backward(T.mse_loss(T.linear(x, T.reshape(w, (1, 1)), Tensor([0.0])), y))
         np.testing.assert_allclose(w.grad, [6.0])
 
     def test_accumulation_sums_over_uses(self):
@@ -741,8 +742,9 @@ class TestMseAndBackward:
             rng = np.random.default_rng(11)
             x = Tensor(rng.standard_normal((2, 8, 4)), requires_grad=True)
             w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+            b = Tensor(np.zeros(4))
             with T.record():
-                y = T.linear(T.gelu(T.linear(x, w, None)), w, None)
+                y = T.linear(T.gelu(T.linear(x, w, b)), w, b)
                 loss = T.mse_loss(y, Tensor(rng.standard_normal((2, 8, 4))))
                 T.backward(loss)
             return loss.item(), x.grad.tobytes(), w.grad.tobytes()

@@ -11,13 +11,13 @@ import pytest
 from pulseformer import nn_ops, tensor as T
 from pulseformer.errors import DimensionError, EstimationError, InputError, NumericError
 from pulseformer.fileio import write_result
-from pulseformer.metrics import hr_from_signal
+from pulseformer.metrics import hr_from_signal, integrate_diff
 from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, WindowExample, make_example
 from pulseformer.synth import SIMPLE, generate_dataset
 from pulseformer.tensor import Tensor
-from pulseformer.training import (AdamW, PerfectStub, TrainConfig, adamw_update,
-                                  evaluate, split_dataset, train_model)
+from pulseformer.training import (AdamW, ModelPredictor, PerfectStub, TrainConfig,
+                                  adamw_update, evaluate, split_dataset, train_model)
 
 TINY_CFG = ModelConfig(input_dims=(60, 32, 32), output_format="Signal",
                        frame_format="DiffNorm", signal_norm=True,
@@ -26,7 +26,7 @@ TINY_CFG = ModelConfig(input_dims=(60, 32, 32), output_format="Signal",
 
 
 class ConstantStub:
-    """Returns one constant rate, or a constant waveform (evaluate with integrate=False)."""
+    """Returns one constant rate, or a constant waveform."""
 
     def __init__(self, value: float):
         self.value = float(value)
@@ -187,19 +187,19 @@ class TestEvaluate:
 
     def test_perfect_stub_zero_mae(self):
         examples = self._signal_examples(TINY_CFG)
-        res = evaluate(PerfectStub(TINY_CFG), TINY_CFG, examples, integrate=False)
+        res = evaluate(PerfectStub(TINY_CFG), TINY_CFG, examples)
         assert res.mae <= 1e-9
         assert res.excluded_windows == 0
 
     def test_constant_stub_excluded_windows(self):
         examples = self._signal_examples(TINY_CFG)
         with pytest.raises(InputError):
-            evaluate(ConstantStub(0.0), TINY_CFG, examples, integrate=False)
+            evaluate(ConstantStub(0.0), TINY_CFG, examples)
 
     def test_constant_hr_stub_mae_matches_hand_value(self):
         cfg = TINY_CFG.copy(output_format="HR")
         examples = [_hr_example(60.0), _hr_example(90.0), _hr_example(120.0)]
-        res = evaluate(ConstantStub(90.0), cfg, examples, integrate=False)
+        res = evaluate(ConstantStub(90.0), cfg, examples)
         labels = [hr_from_signal(SignalTrace(e.trace_window, 30.0))
                   for e in examples]
         expect = np.mean([abs(90.0 - l) for l in labels])
@@ -216,7 +216,7 @@ class TestEvaluate:
 
         with pytest.raises(EstimationError) as err:
             hr_from_signal(SignalTrace(np.zeros_like(flat.trace_window), flat.fps))
-        res = evaluate(FlatOnOne(TINY_CFG), TINY_CFG, examples, integrate=False)
+        res = evaluate(FlatOnOne(TINY_CFG), TINY_CFG, examples)
         wid = f"{flat.clip_id}#{flat.window_index}"
         assert res.excluded == [(wid, str(err.value))]
         assert res.excluded_windows == 1 and len(res.pairs) == len(examples) - 1
@@ -229,7 +229,7 @@ class TestEvaluate:
         cfg = TINY_CFG.copy(output_format="HR")
         examples = [_hr_example(60.0), _hr_example(90.0)]
         with pytest.raises(InputError, match="all 2 windows"):
-            evaluate(ConstantStub(np.nan), cfg, examples, integrate=False)
+            evaluate(ConstantStub(np.nan), cfg, examples)
 
     def test_predictor_bug_propagates(self):
         class BuggyPredictor:
@@ -250,7 +250,18 @@ class TestEvaluate:
 
     def test_empty_set_rejected(self):
         with pytest.raises(InputError):
-            evaluate(PerfectStub(TINY_CFG), TINY_CFG, [], integrate=False)
+            evaluate(PerfectStub(TINY_CFG), TINY_CFG, [])
+
+    @pytest.mark.parametrize("cfg, integrated", [
+        (TINY_CFG, True), (TINY_CFG.copy(frame_format="Raw"), False),
+        (TINY_CFG.copy(output_format="HR"), False)], ids=["diffnorm_signal", "raw_signal", "hr"])
+    def test_model_predictor_integrates_only_difference_signals(self, cfg, integrated):
+        model = MultiscaleVideoTransformer(cfg, seed=0)
+        ex = window_examples(cfg, 1, seed=9)[0]
+        y = model.predict(ex.x)
+        if integrated:
+            y = integrate_diff(SignalTrace(y, ex.fps)).samples
+        np.testing.assert_array_equal(ModelPredictor(model).predict_example(ex), y)
 
 
 def window_examples(cfg, subjects, seed):
@@ -300,6 +311,20 @@ class TestTrainModel:
                                       train)
             runs.append((hist.epochs, {k: a.tobytes() for k, a in model.named_arrays().items()}))
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_step_forward_starts_without_gradients(self, monkeypatch):
+        """The previous step's gradients are dropped before the next step's forward."""
+        held = []
+        forward = MultiscaleVideoTransformer.forward
+
+        def watched(self, x, training=False):
+            held.append(any(p.grad is not None for p in self.parameters().values()))
+            return forward(self, x, training=training)
+
+        monkeypatch.setattr(MultiscaleVideoTransformer, "forward", watched)
+        train_model(TINY_CFG, TrainConfig(epochs=2, batch_size=1, seed=0),
+                    window_examples(TINY_CFG, 1, seed=3))
+        assert held == [False, False]
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(InputError):
@@ -421,7 +446,7 @@ class TestBlasRegion:
         x = Tensor(rng.standard_normal((2, 3, 4, 4, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 3, 3, 3)), requires_grad=True)
         with T.record():
-            y = nn_ops.conv3d(x, w, None, pad=(1, 1, 1))
+            y = nn_ops.conv3d(x, w, Tensor(np.zeros(4)), pad=(1, 1, 1))
             assert blas.sets == [1, 2]
             T.backward(T.mse_loss(y, Tensor(np.zeros(y.shape))))
         assert blas.sets == [1, 2, 1, 2]
