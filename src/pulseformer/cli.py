@@ -145,6 +145,14 @@ def _read_config(path: str | None):
     return fileio.config_from_dict(doc)
 
 
+def _report(run_dir: Path, result) -> None:
+    """Write the evaluation's pairs.csv and metrics.json and print its summary line."""
+    fileio.write_result(run_dir, result)
+    pearson = "n/a" if result.pearson is None else f"{result.pearson:.4f}"
+    print(f"mae {result.mae:.4f} rmse {result.rmse:.4f} pearson {pearson} "
+          f"excluded {result.excluded_windows}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -196,11 +204,7 @@ def cmd_train(args) -> int:
     fileio.write_run_config(run_dir, model_cfg, train_cfg)
     fileio.write_checkpoint(run_dir / "model.gvtm", model.named_arrays())
     eval_ex = _windows(loaded, model_cfg, test_subj) if test_subj else val_ex
-    result = evaluate(ModelPredictor(model), model_cfg, eval_ex)
-    fileio.write_result(run_dir, result)
-    pearson = "n/a" if result.pearson is None else f"{result.pearson:.4f}"
-    print(f"mae {result.mae:.4f} rmse {result.rmse:.4f} pearson {pearson} "
-          f"excluded {result.excluded_windows}")
+    _report(run_dir, evaluate(ModelPredictor(model), model_cfg, eval_ex))
     return 0
 
 
@@ -221,10 +225,7 @@ def cmd_eval(args) -> int:
         model = MultiscaleVideoTransformer(model_cfg, seed=train_cfg.seed)
         model.load_arrays(fileio.read_checkpoint(ckpt))
         result = evaluate(ModelPredictor(model), model_cfg, examples)
-    fileio.write_result(run_dir, result)
-    pearson = "n/a" if result.pearson is None else f"{result.pearson:.4f}"
-    print(f"mae {result.mae:.6g} rmse {result.rmse:.6g} pearson {pearson} "
-          f"excluded {result.excluded_windows}")
+    _report(run_dir, result)
     return 0
 
 

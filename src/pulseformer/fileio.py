@@ -218,8 +218,8 @@ def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig]:
 # ---------------------------------------------------------------------------
 
 def write_run_config(run_dir, model_cfg, train_cfg) -> None:
+    """Write ``config.json`` into the existing directory ``run_dir``."""
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     doc = config_to_dict(model_cfg, train_cfg)
     (run_dir / "config.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -1,4 +1,9 @@
-"""Heart-rate estimation from waveforms and the evaluation metrics."""
+"""Heart-rate estimation from waveforms and the evaluation metrics.
+
+A waveform is a plain 1-D array, its frame rate passed beside it. Each
+function widens it to float64 first: a float32 model output gives the bits
+of its float64 copy.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InputError
-from .preprocess import SignalTrace
 
 # beats 36..198 per minute; wide enough for any plausible planted rate
 DEFAULT_BAND = (0.6, 3.3)
@@ -52,20 +56,20 @@ def power_spectrum(samples: np.ndarray, fps: float) -> tuple[np.ndarray, np.ndar
     return freqs, spec
 
 
-def hr_from_signal(trace: SignalTrace) -> float:
-    """Dominant spectral frequency in DEFAULT_BAND as beats per minute.
+def hr_from_signal(samples: np.ndarray, fps: float) -> float:
+    """Dominant spectral frequency in DEFAULT_BAND of a waveform sampled at ``fps``, in bpm.
 
     Requires at least two seconds of finite samples and a non-constant waveform.
     """
-    s = trace.samples
-    if s.shape[0] < 2 * trace.fps:
+    s = np.asarray(samples, dtype=np.float64)
+    if s.shape[0] < 2 * fps:
         raise EstimationError(
-            f"waveform too short for HR estimation: {s.shape[0]} samples at {trace.fps} Hz")
+            f"waveform too short for HR estimation: {s.shape[0]} samples at {fps} Hz")
     if not np.isfinite(s).all():
         raise EstimationError("waveform has non-finite samples")
     if np.ptp(s) == 0.0:
         raise EstimationError("waveform is constant; no dominant frequency")
-    freqs, spec = power_spectrum(s, trace.fps)
+    freqs, spec = power_spectrum(s, fps)
     mask = (freqs >= DEFAULT_BAND[0]) & (freqs <= DEFAULT_BAND[1])
     if not mask.any():
         raise EstimationError(f"no spectral bins inside band {DEFAULT_BAND}")
@@ -75,9 +79,9 @@ def hr_from_signal(trace: SignalTrace) -> float:
     return 60.0 * freqs[mask][int(np.argmax(inband))]
 
 
-def integrate_diff(pred: SignalTrace) -> SignalTrace:
-    """Cumulative sum followed by linear-trend removal (inverse of differencing)."""
-    return SignalTrace(detrend_linear(np.cumsum(pred.samples)), pred.fps)
+def integrate_diff(samples: np.ndarray) -> np.ndarray:
+    """Float64 cumulative sum followed by linear-trend removal (inverse of differencing)."""
+    return detrend_linear(np.cumsum(samples, dtype=np.float64))
 
 
 def compute_metrics(pairs: list[tuple[str, float, float]]) -> ExperimentResult:

@@ -1,12 +1,14 @@
 """Clip and waveform preprocessing: frame formats, normalisation, windowing.
 
-Frames travel as T x H x W x C float arrays in [0, 1], float32 as read from
-a clip file or float64 as synthesised; the paired waveform is float64,
-sampled at the clip frame rate. ``make_example`` widens one window at a time
-to float64 for resizing and normalisation and stores the model input in
-float32, the dtype the model computes in. The normalised-difference frame
-format computes the per-pixel ratio of successive-frame difference to sum,
-which cancels any static multiplicative illumination exactly.
+``VideoClip`` and ``SignalTrace`` wrap a clip or trace only where it enters
+(a file, the synthesiser, ``make_example``'s arguments); the functions here
+take and return plain arrays. Frames are T x H x W x C floats in [0, 1],
+float32 from a clip file or float64 as synthesised; waveforms are float64 at
+the clip frame rate. ``make_example`` widens each window to float64 for
+resizing and normalisation and stores the model input in float32, the dtype
+the model computes in. The normalised-difference frame format divides each
+successive-frame difference by its sum per pixel, which cancels any static
+multiplicative illumination exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .errors import InputError
 
 EPS = 1e-7
@@ -79,8 +82,8 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / max(std, EPS)
 
 
-def diffnorm_frames(clip: VideoClip) -> VideoClip:
-    """Difference-over-sum frame format, globally standardised to unit spread.
+def diffnorm_frames(frames: np.ndarray) -> np.ndarray:
+    """Difference-over-sum format of T >= 2 frames, globally standardised to unit spread.
 
     d_t = (c_{t+1} - c_t) / max(c_{t+1} + c_t, EPS) per pixel and channel;
     the EPS floor only guards black pixels, so a global illumination scale
@@ -89,38 +92,37 @@ def diffnorm_frames(clip: VideoClip) -> VideoClip:
     zeroed, and a zero frame is appended to restore length T. Every step
     writes into the float64 output, whose last frame stays zero.
     """
-    f = clip.frames   # a VideoClip has at least 2 frames
-    out = np.zeros(f.shape)
+    out = np.zeros(frames.shape)
     d = out[:-1]
-    np.subtract(f[1:], f[:-1], out=d, dtype=np.float64)
-    den = np.add(f[1:], f[:-1], dtype=np.float64)
+    np.subtract(frames[1:], frames[:-1], out=d, dtype=np.float64)
+    den = np.add(frames[1:], frames[:-1], dtype=np.float64)
     d /= np.maximum(den, EPS, out=den)
     del den   # before std() makes its own full-size temporary
     d[~np.isfinite(d)] = 0.0
     d /= max(d.std(), EPS)
     d[~np.isfinite(d)] = 0.0
-    return VideoClip(out, clip.fps)
+    return out
 
 
-def diff_labels(trace: SignalTrace) -> SignalTrace:
-    """First differences of the waveform, standardised, zero-padded to length T."""
-    s = trace.samples
+def diff_labels(samples: np.ndarray) -> np.ndarray:
+    """First differences of the float64 waveform, standardised, zero-padded to length T."""
+    s = np.asarray(samples, dtype=np.float64)
     if s.shape[0] < 2:
         raise InputError("difference labels need at least 2 samples")
     d = standardize(np.diff(s))
-    return SignalTrace(np.concatenate([d, [0.0]]), trace.fps)
+    return np.concatenate([d, [0.0]])
 
 
-def resize_bilinear(clip: VideoClip, out_h: int, out_w: int) -> VideoClip:
-    """Per-frame bilinear resampling with half-pixel centers, edge-clamped.
+def resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Per-frame bilinear resampling of T x H x W x C frames, half-pixel centers, edge-clamped.
 
-    A clip already of the target size is returned as it is.
+    Frames already of the target size are returned as they are.
     """
     if out_h < 1 or out_w < 1:
         raise InputError(f"target size must be positive, got {out_h}x{out_w}")
-    t, h, w, c = clip.frames.shape
+    t, h, w, c = frames.shape
     if (h, w) == (out_h, out_w):
-        return clip
+        return frames
 
     def axis_weights(n_in, n_out):
         centers = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -133,12 +135,11 @@ def resize_bilinear(clip: VideoClip, out_h: int, out_w: int) -> VideoClip:
     y0, y1, fy = axis_weights(h, out_h)
     x0, x1, fx = axis_weights(w, out_w)
     # np.take, unlike fancy indexing, gathers into C order, so the output is C-contiguous
-    f0, f1 = np.take(clip.frames, y0, axis=1), np.take(clip.frames, y1, axis=1)
+    f0, f1 = np.take(frames, y0, axis=1), np.take(frames, y1, axis=1)
     wx0, wx1 = (1 - fx)[None, None, :, None], fx[None, None, :, None]
     top = np.take(f0, x0, axis=2) * wx0 + np.take(f0, x1, axis=2) * wx1
     bot = np.take(f1, x0, axis=2) * wx0 + np.take(f1, x1, axis=2) * wx1
-    out = top * (1 - fy)[None, :, None, None] + bot * fy[None, :, None, None]
-    return VideoClip(out, clip.fps)
+    return top * (1 - fy)[None, :, None, None] + bot * fy[None, :, None, None]
 
 
 @dataclass
@@ -170,8 +171,6 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     Produces floor(T_total / T_cfg) consecutive non-overlapping windows. It
     reads only the fields in ``window_key(cfg)``.
     """
-    from .metrics import hr_from_signal
-
     t_cfg, h_cfg, w_cfg = cfg.input_dims
     if trace.length < clip.length:
         raise InputError(
@@ -185,25 +184,24 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     out = []
     for wi in range(n_win):
         sl = slice(wi * t_cfg, (wi + 1) * t_cfg)
-        win = VideoClip(clip.frames[sl].astype(np.float64, copy=False), clip.fps)
-        win = resize_bilinear(win, h_cfg, w_cfg)
+        win = resize_bilinear(clip.frames[sl].astype(np.float64, copy=False), h_cfg, w_cfg)
         if cfg.frame_format == "DiffNorm":
             win = diffnorm_frames(win)
         else:
-            win = VideoClip(standardize(win.frames), win.fps)
+            win = standardize(win)
         tr = trace.samples[sl].copy()
 
         if cfg.output_format == "HR":
-            target = np.asarray(hr_from_signal(SignalTrace(tr, trace.fps)))
+            target = np.asarray(metrics.hr_from_signal(tr, trace.fps))
         else:
             if cfg.frame_format == "DiffNorm":
-                target = diff_labels(SignalTrace(tr, trace.fps)).samples
+                target = diff_labels(tr)
             else:
                 target = tr.copy()
             if cfg.signal_norm:
                 target = standardize(target)
         out.append(WindowExample(
-            x=np.ascontiguousarray(np.moveaxis(win.frames, 3, 0), dtype=np.float32),
+            x=np.ascontiguousarray(np.moveaxis(win, 3, 0), dtype=np.float32),
             target=target,
             trace_window=tr,
             fps=trace.fps,

@@ -49,7 +49,7 @@ class LabeledClip:
 def _base_image(rng: np.random.Generator, h: int, w: int) -> np.ndarray:
     """Smooth random blotches in [0.3, 0.7], shape (H, W, 3)."""
     low = rng.random((BLOTCH_GRID, BLOTCH_GRID, 3))
-    up = resize_bilinear(VideoClip(low[None].repeat(2, axis=0), fps=1.0), h, w).frames[0]
+    up = resize_bilinear(low[None], h, w)[0]
     lo, hi = up.min(), up.max()
     if hi - lo < 1e-12:
         return np.full((h, w, 3), 0.5)
@@ -62,19 +62,13 @@ def pulse_waveform(t_seconds: np.ndarray, hr_bpm: float, phase: float) -> np.nda
     return np.sin(2 * np.pi * f * t_seconds) + 0.5 * np.sin(4 * np.pi * f * t_seconds + phase)
 
 
-def generate_clip(preset: SynthPreset, t: int, h: int, w: int, fps: float, seed,
-                  base: np.ndarray | None = None, hr: float | None = None,
-                  subject_id: str = "s000", clip_id: str = "s000c00") -> LabeledClip:
-    """One clip with a planted pulse; bit-identical for identical seeds."""
+def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarray,
+                  hr: float, subject_id: str, clip_id: str) -> LabeledClip:
+    """One clip of the H x W x 3 ``base`` pulsing at ``hr`` bpm; same seed, same bits."""
     check_fps(fps)
     if t < 2 * fps:
         raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
     rng = np.random.default_rng(seed)
-    if base is None:
-        base = _base_image(rng, h, w)
-    if hr is None:
-        hr = float(rng.uniform(*preset.hr_range))
-
     ts = np.arange(t) / fps
     phase = float(rng.uniform(0, 2 * np.pi))
     g = pulse_waveform(ts, hr, phase)
@@ -118,6 +112,6 @@ def generate_dataset(preset: SynthPreset, n_subjects: int, clips_per_subject: in
         hr = float(srng.uniform(*preset.hr_range))
         for ci in range(clips_per_subject):
             out.append(generate_clip(
-                preset, t, h, w, fps, seed=[seed, si, ci], base=base, hr=hr,
+                preset, t, fps, seed=[seed, si, ci], base=base, hr=hr,
                 subject_id=f"s{si:03d}", clip_id=f"s{si:03d}c{ci:02d}"))
     return out

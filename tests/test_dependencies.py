@@ -1,5 +1,10 @@
-"""numpy is the only runtime dependency: every module imports without scipy."""
+"""numpy is the only runtime dependency: every module imports without scipy.
 
+metrics, which works on plain arrays, imports nothing from preprocess, so
+preprocess can import metrics without a cycle.
+"""
+
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +28,14 @@ def test_every_module_imports_with_scipy_blocked():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert {"cli", "model", "tensor", "training"} <= set(done.stdout.split())
+
+
+def test_metrics_imports_nothing_from_preprocess():
+    tree = ast.parse((Path(pulseformer.__file__).parent / "metrics.py").read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert names and not [n for n in names if "preprocess" in n.split(".")]

@@ -6,7 +6,7 @@ import pytest
 from pulseformer.errors import EstimationError, InputError
 from pulseformer.metrics import (DEFAULT_BAND, compute_metrics, hr_from_signal,
                                  integrate_diff, power_spectrum)
-from pulseformer.preprocess import SignalTrace, diff_labels
+from pulseformer.preprocess import diff_labels
 
 
 def dft_argmax_oracle(samples, fps, band=(0.6, 3.3)):
@@ -35,27 +35,27 @@ def dft_argmax_oracle(samples, fps, band=(0.6, 3.3)):
 class TestHrFromSignal:
     def test_planted_sinusoid(self):
         t = np.arange(600) / 30.0
-        bpm = hr_from_signal(SignalTrace(np.sin(2 * np.pi * 1.5 * t), 30.0))
+        bpm = hr_from_signal(np.sin(2 * np.pi * 1.5 * t), 30.0)
         assert abs(bpm - 90.0) <= 0.5
 
     def test_constant_rejected(self):
         with pytest.raises(EstimationError):
-            hr_from_signal(SignalTrace(np.full(300, 2.0), 30.0))
+            hr_from_signal(np.full(300, 2.0), 30.0)
 
     def test_non_finite_sample_rejected(self):
         s = np.sin(2 * np.pi * 1.5 * np.arange(300) / 30.0)
         s[100] = np.nan
         with pytest.raises(EstimationError, match="non-finite"):
-            hr_from_signal(SignalTrace(s, 30.0))
+            hr_from_signal(s, 30.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(EstimationError):
-            hr_from_signal(SignalTrace(np.sin(np.arange(30)), 30.0))
+            hr_from_signal(np.sin(np.arange(30)), 30.0)
 
     def test_dominant_peak_wins(self):
         t = np.arange(600) / 30.0
         s = 1.0 * np.sin(2 * np.pi * 1.0 * t) + 0.3 * np.sin(2 * np.pi * 2.0 * t)
-        bpm = hr_from_signal(SignalTrace(s, 30.0))
+        bpm = hr_from_signal(s, 30.0)
         assert abs(bpm - 60.0) <= 0.5
 
     @pytest.mark.parametrize("f", [0.8, 1.5, 2.5])
@@ -63,7 +63,7 @@ class TestHrFromSignal:
         t = np.arange(600) / 30.0
         rng = np.random.default_rng(3)
         s = np.sin(2 * np.pi * f * t + 0.3) + 0.05 * rng.standard_normal(600)
-        bpm = hr_from_signal(SignalTrace(s, 30.0))
+        bpm = hr_from_signal(s, 30.0)
         oracle = dft_argmax_oracle(s, 30.0)
         assert bpm == oracle
         assert abs(bpm - 60.0 * f) <= 0.5
@@ -71,27 +71,40 @@ class TestHrFromSignal:
     def test_amplitude_invariance(self):
         t = np.arange(450) / 30.0
         s = np.sin(2 * np.pi * 1.2 * t) + 0.2 * np.cos(2 * np.pi * 2.9 * t)
-        a = hr_from_signal(SignalTrace(s, 30.0))
-        b = hr_from_signal(SignalTrace(123.4 * s, 30.0))
+        a = hr_from_signal(s, 30.0)
+        b = hr_from_signal(123.4 * s, 30.0)
         assert a == b
 
 
 class TestIntegrateDiff:
     def test_zeros(self):
-        out = integrate_diff(SignalTrace(np.zeros(50), 30.0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        out = integrate_diff(np.zeros(50))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_constant_becomes_line_removed(self):
-        out = integrate_diff(SignalTrace(np.full(64, 0.7), 30.0))
-        assert np.abs(out.samples).max() <= 1e-9
+        out = integrate_diff(np.full(64, 0.7))
+        assert np.abs(out).max() <= 1e-9
 
     def test_round_trip_recovers_frequency(self):
         t = np.arange(600) / 30.0
         s = np.sin(2 * np.pi * 1.3 * t) + 0.5 * np.sin(4 * np.pi * 1.3 * t + 0.4)
-        d = diff_labels(SignalTrace(s, 30.0))
-        rec = integrate_diff(d)
-        bpm = hr_from_signal(rec)
+        rec = integrate_diff(diff_labels(s))
+        bpm = hr_from_signal(rec, 30.0)
         assert abs(bpm - 60.0 * 1.3) <= 0.5
+
+
+class TestFloat32Waveform:
+    """A float32 model output gives the bits of its float64 copy: each function widens first."""
+
+    S32 = (np.sin(np.arange(300) / 4.0) + 0.01 * np.arange(300)).astype(np.float32)
+
+    def test_hr_from_signal(self):
+        assert hr_from_signal(self.S32, 30.0) == hr_from_signal(self.S32.astype(np.float64), 30.0)
+
+    @pytest.mark.parametrize("fn", [integrate_diff, diff_labels])
+    def test_float64_out_same_bits(self, fn):
+        got, ref = fn(self.S32), fn(self.S32.astype(np.float64))
+        assert (got.dtype, got.tobytes()) == (np.float64, ref.tobytes())
 
 
 class TestComputeMetrics:
@@ -136,9 +149,9 @@ class TestComputeMetrics:
             compute_metrics([])
 
 
-def band_peak_fraction(trace, f_target, band=DEFAULT_BAND):
+def band_peak_fraction(samples, fps, f_target, band=DEFAULT_BAND):
     """Fraction of in-band power concentrated at the bin nearest ``f_target``."""
-    freqs, spec = power_spectrum(trace.samples, trace.fps)
+    freqs, spec = power_spectrum(samples, fps)
     mask = (freqs >= band[0]) & (freqs <= band[1])
     inband = spec[mask]
     total = inband.sum()
@@ -152,8 +165,8 @@ def test_band_peak_fraction_prefers_planted_bin():
     t = np.arange(600) / 30.0
     clean = np.sin(2 * np.pi * 1.5 * t)
     noisy = clean + np.cumsum(np.random.default_rng(0).normal(0, 0.3, 600))
-    f_clean = band_peak_fraction(SignalTrace(clean, 30.0), 1.5)
-    f_noisy = band_peak_fraction(SignalTrace(noisy, 30.0), 1.5)
+    f_clean = band_peak_fraction(clean, 30.0, 1.5)
+    f_noisy = band_peak_fraction(noisy, 30.0, 1.5)
     assert f_clean > f_noisy
 
 

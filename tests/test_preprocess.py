@@ -14,29 +14,26 @@ from pulseformer.preprocess import (SignalTrace, VideoClip, diff_labels,
 from pulseformer.search import general_config
 
 
-def _clip_from_scalar(values, fps=30.0):
+def _frames_from_scalar(values):
     v = np.asarray(values, dtype=np.float64)
-    return VideoClip(v.reshape(-1, 1, 1, 1).repeat(3, axis=3), fps)
+    return v.reshape(-1, 1, 1, 1).repeat(3, axis=3)
 
 
 class TestDiffNorm:
     def test_constant_clip_all_zero(self):
-        clip = _clip_from_scalar(np.full(6, 0.4))
-        out = diffnorm_frames(clip)
-        assert out.length == 6
-        np.testing.assert_array_equal(out.frames, 0.0)
+        out = diffnorm_frames(_frames_from_scalar(np.full(6, 0.4)))
+        assert out.shape[0] == 6
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_alternating_pattern(self):
-        clip = _clip_from_scalar([0.2, 0.6, 0.2, 0.6, 0.2])
-        out = diffnorm_frames(clip)
-        got = out.frames[:, 0, 0, 0]
+        out = diffnorm_frames(_frames_from_scalar([0.2, 0.6, 0.2, 0.6, 0.2]))
+        got = out[:, 0, 0, 0]
         np.testing.assert_allclose(got, [1.0, -1.0, 1.0, -1.0, 0.0], atol=1e-6)
 
     def test_boundary_two_frames(self):
-        clip = _clip_from_scalar([0.2, 0.6])
-        out = diffnorm_frames(clip)
-        assert out.length == 2
-        assert np.all(out.frames[1] == 0.0)
+        out = diffnorm_frames(_frames_from_scalar([0.2, 0.6]))
+        assert out.shape[0] == 2
+        assert np.all(out[1] == 0.0)
 
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
@@ -44,32 +41,37 @@ class TestDiffNorm:
 
     def test_unit_global_std(self):
         rng = np.random.default_rng(0)
-        clip = VideoClip(rng.random((12, 4, 4, 3)), 30.0)
-        out = diffnorm_frames(clip)
-        assert abs(out.frames[:-1].std() - 1.0) < 1e-6
+        out = diffnorm_frames(rng.random((12, 4, 4, 3)))
+        assert abs(out[:-1].std() - 1.0) < 1e-6
 
     def test_invariant_to_global_scaling(self):
         rng = np.random.default_rng(1)
         frames = 0.2 + 0.5 * rng.random((10, 3, 3, 3))
-        a = diffnorm_frames(VideoClip(frames, 30.0))
-        b = diffnorm_frames(VideoClip(0.37 * frames, 30.0))
-        np.testing.assert_allclose(a.frames, b.frames, atol=1e-9)
+        a = diffnorm_frames(frames)
+        b = diffnorm_frames(0.37 * frames)
+        np.testing.assert_allclose(a, b, atol=1e-9)
 
     @given(st.data())
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     def test_global_scale_property(self, data):
-        """A power-of-two scale gives the same bits; any scale in [0.25, 4] agrees to 1e-12."""
+        """A power-of-two scale gives the same bits; any scale in [0.25, 4] agrees to 1e-12.
+
+        The bound is relative as well as absolute: where the differences have
+        almost no spread (one difference element, or nearly equal ones) the
+        output reaches 1e2 to 1e6, and one rounding of the ratio moves it by
+        more than 1e-12 absolute.
+        """
         shape = [data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4)),
                  data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))]
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         frames = rng.uniform(0.05, 1.0, shape)
-        base = diffnorm_frames(VideoClip(frames, 30.0)).frames
+        base = diffnorm_frames(frames)
         k = data.draw(st.integers(-4, 4))
-        exact = diffnorm_frames(VideoClip(frames * 2.0 ** k, 30.0)).frames
+        exact = diffnorm_frames(frames * 2.0 ** k)
         assert exact.tobytes() == base.tobytes()
         s = data.draw(st.floats(0.25, 4.0))
-        scaled = diffnorm_frames(VideoClip(frames * s, 30.0)).frames
-        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
+        scaled = diffnorm_frames(frames * s)
+        np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12)
 
 
 class TestStandardize:
@@ -94,16 +96,16 @@ class TestStandardize:
 
 class TestDiffLabels:
     def test_constant_trace(self):
-        out = diff_labels(SignalTrace(np.full(5, 2.0), 30.0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        out = diff_labels(np.full(5, 2.0))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_hand_example(self):
-        out = diff_labels(SignalTrace([1.0, 2.0, 4.0], 30.0))
-        np.testing.assert_allclose(out.samples, [-1.0, 1.0, 0.0], atol=1e-12)
+        out = diff_labels([1.0, 2.0, 4.0])
+        np.testing.assert_allclose(out, [-1.0, 1.0, 0.0], atol=1e-12)
 
     def test_linear_ramp(self):
-        out = diff_labels(SignalTrace(np.arange(10.0), 30.0))
-        np.testing.assert_array_equal(out.samples, 0.0)
+        out = diff_labels(np.arange(10.0))
+        np.testing.assert_array_equal(out, 0.0)
 
 
 class TestFrameDtype:
@@ -150,8 +152,7 @@ class TestWindowDtype:
         examples = make_example(clip, trace, cfg)
         assert len(examples) == 2
         for wi, ex in enumerate(examples):
-            win = VideoClip(clip.frames[30 * wi:30 * (wi + 1)].astype(np.float64), 30.0)
-            f = resize_bilinear(win, *hw).frames
+            f = resize_bilinear(clip.frames[30 * wi:30 * (wi + 1)].astype(np.float64), *hw)
             ref = _diffnorm_reference(f) if frame_format == "DiffNorm" else standardize(f)
             ref = np.moveaxis(ref, 3, 0).astype(np.float32)
             assert (ex.x.dtype, ex.x.shape) == (np.float32, ref.shape)
@@ -159,28 +160,27 @@ class TestWindowDtype:
 
     def test_diffnorm_matches_reference_bit_for_bit(self):
         frames = self._clip(np.float64).frames
-        got = diffnorm_frames(VideoClip(frames, 30.0)).frames
+        got = diffnorm_frames(frames)
         assert got.tobytes() == _diffnorm_reference(frames).tobytes()
 
 
 class TestResize:
     def test_same_size_identity(self):
         rng = np.random.default_rng(4)
-        clip = VideoClip(rng.random((3, 4, 5, 3)), 30.0)
-        out = resize_bilinear(clip, 4, 5)
-        assert out is clip
+        frames = rng.random((3, 4, 5, 3))
+        assert resize_bilinear(frames, 4, 5) is frames
 
     def test_two_by_two_to_one(self):
         f = np.array([[0.0, 2.0], [4.0, 6.0]]).reshape(1, 2, 2, 1).repeat(2, axis=0)
-        out = resize_bilinear(VideoClip(np.repeat(f, 3, axis=3), 30.0), 1, 1)
-        np.testing.assert_allclose(out.frames, 3.0, atol=1e-12)
+        out = resize_bilinear(np.repeat(f, 3, axis=3), 1, 1)
+        np.testing.assert_allclose(out, 3.0, atol=1e-12)
 
     def test_constant_stays_constant(self):
-        clip = VideoClip(np.full((2, 5, 7, 3), 0.3), 30.0)
+        frames = np.full((2, 5, 7, 3), 0.3)
         for hw in ((2, 2), (9, 11), (1, 1)):
-            out = resize_bilinear(clip, *hw)
-            np.testing.assert_allclose(out.frames, 0.3, atol=1e-12)
-            assert out.frames.flags.c_contiguous
+            out = resize_bilinear(frames, *hw)
+            np.testing.assert_allclose(out, 0.3, atol=1e-12)
+            assert out.flags.c_contiguous
 
 
 class TestMakeExample:
