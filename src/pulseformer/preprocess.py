@@ -88,9 +88,9 @@ def diffnorm_frames(frames: np.ndarray) -> np.ndarray:
     d_t = (c_{t+1} - c_t) / max(c_{t+1} + c_t, EPS) per pixel and channel;
     the EPS floor only guards black pixels, so a global illumination scale
     cancels exactly. The stack of T-1 difference frames is divided by its
-    global standard deviation (floored at EPS), non-finite values are
-    zeroed, and a zero frame is appended to restore length T. Every step
-    writes into the float64 output, whose last frame stays zero.
+    global standard deviation, or zeroed if that is below EPS (one element,
+    say); non-finite values are zeroed and a zero frame restores length T.
+    Every step writes into the float64 output, whose last frame stays zero.
     """
     out = np.zeros(frames.shape)
     d = out[:-1]
@@ -99,7 +99,8 @@ def diffnorm_frames(frames: np.ndarray) -> np.ndarray:
     d /= np.maximum(den, EPS, out=den)
     del den   # before std() makes its own full-size temporary
     d[~np.isfinite(d)] = 0.0
-    d /= max(d.std(), EPS)
+    std = d.std()
+    d /= std if std >= EPS else math.inf   # no spread to normalise: zeros, not d / EPS
     d[~np.isfinite(d)] = 0.0
     return out
 

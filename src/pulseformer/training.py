@@ -9,10 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics, nn_ops, tensor as T
+from . import nn_ops, tensor as T
 from .errors import EstimationError, InputError, NumericError
-# hr_from_signal is unused here; perfbench's tracer patches training.hr_from_signal
-from .metrics import ExperimentResult, compute_metrics, hr_from_signal, integrate_diff  # noqa: F401
+from .metrics import ExperimentResult, compute_metrics, hr_from_signal, integrate_diff
 from .model import ModelConfig, MultiscaleVideoTransformer
 from .preprocess import WindowExample
 from .tensor import Tensor
@@ -169,7 +168,7 @@ class PerfectStub:
 
     def predict_example(self, ex: WindowExample) -> np.ndarray:
         if self.cfg.output_format == "HR":
-            return np.asarray(metrics.hr_from_signal(ex.trace_window, ex.fps))
+            return np.asarray(hr_from_signal(ex.trace_window, ex.fps))
         return ex.trace_window.copy()
 
 
@@ -193,14 +192,14 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> Expe
     for ex in examples:
         wid = f"{ex.clip_id}#{ex.window_index}"
         try:
-            label = metrics.hr_from_signal(ex.trace_window, ex.fps)
+            label = hr_from_signal(ex.trace_window, ex.fps)
             pred = predictor.predict_example(ex)
             if cfg.output_format == "HR":
                 pred_bpm = float(pred)
                 if not math.isfinite(pred_bpm):
                     raise EstimationError(f"predicted rate {pred_bpm} is not finite")
             else:
-                pred_bpm = metrics.hr_from_signal(pred, ex.fps)
+                pred_bpm = hr_from_signal(pred, ex.fps)
         except EstimationError as e:
             excluded.append((wid, str(e)))
             continue

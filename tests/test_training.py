@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from pulseformer import metrics, nn_ops, tensor as T
+from pulseformer import metrics, nn_ops, tensor as T, training
 from pulseformer.errors import DimensionError, EstimationError, InputError, NumericError
 from pulseformer.fileio import write_result
 from pulseformer.metrics import hr_from_signal, integrate_diff
@@ -264,11 +264,12 @@ class TestEvaluate:
 
 
 @pytest.mark.parametrize("output_format", ["HR", "Signal"])
-def test_hr_estimates_go_through_metrics_module(monkeypatch, output_format):
-    """make_example and evaluate look ``metrics.hr_from_signal`` up at call time.
+def test_hr_estimates_go_through_patched_names(monkeypatch, output_format):
+    """make_example and evaluate call the estimator through a patchable name.
 
-    perfbench's tracer times the estimator by patching that module attribute;
-    a name bound at import would escape it.
+    perfbench's tracer times it by patching ``metrics.hr_from_signal``, which
+    make_example looks up at call time, and ``training.hr_from_signal``; a
+    name bound at import anywhere else would escape it.
     """
     calls = []
     real = metrics.hr_from_signal
@@ -278,6 +279,7 @@ def test_hr_estimates_go_through_metrics_module(monkeypatch, output_format):
         return real(samples, fps)
 
     monkeypatch.setattr(metrics, "hr_from_signal", counting)
+    monkeypatch.setattr(training, "hr_from_signal", counting)
     cfg = TINY_CFG.copy(output_format=output_format)
     examples = window_examples(cfg, 2, seed=0)
     assert len(calls) == (len(examples) if output_format == "HR" else 0)
