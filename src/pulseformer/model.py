@@ -175,8 +175,20 @@ class _ParamStore:
         return t
 
 
+def _mlp(x: Tensor, ln_g: Tensor, ln_b: Tensor, w1: Tensor, b1: Tensor,
+         w2: Tensor, b2: Tensor) -> Tensor:
+    h = T.gelu(T.linear(nn_ops.layernorm(x, ln_g, ln_b), w1, b1))
+    return T.linear(h, w2, b2)
+
+
 class _Block:
-    """Pre-norm transformer block: x + Attn(LN(x)); x + MLP(LN(x))."""
+    """Pre-norm transformer block: x + Attn(LN(x)); x + MLP(LN(x)).
+
+    The MLP branch runs under ``tensor.checkpoint``, so training keeps none
+    of its hidden-width arrays until the backward rebuilds them. The
+    attention branch is recorded: rebuilding it would run ``attention_core``
+    twice.
+    """
 
     def __init__(self, store: _ParamStore, prefix: str, dim: int, heads: int,
                  mlp_ratio: float, rng: np.random.Generator):
@@ -201,10 +213,8 @@ class _Block:
         a = nn_ops.attention(a, *self.proj["q"], *self.proj["k"], *self.proj["v"],
                              *self.proj["o"], heads=self.heads, rel=rel)
         x = T.add(x, a)
-        m = nn_ops.layernorm(x, self.ln2_g, self.ln2_b)
-        m = T.linear(m, self.fc1_w, self.fc1_b)
-        m = T.gelu(m)
-        m = T.linear(m, self.fc2_w, self.fc2_b)
+        m = T.checkpoint(_mlp, x, self.ln2_g, self.ln2_b, self.fc1_w, self.fc1_b,
+                         self.fc2_w, self.fc2_b)
         return T.add(x, m)
 
 

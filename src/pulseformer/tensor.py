@@ -1,8 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are contiguous row-major numpy arrays in the compute dtype. Inside
-``record()`` every differentiable op appends a pull-back closure to a
-process-global tape; outside it, ops record nothing. ``backward(loss)`` pops
+``record()`` every differentiable op appends a pull-back closure to the
+calling thread's tape; outside it, ops record nothing. ``backward(loss)`` pops
 the tape in reverse execution order (a valid topological order by
 construction) and accumulates gradients into every reachable tensor with
 ``requires_grad``, releasing each entry and its output's gradient as it goes,
@@ -11,9 +11,14 @@ pull runs, so an output that no pull captured is freed before the pull
 allocates. A pull hands each input a gradient that nothing else reads, and
 ``_accum`` adopts it uncopied, so a ``.grad`` may be a strided view.
 Gradients add up over calls: set a leaf's ``grad`` to None to start it
-afresh. The tape is shared, so record in one thread at a time; the recording
-flag and the compute dtype are context variables, so ``record`` and
-``float64`` in one thread do not change them in another.
+afresh. Each thread has its own tape, and the recording flag and the compute
+dtype are context variables, so ``record``, ``backward`` and ``float64`` in
+one thread do not change them in another.
+
+``checkpoint(fn, *xs)`` records ``fn``'s graph as one entry whose pull
+rebuilds it, so its intermediate arrays live only while its backward runs
+(Chen et al., arXiv 1604.06174). ``gelu`` works in ``GELU_CHUNK``-element
+chunks, so its temporaries are chunk-sized.
 
 Storage follows the compute dtype: float32 by default, for train and
 predict, and float64 inside ``float64()``, as finite-difference gradient
@@ -29,6 +34,7 @@ affine terms; everything else requires exact shape agreement.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -37,7 +43,25 @@ import numpy as np
 
 from .errors import DimensionError, PulseformerError
 
-_tape: list[tuple["Tensor", Callable[[np.ndarray], None]]] = []
+
+class _Tape(threading.local):
+    """The calling thread's (output, pull) entries, in execution order."""
+
+    def __init__(self):
+        self.entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+
+_tape = _Tape()
+
 # per thread (and per asyncio task): a thread inside record() or float64()
 # leaves every other thread's flags alone
 _recording: ContextVar[bool] = ContextVar("recording", default=False)
@@ -59,7 +83,7 @@ def record():
         yield
     finally:
         _recording.reset(token)
-        _tape.clear()
+        _tape.entries.clear()
 
 
 @contextmanager
@@ -114,7 +138,7 @@ class Tensor:
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
     if out.requires_grad:   # set on an op output by _needs_grad, so only inside record()
-        _tape.append((out, pull))
+        _tape.entries.append((out, pull))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -145,8 +169,9 @@ def backward(loss: Tensor) -> None:
     gradient taken from it and the output dropped before its pull runs, so
     an output that only the tape held is freed before the pull allocates;
     the closure, the arrays it saved and the intermediate gradient are freed
-    once the pull is done. Call it inside the ``record()`` that built the
-    graph.
+    once the pull is done. A ``checkpoint`` entry's pull rebuilds its graph
+    on the tape and pops it again before it returns. Call ``backward``
+    inside the ``record()`` that built the graph, on the same thread.
     """
     if not _recording.get():
         raise PulseformerError("backward needs a graph built inside tensor.record()")
@@ -155,12 +180,57 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         raise PulseformerError("loss is not connected to any tensor requiring gradients")
     loss.grad = np.ones_like(loss.data)
-    while _tape:
-        out, pull = _tape.pop()
+    _pull_back(0)
+
+
+def _pull_back(stop: int) -> None:
+    """Pop and run the calling thread's tape entries down to ``stop`` entries."""
+    entries = _tape.entries
+    while len(entries) > stop:
+        out, pull = entries.pop()
         g, out.grad = out.grad, None
         del out   # freed here unless its pull captured it
         if g is not None:
             pull(g)
+
+
+def checkpoint(fn: Callable[..., Tensor], *xs: Tensor) -> Tensor:
+    """``fn(*xs)``, recorded as one entry whose pull rebuilds ``fn``'s graph.
+
+    The forward runs ``fn`` with recording off, so none of its intermediate
+    arrays outlive it. The pull runs ``fn`` again on the tape, in the compute
+    dtype the forward ran in, and pulls the gradient back through only the
+    entries that re-run made; an exception from the re-run propagates, and
+    ``record()``'s exit empties the tape as for any other. The re-run must
+    rebuild the graph the forward ran, so ``fn`` must be a pure function of
+    ``xs``: the same inputs give the same bits, with no randomness and no
+    running-statistic update (as ``batchnorm3d`` makes in training).
+    Outside ``record()``, or when no ``x`` needs a gradient, this is
+    ``fn(*xs)``.
+    """
+    if not _needs_grad(*xs):
+        return fn(*xs)
+    dtype = compute_dtype()
+    token = _recording.set(False)
+    try:
+        out = fn(*xs)
+    finally:
+        _recording.reset(token)
+    out.requires_grad = True
+
+    def pull(g):
+        token = _compute_dtype.set(dtype)
+        try:
+            stop = len(_tape)
+            y = fn(*xs)
+            _accum(y, g)
+            del y, g   # y is freed when its entry pops, unless a pull captured it
+            _pull_back(stop)
+        finally:
+            _compute_dtype.reset(token)
+
+    _record(out, pull)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +301,53 @@ def elu(x: Tensor) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# elements per GELU pass: a float64 chunk's temporaries, 256 KiB each, stay in L2
+GELU_CHUNK = 2 ** 15
 
 
 def _gelu_tanh(v: np.ndarray) -> np.ndarray:
     return np.tanh(_GELU_C * (v + 0.044715 * (v * v * v)))
 
 
+def _chunks(n: int):
+    return (slice(s, s + GELU_CHUNK) for s in range(0, n, GELU_CHUNK))
+
+
 def gelu(x: Tensor) -> Tensor:
     """Smooth GELU (tanh form).
 
-    The pull rebuilds tanh(u) from the input rather than keeping it, so the
-    op keeps no array besides its output. It builds the derivative in place,
-    so at most three new arrays of the input's size are alive at once.
+    Forward and pull run over ``GELU_CHUNK`` elements of the flattened
+    arrays at a time, each element in the whole-array formulas' order. The
+    pull rebuilds tanh(u) rather than keeping it, and writes the gradient
+    into its own ``g`` (cast to the result dtype of ``g`` and the input), so
+    the op keeps only its output and the pull makes no input-sized array.
     """
     v = x.data
-    th = _gelu_tanh(v)
-    out = Tensor(0.5 * v * (1.0 + th), requires_grad=_needs_grad(x))
+    y = np.empty(v.shape, v.dtype)
+    vf, yf = v.reshape(-1), y.reshape(-1)
+    for c in _chunks(v.size):
+        yf[c] = 0.5 * vf[c] * (1.0 + _gelu_tanh(vf[c]))
+    out = Tensor(y, requires_grad=_needs_grad(x))
 
     def pull(g):
         # d = 0.5 (1 + th) + 0.5 v (1 - th^2) du, du = c (1 + 3 * 0.044715 v^2)
-        th = _gelu_tanh(v)
-        b = np.subtract(1.0, th * th)
-        b *= 0.5 * v
-        du = v * v
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
-        b *= du
-        del du
-        th += 1.0
-        th *= 0.5
-        th += b
-        _accum(x, g * th)
+        g = np.asarray(g, dtype=np.result_type(g, v), order="C")
+        gf = g.reshape(-1)
+        for c in _chunks(v.size):
+            vc = vf[c]
+            th = _gelu_tanh(vc)
+            b = np.subtract(1.0, th * th)
+            b *= 0.5 * vc
+            du = vc * vc
+            du *= 3 * 0.044715
+            du += 1.0
+            du *= _GELU_C
+            b *= du
+            th += 1.0
+            th *= 0.5
+            th += b
+            gf[c] *= th
+        _accum(x, g)
 
     _record(out, pull)
     return out

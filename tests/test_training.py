@@ -336,6 +336,31 @@ class TestTrainModel:
             runs.append((hist.epochs, {k: a.tobytes() for k, a in model.named_arrays().items()}))
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    def test_two_threads_train_as_one_at_a_time(self):
+        """Each thread records on its own tape: two models trained at once match solo runs."""
+        train = window_examples(TINY_CFG, 4, seed=6)
+
+        def run(seed):
+            model, hist = train_model(TINY_CFG, TrainConfig(epochs=2, batch_size=2, seed=seed),
+                                      train)
+            return hist.epochs, {k: a.tobytes() for k, a in model.named_arrays().items()}
+
+        alone = [run(0), run(1)]
+        together = [None, None]
+        threads = [threading.Thread(target=lambda i=i: together.__setitem__(i, run(i)))
+                   for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert together == alone
+
     def test_step_forward_starts_without_gradients(self, monkeypatch):
         """The previous step's gradients are dropped before the next step's forward."""
         held = []
