@@ -147,7 +147,8 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
         def scratch():   # pages of a buffer that is never written are never touched
             return (np.zeros(pad_shape, dtype=x.data.dtype),
                     np.empty(col_shape, dtype=np.result_type(x.data, gdt)),
-                    np.zeros(pad_shape, dtype=gdt), [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
+                    np.zeros(pad_shape, dtype=gdt) if x.requires_grad else None,
+                    [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
 
         def backward(i, scratch):
             xp, buf, dxp, part = scratch
@@ -310,10 +311,10 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def nearest_upsample3d(x: Tensor) -> Tensor:
     """Repeat each sample of x[N, C, T, H, W] twice along T; grads sum over both."""
     out = Tensor(np.repeat(x.data, 2, axis=2), requires_grad=_needs_grad(x))
+    sx, (n, c, t, h, w) = x.slot, x.shape
 
     def pull(g):
-        n, c, t, h, w = x.shape
-        _accum(x, g.reshape(n, c, t, 2, h, w).sum(axis=3))
+        _accum(sx, g.reshape(n, c, t, 2, h, w).sum(axis=3))
 
     _record(out, pull)
     return out
@@ -584,13 +585,16 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     divides only the rows×d output by l and saves one log-sum-exp per query
     row, lse = m + log(l). The backward needs no max: per tile it rebuilds
     the probabilities from lse alone with one exp, P = exp([q | -lse]
-    [k | 1]ᵀ + B), gets dS = P∘([g | rs] [v | -1]ᵀ) with rs = rowsum(g∘y),
+    [k | 1]ᵀ + B), gets dS = P∘([g | -rs] [v | 1]ᵀ) with rs = rowsum(g∘y),
     and adds Pᵀg to dv, dS k to dq and dSᵀq to dk. With a bias, each tile's
     dS is reduced at once to its sums over the key t index and over the key
     (h, w) plane, which add up over tiles and the batch in per-query-block
-    buffers and are binned into the table gradients once per block. Only
-    ``lse`` (N, heads, L) is kept for the backward, so peak memory stays
-    O(ATTN_BLOCK * KEY_BLOCK) per worker regardless of sequence length. q,
+    buffers and are binned into the table gradients once per block. When a
+    pull is recorded, the op keeps q, y, ``lse`` (N, heads, L), [k | 1] and
+    [v | 1] for it, and not k or v; the pull builds [q·scl | -lse] and
+    [g | -rs] for one query block of one batch item at a time, in its
+    worker's scratch, so its score memory stays O(ATTN_BLOCK * KEY_BLOCK)
+    per worker regardless of sequence length. q,
     k and v share one dtype, and score tiles, ``lse`` and the output are
     made in it; dS and the q/k/v gradients take the result dtype of it and
     the incoming gradient, which is the same dtype unless the inputs were
@@ -664,27 +668,27 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
 
     _run_chunks(forward, len(work), lambda: np.empty(tile_size, dtype=dt))
     out = Tensor(y, requires_grad=_needs_grad(*params))
+    if not out.requires_grad:
+        return out
+    qd, k1 = q.data, _augment(k.data, 1.0)   # the pull reads these, not k or v
+    tables, slots = params[3:], [t.slot for t in params]
 
     def pull(g):
-        qx = _augment(q.data * scl, -lse)         # [q·scl | -lse]
-        kx = _augment(k.data, 1.0)                # [k | 1]
-        vx = _augment(v.data, -1.0)               # [v | -1]
-        gx = _augment(g, (g * out.data).sum(axis=-1))   # [g | rs]
-        gdt = np.result_type(gx, vx)              # of dS and the q/k/v grads
-        dq = np.zeros(q.shape, dtype=gdt)
+        gdt = np.result_type(g, v1)               # of dS and the q/k/v grads
+        dq = np.zeros(qd.shape, dtype=gdt)
         biases = block_biases()
         nc = min(CHUNKS, len(work))
         bounds = [len(work) * c // nc for c in range(nc + 1)]
 
         def partials():
             """Zeroed dk, dv and table gradients."""
-            return [np.zeros(q.shape, dtype=gdt), np.zeros(q.shape, dtype=gdt),
-                    *(np.zeros_like(t.data) for t in params[3:])]
+            return [np.zeros(qd.shape, dtype=gdt), np.zeros(qd.shape, dtype=gdt),
+                    *(np.zeros_like(t.data) for t in tables)]
 
         sums = _ChunkSum(partials())
 
         def backward(chunk, scratch):
-            p_tile, ds_tile, parts = scratch
+            p_tile, ds_tile, q_rows, g_rows, parts = scratch
             dk, dv, *dtables = parts
             items = slice(bounds[chunk], bounds[chunk + 1])
             for (hh, i0, i1, block), bias in zip(work[items], biases[items]):
@@ -692,16 +696,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
                     gt, gh, gw = rel.grid
                     sum_t = np.zeros((i1 - i0, gh * gw), dtype=gdt)
                     sum_hw = np.zeros((i1 - i0, gt), dtype=gdt)
+                qb, gb = q_rows[:i1 - i0], g_rows[:i1 - i0]
                 for i in range(n):
-                    qb, gb = qx[i, hh, i0:i1], gx[i, hh, i0:i1]
+                    np.multiply(qd[i, hh, i0:i1], scl, out=qb[:, :d])   # [q·scl | -lse]
+                    qb[:, d] = -lse[i, hh, i0:i1]
+                    gb[:, :d] = g[i, hh, i0:i1]                          # [g | -rs]
+                    gb[:, d] = -(g[i, hh, i0:i1] * y[i, hh, i0:i1]).sum(axis=-1)
                     for j0, j1, key_block in key_blocks:
-                        p = scores(p_tile, qb, kx[i, hh, j0:j1], bias, key_block)
+                        p = scores(p_tile, qb, k1[i, hh, j0:j1], bias, key_block)
                         np.exp(p, out=p)
                         dv[i, hh, j0:j1] += p.T @ gb[:, :d]
-                        ds = np.dot(gb, vx[i, hh, j0:j1].T, out=ds_tile[:p.size].reshape(p.shape))
+                        ds = np.dot(gb, v1[i, hh, j0:j1].T, out=ds_tile[:p.size].reshape(p.shape))
                         ds *= p
-                        dq[i, hh, i0:i1] += ds @ kx[i, hh, j0:j1, :d]
-                        dk[i, hh, j0:j1] += ds.T @ qb[:, :d]   # qx holds q·scl: dSᵀ q·scl
+                        dq[i, hh, i0:i1] += ds @ k1[i, hh, j0:j1, :d]
+                        dk[i, hh, j0:j1] += ds.T @ qb[:, :d]   # dSᵀ q·scl
                         if rel is not None:
                             rel.add_key_sums(ds, key_block, sum_t, sum_hw)
                 if rel is not None:
@@ -709,10 +717,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             sums.add(chunk, parts)
 
         _run_chunks(backward, nc, lambda: (np.empty(tile_size, dtype=dt),
-                                           np.empty(tile_size, dtype=gdt), partials()))
+                                           np.empty(tile_size, dtype=gdt),
+                                           np.empty((bs, d + 1), dtype=dt),
+                                           np.empty((bs, d + 1), dtype=g.dtype), partials()))
         dq *= scl
-        for t, grad in zip(params, [dq, *sums.total]):
-            _accum(t, grad)
+        for slot, grad in zip(slots, [dq, *sums.total]):
+            _accum(slot, grad)
 
     _record(out, pull)
     return out

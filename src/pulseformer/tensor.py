@@ -6,14 +6,17 @@ calling thread's tape; outside it, ops record nothing. ``backward(loss)`` pops
 the tape in reverse execution order (a valid topological order by
 construction) and accumulates gradients into every reachable tensor with
 ``requires_grad``, releasing each entry and its output's gradient as it goes,
-so only leaf tensors keep a ``.grad``. It drops an entry's output before the
-pull runs, so an output that no pull captured is freed before the pull
-allocates. A pull hands each input a gradient that nothing else reads, and
-``_accum`` adopts it uncopied, so a ``.grad`` may be a strided view.
-Gradients add up over calls: set a leaf's ``grad`` to None to start it
-afresh. Each thread has its own tape, and the recording flag and the compute
-dtype are context variables, so ``record``, ``backward`` and ``float64`` in
-one thread do not change them in another.
+so only leaf tensors keep a ``.grad``. A tensor keeps its gradient state
+(``grad``, ``requires_grad`` and its dtype) in a slot apart from its data.
+The tape holds each output's slot, and a pull holds the slots of the inputs
+it sends gradients to and only the arrays it reads (the saved-tensor rule of
+Paszke et al., arXiv 1912.01703), so an array that no pull reads is freed as
+soon as the program drops its tensor. A pull hands each input a gradient
+that nothing else reads, and ``_accum`` adopts it uncopied, so a ``.grad``
+may be a strided view. Gradients add up over calls: set a leaf's ``grad``
+to None to start it afresh. Each thread has its own tape, and the recording
+flag and the compute dtype are context variables, so ``record``,
+``backward`` and ``float64`` in one thread do not change them in another.
 
 ``checkpoint(fn, *xs)`` records ``fn``'s graph as one entry whose pull
 rebuilds it, so its intermediate arrays live only while its backward runs
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -45,16 +49,23 @@ from .errors import DimensionError, PulseformerError
 
 
 class _Tape(threading.local):
-    """The calling thread's (output, pull) entries, in execution order."""
+    """The calling thread's (slot, pull) entries, in execution order.
+
+    Iterating yields (output, pull) for the entries whose output tensor is
+    still alive; ``len`` and indexing see every entry.
+    """
 
     def __init__(self):
-        self.entries: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.entries: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __iter__(self):
-        return iter(self.entries)
+        for slot, pull in self.entries:
+            out = slot.out()
+            if out is not None:
+                yield out, pull
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -101,21 +112,53 @@ def compute_dtype() -> type:
     return _compute_dtype.get()
 
 
+class _Slot:
+    """A tensor's gradient state without its data: what a pull sends gradients to.
+
+    ``dtype`` is the tensor's, which its gradient takes. ``out`` is a weak
+    reference to the tensor, set when its op is recorded.
+    """
+
+    __slots__ = ("grad", "requires_grad", "dtype", "out")
+
+    def __init__(self, dtype, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.dtype = dtype
+
+
+def _slot_attr(name: str) -> property:
+    """A Tensor attribute kept in its slot."""
+    return property(lambda t: getattr(t.slot, name), lambda t, v: setattr(t.slot, name, v))
+
+
 class Tensor:
     """N-dimensional array participating in reverse-mode autodiff.
 
     ``data`` is cast to the compute dtype current when the tensor is made.
+    ``grad`` and ``requires_grad`` live in ``slot``, whose dtype follows a
+    reassigned ``data``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("_data", "slot", "__weakref__")
+    grad = _slot_attr("grad")
+    requires_grad = _slot_attr("requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=compute_dtype())
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        self.data = arr
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = _Slot(arr.dtype, bool(requires_grad))
+        self._data = arr
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        self._data = arr
+        self.slot.dtype = arr.dtype
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -138,23 +181,26 @@ class Tensor:
 
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
     if out.requires_grad:   # set on an op output by _needs_grad, so only inside record()
-        _tape.entries.append((out, pull))
+        out.slot.out = weakref.ref(out)
+        _tape.entries.append((out.slot, pull))
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a gradient contribution; sums over all uses of ``t``.
+def _accum(t: Tensor | _Slot, g: np.ndarray) -> None:
+    """Accumulate a gradient contribution into a tensor's slot; sums over all uses.
 
     A first contribution becomes the gradient as it is (cast only if its
-    dtype differs), and later ones are added into it in place. So a pull
-    hands over only a writable array that nothing else reads: one it has
-    just made, or a view of its own ``g``, given to one tensor.
+    dtype differs from the slot's), and later ones are added into it in
+    place. So a pull hands over only a writable array that nothing else
+    reads: one it has just made, or a view of its own ``g``, given to one
+    tensor.
     """
-    if not t.requires_grad:
+    s = t.slot if isinstance(t, Tensor) else t
+    if not s.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=t.data.dtype)
+    if s.grad is None:
+        s.grad = np.asarray(g, dtype=s.dtype)
     else:
-        t.grad += g
+        s.grad += g
 
 
 def _needs_grad(*ts: Tensor) -> bool:
@@ -165,11 +211,10 @@ def backward(loss: Tensor) -> None:
     """Run reverse-mode accumulation from a scalar loss over the whole tape.
 
     Every leaf tensor with ``requires_grad`` reachable from ``loss`` receives
-    dLoss/dTensor in ``.grad``. Each tape entry is popped, its output's
-    gradient taken from it and the output dropped before its pull runs, so
-    an output that only the tape held is freed before the pull allocates;
-    the closure, the arrays it saved and the intermediate gradient are freed
-    once the pull is done. A ``checkpoint`` entry's pull rebuilds its graph
+    dLoss/dTensor in ``.grad``. Each tape entry is popped and its output's
+    gradient taken from the slot before its pull runs; the closure, the
+    arrays it saved and the intermediate gradient are freed once the pull
+    is done. A ``checkpoint`` entry's pull rebuilds its graph
     on the tape and pops it again before it returns. Call ``backward``
     inside the ``record()`` that built the graph, on the same thread.
     """
@@ -187,9 +232,8 @@ def _pull_back(stop: int) -> None:
     """Pop and run the calling thread's tape entries down to ``stop`` entries."""
     entries = _tape.entries
     while len(entries) > stop:
-        out, pull = entries.pop()
-        g, out.grad = out.grad, None
-        del out   # freed here unless its pull captured it
+        slot, pull = entries.pop()
+        g, slot.grad = slot.grad, None
         if g is not None:
             pull(g)
 
@@ -224,7 +268,7 @@ def checkpoint(fn: Callable[..., Tensor], *xs: Tensor) -> Tensor:
             stop = len(_tape)
             y = fn(*xs)
             _accum(y, g)
-            del y, g   # y is freed when its entry pops, unless a pull captured it
+            del y, g   # y's data is freed here unless a pull reads it
             _pull_back(stop)
         finally:
             _compute_dtype.reset(token)
@@ -241,10 +285,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data, requires_grad=_needs_grad(a, b))
+    sa, sb = a.slot, b.slot
 
     def pull(g):
-        _accum(a, g)
-        _accum(b, g.copy())   # a adopts g itself
+        _accum(sa, g)
+        _accum(sb, g.copy())   # a adopts g itself
 
     _record(out, pull)
     return out
@@ -255,21 +300,22 @@ def add_embedding(x: Tensor, e: Tensor) -> Tensor:
     if e.shape != x.shape[1:]:
         raise DimensionError(f"embedding shape {e.shape} does not match {x.shape[1:]}")
     out = Tensor(x.data + e.data[None], requires_grad=_needs_grad(x, e))
+    sx, se = x.slot, e.slot
 
     def pull(g):
-        _accum(x, g)
-        _accum(e, g.sum(axis=0))
+        _accum(sx, g)
+        _accum(se, g.sum(axis=0))
 
     _record(out, pull)
     return out
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(x.data.reshape(shape), requires_grad=_needs_grad(x))
+    sx, x_shape = x.slot, x.shape
+    out = Tensor(x.data.reshape(tuple(shape)), requires_grad=_needs_grad(x))
 
     def pull(g):
-        _accum(x, g.reshape(x.shape))
+        _accum(sx, g.reshape(x_shape))
 
     _record(out, pull)
     return out
@@ -277,11 +323,11 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = np.argsort(axes)
+    sx, inv = x.slot, np.argsort(axes)
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)), requires_grad=_needs_grad(x))
 
     def pull(g):
-        _accum(x, g.transpose(inv))
+        _accum(sx, g.transpose(inv))
 
     _record(out, pull)
     return out
@@ -292,9 +338,10 @@ def elu(x: Tensor) -> Tensor:
     neg = x.data <= 0.0
     y = np.where(neg, np.expm1(x.data), x.data)
     out = Tensor(y, requires_grad=_needs_grad(x))
+    sx = x.slot
 
     def pull(g):
-        _accum(x, g * np.where(neg, y + 1.0, 1.0))
+        _accum(sx, g * np.where(neg, y + 1.0, 1.0))
 
     _record(out, pull)
     return out
@@ -359,13 +406,13 @@ def mean(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         axes = tuple(range(x.ndim))
     else:
         axes = tuple(sorted(a % x.ndim for a in axes))
-    count = math.prod(x.shape[a] for a in axes)
-    y = x.data.mean(axis=axes)
-    out = Tensor(y, requires_grad=_needs_grad(x))
+    sx, x_shape = x.slot, x.shape
+    count = math.prod(x_shape[a] for a in axes)
+    out = Tensor(x.data.mean(axis=axes), requires_grad=_needs_grad(x))
 
     def pull(g):
-        ge = np.expand_dims(g, axes) if g.ndim else g.reshape((1,) * x.ndim)
-        _accum(x, np.broadcast_to(ge / count, x.shape).copy())
+        ge = np.expand_dims(g, axes) if g.ndim else g.reshape((1,) * len(x_shape))
+        _accum(sx, np.broadcast_to(ge / count, x_shape).copy())
 
     _record(out, pull)
     return out
@@ -381,14 +428,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x2 = x.data.reshape(-1, din)
     y2 = x2 @ w.data.T
     y2 += b.data
-    out_shape = x.shape[:-1] + (w.shape[0],)
-    out = Tensor(y2.reshape(out_shape), requires_grad=_needs_grad(x, w, b))
+    out = Tensor(y2.reshape(x.shape[:-1] + (w.shape[0],)), requires_grad=_needs_grad(x, w, b))
+    sx, sw, sb, x_shape, w2 = x.slot, w.slot, b.slot, x.shape, w.data
 
     def pull(g):
-        g2 = g.reshape(-1, w.shape[0])
-        _accum(x, (g2 @ w.data).reshape(x.shape))
-        _accum(w, g2.T @ x2)
-        _accum(b, g2.sum(axis=0))
+        nonlocal x2
+        g2 = g.reshape(-1, w2.shape[0])
+        _accum(sw, g2.T @ x2)
+        x2 = None   # x's data is freed here unless something else holds it
+        _accum(sx, (g2 @ w2).reshape(x_shape))
+        _accum(sb, g2.sum(axis=0))
 
     _record(out, pull)
     return out
@@ -401,11 +450,12 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     diff = pred.data - target.data
     n = diff.size
     out = Tensor(np.asarray((diff * diff).sum() / n), requires_grad=_needs_grad(pred, target))
+    sp, st = pred.slot, target.slot
 
     def pull(g):
         gd = (2.0 / n) * g * diff
-        _accum(pred, gd)
-        _accum(target, -gd)
+        _accum(sp, gd)
+        _accum(st, -gd)
 
     _record(out, pull)
     return out

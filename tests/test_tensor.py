@@ -827,8 +827,38 @@ class TestRecord:
         assert x.grad is None
 
 
+class TestTapeSlots:
+    def test_tape_holds_slots_and_iterates_live_outputs(self):
+        """len and indexing see every entry; iteration yields the outputs still alive."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        with T.record():
+            kept = T.elu(x)
+            T.elu(kept)   # its output is dropped at once
+
+            def pull(g):
+                T._accum(x, g)
+
+            last = Tensor(np.ones(3), requires_grad=True)
+            T._record(last, pull)
+            assert len(T._tape) == 3
+            assert [out for out, _ in T._tape] == [kept, last]
+            assert T._tape[-1][1] is pull
+            assert T._tape[-1][0] is last.slot
+
+    def test_promoted_tensor_gets_a_float64_grad(self):
+        """A float32 tensor promoted to float64 takes float64 gradients: its slot follows."""
+        x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
+        assert x.data.dtype == np.float32
+        promote([x])
+        with T.float64(), T.record():
+            T.backward(T.mean(T.elu(x)))
+        assert x.grad.dtype == np.float64
+        np.testing.assert_allclose(x.grad, np.where(x.data <= 0, np.exp(x.data), 1.0) / 3,
+                                   rtol=1e-14)   # not rounded through float32
+
+
 class TestGradientOwnership:
-    def test_residual_block_grads_alias_nothing(self):
+    def test_residual_block_grads_alias_nothing(self, monkeypatch):
         """Grads handed over without a copy share memory with no grad or tensor data."""
         rng = np.random.default_rng(12)
         store = _ParamStore()
@@ -836,10 +866,17 @@ class TestGradientOwnership:
         rel = nn_ops.RelativeBias(2, (1, 2, 3))
         x = Tensor(rng.standard_normal((2, 6, 8)), requires_grad=True)
         z = Tensor(np.zeros(x.shape), requires_grad=True)
+        made, record = [], T._record
+
+        def keep(out, pull):   # the tape holds slots: keep every op output alive
+            made.append(out)
+            record(out, pull)
+
+        monkeypatch.setattr(T, "_record", keep)
+        monkeypatch.setattr(nn_ops, "_record", keep)
         with T.record():
             y = block(T.add(x, z), rel)
             loss = T.mse_loss(y, Tensor(rng.standard_normal(y.shape)))
-            made = [out for out, _ in T._tape]
             T.backward(loss)
         leaves = [x, z, *store.params.values(), *rel.tables()]
         grads = [t.grad for t in leaves]
@@ -959,11 +996,47 @@ class TestCheckpoint:
         with T.record():
             loss = T.mean(block(x, rel))
             reached = []
-            _arrays_reached([pull for _, pull in T._tape], set(), reached)
+            _arrays_reached([pull for _, pull in T._tape.entries], set(), reached)
             T.backward(loss)
         params = {id(t.data) for t in [*store.params.values(), *rel.tables()]}
         hidden = [a.shape for a in reached if a.shape[-1:] == (40,) and id(a) not in params]
         assert reached and not hidden
+
+    def test_tape_reaches_no_array_that_no_pull_reads(self, monkeypatch):
+        """At backward start, no pull reaches the q/k/v projections, k, v or a branch output."""
+        rng = np.random.default_rng(27)
+        store = _ParamStore()
+        block = _Block(store, "b", 8, 2, 4.0, rng)
+        rel = nn_ops.RelativeBias(2, (2, 3, 4))
+        x = Tensor(rng.standard_normal((2, 24, 8)), requires_grad=True)
+        unread = []
+        linear, core, checkpoint = T.linear, nn_ops.attention_core, T.checkpoint
+
+        def spy_linear(*args):   # the q/k/v projections and the attention branch output
+            out = linear(*args)
+            unread.append(out.data)
+            return out
+
+        def spy_core(q, k, v, rel=None):
+            unread.extend([k.data, v.data])
+            return core(q, k, v, rel=rel)
+
+        def spy_checkpoint(fn, *xs):
+            out = checkpoint(fn, *xs)
+            unread.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "linear", spy_linear)
+        monkeypatch.setattr(nn_ops, "attention_core", spy_core)
+        monkeypatch.setattr(T, "checkpoint", spy_checkpoint)
+        with T.record():
+            loss = T.mean(block(x, rel))
+            reached = []
+            _arrays_reached([pull for _, pull in T._tape.entries], set(), reached)
+            assert len(unread) == 9   # 4 attention and 2 MLP projections, k, v, the MLP branch
+            hit = [u.shape for u in unread if any(np.shares_memory(u, a) for a in reached)]
+            T.backward(loss)
+        assert reached and not hit
 
     def test_rerun_keeps_the_forward_dtype(self):
         """The rebuilt graph runs in the forward's dtype even when backward runs outside it."""
@@ -1093,7 +1166,7 @@ class TestRetainedMemory:
         assert out.data.nbytes <= kept < 1.1 * out.data.nbytes
 
     def test_backward_drops_the_output_before_its_pull(self):
-        """An output that only the tape holds is freed before its pull runs."""
+        """An output that no pull reads is freed before its pull runs: the tape holds its slot."""
         x = Tensor(np.ones(4), requires_grad=True)
         freed = []
         with T.record():
