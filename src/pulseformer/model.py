@@ -99,9 +99,10 @@ class ModelConfig:
         if self.base_width < 1:
             raise ConfigurationError(f"base width {self.base_width} must be positive")
         for i, heads in enumerate(self.heads_per_stage):
-            if heads < 1 or self.base_width % heads != 0:
+            width = self.base_width * 2 ** i   # the stage's width, as the model builds it
+            if heads < 1 or width % heads != 0:
                 raise ConfigurationError(
-                    f"base width {self.base_width} not divisible by stage-{i + 1} heads {heads}")
+                    f"stage-{i + 1} width {width} not divisible by its heads {heads}")
         if not math.isfinite(self.mlp_ratio) or self.mlp_ratio <= 0:
             raise ConfigurationError(f"mlp_ratio {self.mlp_ratio} must be positive and finite")
         try:   # the widest stage (8x base width) needs a finite MLP width too

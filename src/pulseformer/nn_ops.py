@@ -137,7 +137,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
 
     def pull(g):
         g2 = g.reshape(n, k, -1)
-        _accum(b, g2.sum(axis=(0, 2)))
+        _accum(b.slot, g2.sum(axis=(0, 2)))
         gdt = np.result_type(w2, g2)
         dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None
@@ -168,20 +168,16 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
 
         _run_chunks(backward, n, scratch)
         if w.requires_grad:
-            _accum(w, dw2.total[0].reshape(w.shape))
+            _accum(w.slot, dw2.total[0].reshape(w.shape))
         if x.requires_grad:
-            _accum(x, dx)
+            _accum(x.slot, dx)
 
     _record(out, pull)
     return out
 
 
-def _zero_pad(a: np.ndarray, pad) -> np.ndarray:
-    """``a`` with ``pad`` zeros on both sides of each of its last three axes."""
-    out = np.zeros(a.shape[:-3] + tuple(d + 2 * p for d, p in zip(a.shape[-3:], pad)),
-                   dtype=a.dtype)
-    out[_interior(a.shape[-3:], pad)] = a
-    return out
+# depthwise_conv3d's zero border: one sample on each side of T, H and W
+DEPTHWISE_PAD = ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1))
 
 
 def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
@@ -192,7 +188,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     if w.ndim != 4 or w.shape[0] != x.shape[1] or w.shape[1:] != (3, 3, 3):
         raise DimensionError(f"depthwise kernel {w.shape} incompatible with input {x.shape}")
     n, c, t, h, wl = x.shape
-    xp = _zero_pad(x.data, (1, 1, 1))
+    xp = np.pad(x.data, DEPTHWISE_PAD)
     y = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
     for dt in range(3):
         for dh in range(3):
@@ -202,7 +198,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     out = Tensor(y, requires_grad=_needs_grad(x, w))
 
     def pull(g):
-        xpb = _zero_pad(x.data, (1, 1, 1))
+        xpb = np.pad(x.data, DEPTHWISE_PAD)
         dw = np.zeros_like(w.data)
         dxp = np.zeros_like(xpb)
         for dt in range(3):
@@ -212,8 +208,8 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
                     dw[:, dt, dh, dw_] = np.einsum("ncthw,ncthw->c", g, sl)
                     dxp[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl] += \
                         w.data[None, :, dt, dh, dw_, None, None, None] * g
-        _accum(w, dw)
-        _accum(x, dxp[:, :, 1:1 + t, 1:1 + h, 1:1 + wl])
+        _accum(w.slot, dw)
+        _accum(x.slot, dxp[:, :, 1:1 + t, 1:1 + h, 1:1 + wl])
 
     _record(out, pull)
     return out
@@ -257,17 +253,17 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
 
     def pull(g):
         xhat = (x.data - mu) * inv
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+        _accum(gamma.slot, (g * xhat).sum(axis=axes))
+        _accum(beta.slot, g.sum(axis=axes))
         if not x.requires_grad:
             return
         gx = g * gamma.data.reshape(shape)
         if training:
             mean_gx = gx.mean(axis=axes).reshape(shape)
             mean_gxx = (gx * xhat).mean(axis=axes).reshape(shape)
-            _accum(x, inv * (gx - mean_gx - xhat * mean_gxx))
+            _accum(x.slot, inv * (gx - mean_gx - xhat * mean_gxx))
         else:
-            _accum(x, gx * inv)
+            _accum(x.slot, gx * inv)
 
     _record(out, pull)
     return out
@@ -291,14 +287,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def pull(g):
         xhat = (x.data - mu) * inv
         red = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=red))
-        _accum(beta, g.sum(axis=red))
+        _accum(gamma.slot, (g * xhat).sum(axis=red))
+        _accum(beta.slot, g.sum(axis=red))
         if not x.requires_grad:
             return
         gx = g * gamma.data
         mean_gx = gx.mean(axis=-1, keepdims=True)
         mean_gxx = (gx * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv * (gx - mean_gx - xhat * mean_gxx))
+        _accum(x.slot, inv * (gx - mean_gx - xhat * mean_gxx))
 
     _record(out, pull)
     return out

@@ -1,22 +1,23 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are contiguous row-major numpy arrays in the compute dtype. Inside
-``record()`` every differentiable op appends a pull-back closure to the
-calling thread's tape; outside it, ops record nothing. ``backward(loss)`` pops
-the tape in reverse execution order (a valid topological order by
-construction) and accumulates gradients into every reachable tensor with
-``requires_grad``, releasing each entry and its output's gradient as it goes,
-so only leaf tensors keep a ``.grad``. A tensor keeps its gradient state
-(``grad``, ``requires_grad`` and its dtype) in a slot apart from its data.
-The tape holds each output's slot, and a pull holds the slots of the inputs
-it sends gradients to and only the arrays it reads (the saved-tensor rule of
-Paszke et al., arXiv 1912.01703), so an array that no pull reads is freed as
-soon as the program drops its tensor. A pull hands each input a gradient
-that nothing else reads, and ``_accum`` adopts it uncopied, so a ``.grad``
-may be a strided view. Gradients add up over calls: set a leaf's ``grad``
-to None to start it afresh. Each thread has its own tape, and the recording
-flag and the compute dtype are context variables, so ``record``,
-``backward`` and ``float64`` in one thread do not change them in another.
+Values are contiguous row-major numpy arrays in the compute dtype.
+``record()`` opens a tape, and while it is open every differentiable op
+appends a pull-back closure to it; with no tape open, ops record nothing.
+``backward(loss)`` pops the tape in reverse execution order (a valid
+topological order by construction) and accumulates gradients into every
+reachable tensor with ``requires_grad``, releasing each entry and its
+output's gradient as it goes, so only leaf tensors keep a ``.grad``. A
+tensor keeps its gradient state (``grad``, ``requires_grad`` and its dtype)
+in a slot apart from its data. The tape holds each output's slot, and a pull
+holds the slots of the inputs it sends gradients to and only the arrays it
+reads (the saved-tensor rule of Paszke et al., arXiv 1912.01703), so an
+array that no pull reads is freed as soon as the program drops its tensor. A
+pull hands each input a gradient that nothing else reads, and ``_accum``
+adopts it uncopied, so a ``.grad`` may be a strided view. Gradients add up
+over calls: set a leaf's ``grad`` to None to start it afresh. The open tape
+and the compute dtype are context variables, so each thread and each asyncio
+task has its own: ``record``, ``backward`` and ``float64`` in one do not
+change them in another.
 
 ``checkpoint(fn, *xs)`` records ``fn``'s graph as one entry whose pull
 rebuilds it, so its intermediate arrays live only while its backward runs
@@ -37,7 +38,6 @@ affine terms; everything else requires exact shape agreement.
 from __future__ import annotations
 
 import math
-import threading
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -48,15 +48,24 @@ import numpy as np
 from .errors import DimensionError, PulseformerError
 
 
-class _Tape(threading.local):
-    """The calling thread's (slot, pull) entries, in execution order.
+# per thread and per asyncio task: each has its own open tape, a list of
+# (slot, pull) entries in execution order inside record() and None outside,
+# and its own compute dtype, so record(), backward and float64() in one leave
+# every other one's alone (a task made inside record() shares its maker's tape)
+_open_tape: ContextVar[list | None] = ContextVar("tape", default=None)
+_compute_dtype: ContextVar[type] = ContextVar("compute_dtype", default=np.float32)
+
+
+class _TapeView:
+    """The calling context's open tape, read-only; empty outside ``record()``.
 
     Iterating yields (output, pull) for the entries whose output tensor is
-    still alive; ``len`` and indexing see every entry.
+    still alive; ``len`` and ``entries`` see every (slot, pull) entry.
     """
 
-    def __init__(self):
-        self.entries: list[tuple[_Slot, Callable[[np.ndarray], None]]] = []
+    @property
+    def entries(self) -> list[tuple[_Slot, Callable[[np.ndarray], None]]]:
+        return _open_tape.get() or []
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -67,34 +76,25 @@ class _Tape(threading.local):
             if out is not None:
                 yield out, pull
 
-    def __getitem__(self, i):
-        return self.entries[i]
 
-
-_tape = _Tape()
-
-# per thread (and per asyncio task): a thread inside record() or float64()
-# leaves every other thread's flags alone
-_recording: ContextVar[bool] = ContextVar("recording", default=False)
-_compute_dtype: ContextVar[type] = ContextVar("compute_dtype", default=np.float32)
+_tape = _TapeView()
 
 
 @contextmanager
 def record():
-    """Record differentiable ops on the tape for ``backward``.
+    """Open a tape that differentiable ops record on, for ``backward``.
 
-    The outermost exit empties the tape, also when the body raised; a nested
-    ``record()`` does nothing.
+    The tape is dropped on exit, also when the body raised; a nested
+    ``record()`` keeps the open one.
     """
-    if _recording.get():
+    if _open_tape.get() is not None:
         yield
         return
-    token = _recording.set(True)
+    token = _open_tape.set([])
     try:
         yield
     finally:
-        _recording.reset(token)
-        _tape.entries.clear()
+        _open_tape.reset(token)
 
 
 @contextmanager
@@ -182,10 +182,10 @@ class Tensor:
 def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
     if out.requires_grad:   # set on an op output by _needs_grad, so only inside record()
         out.slot.out = weakref.ref(out)
-        _tape.entries.append((out.slot, pull))
+        _open_tape.get().append((out.slot, pull))
 
 
-def _accum(t: Tensor | _Slot, g: np.ndarray) -> None:
+def _accum(s: _Slot, g: np.ndarray) -> None:
     """Accumulate a gradient contribution into a tensor's slot; sums over all uses.
 
     A first contribution becomes the gradient as it is (cast only if its
@@ -194,7 +194,6 @@ def _accum(t: Tensor | _Slot, g: np.ndarray) -> None:
     reads: one it has just made, or a view of its own ``g``, given to one
     tensor.
     """
-    s = t.slot if isinstance(t, Tensor) else t
     if not s.requires_grad:
         return
     if s.grad is None:
@@ -204,7 +203,7 @@ def _accum(t: Tensor | _Slot, g: np.ndarray) -> None:
 
 
 def _needs_grad(*ts: Tensor) -> bool:
-    return _recording.get() and any(t.requires_grad for t in ts)
+    return _open_tape.get() is not None and any(t.requires_grad for t in ts)
 
 
 def backward(loss: Tensor) -> None:
@@ -214,11 +213,12 @@ def backward(loss: Tensor) -> None:
     dLoss/dTensor in ``.grad``. Each tape entry is popped and its output's
     gradient taken from the slot before its pull runs; the closure, the
     arrays it saved and the intermediate gradient are freed once the pull
-    is done. A ``checkpoint`` entry's pull rebuilds its graph
-    on the tape and pops it again before it returns. Call ``backward``
-    inside the ``record()`` that built the graph, on the same thread.
+    is done. A ``checkpoint`` entry's pull rebuilds its graph on the tape
+    and pops it again before it returns. Call ``backward`` inside the
+    ``record()`` that built the graph, in the same thread or asyncio task:
+    it runs the calling context's open tape.
     """
-    if not _recording.get():
+    if _open_tape.get() is None:
         raise PulseformerError("backward needs a graph built inside tensor.record()")
     if loss.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -229,10 +229,9 @@ def backward(loss: Tensor) -> None:
 
 
 def _pull_back(stop: int) -> None:
-    """Pop and run the calling thread's tape entries down to ``stop`` entries."""
-    entries = _tape.entries
-    while len(entries) > stop:
-        slot, pull = entries.pop()
+    """Pop and run the open tape's entries down to ``stop`` entries."""
+    while len(_open_tape.get()) > stop:   # not a local: a traceback keeps no entry alive
+        slot, pull = _open_tape.get().pop()
         g, slot.grad = slot.grad, None
         if g is not None:
             pull(g)
@@ -241,33 +240,33 @@ def _pull_back(stop: int) -> None:
 def checkpoint(fn: Callable[..., Tensor], *xs: Tensor) -> Tensor:
     """``fn(*xs)``, recorded as one entry whose pull rebuilds ``fn``'s graph.
 
-    The forward runs ``fn`` with recording off, so none of its intermediate
-    arrays outlive it. The pull runs ``fn`` again on the tape, in the compute
-    dtype the forward ran in, and pulls the gradient back through only the
-    entries that re-run made; an exception from the re-run propagates, and
-    ``record()``'s exit empties the tape as for any other. The re-run must
-    rebuild the graph the forward ran, so ``fn`` must be a pure function of
-    ``xs``: the same inputs give the same bits, with no randomness and no
-    running-statistic update (as ``batchnorm3d`` makes in training).
-    Outside ``record()``, or when no ``x`` needs a gradient, this is
-    ``fn(*xs)``.
+    The forward runs ``fn`` with no tape open, so none of its intermediate
+    arrays outlive it. The pull runs ``fn`` again on the open tape, in the
+    compute dtype the forward ran in, and pulls the gradient back through
+    only the entries that re-run made; an exception from the re-run
+    propagates, and ``record()``'s exit drops the tape as for any other. The
+    re-run must rebuild the graph the forward ran, so ``fn`` must be a pure
+    function of ``xs``: the same inputs give the same bits, with no
+    randomness and no running-statistic update (as ``batchnorm3d`` makes in
+    training). Outside ``record()``, or when no ``x`` needs a gradient, this
+    is ``fn(*xs)``.
     """
     if not _needs_grad(*xs):
         return fn(*xs)
     dtype = compute_dtype()
-    token = _recording.set(False)
+    token = _open_tape.set(None)
     try:
         out = fn(*xs)
     finally:
-        _recording.reset(token)
+        _open_tape.reset(token)
     out.requires_grad = True
 
     def pull(g):
         token = _compute_dtype.set(dtype)
         try:
-            stop = len(_tape)
+            stop = len(_open_tape.get())
             y = fn(*xs)
-            _accum(y, g)
+            _accum(y.slot, g)
             del y, g   # y's data is freed here unless a pull reads it
             _pull_back(stop)
         finally:
@@ -394,7 +393,7 @@ def gelu(x: Tensor) -> Tensor:
             th *= 0.5
             th += b
             gf[c] *= th
-        _accum(x, g)
+        _accum(x.slot, g)
 
     _record(out, pull)
     return out
@@ -411,8 +410,7 @@ def mean(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     out = Tensor(x.data.mean(axis=axes), requires_grad=_needs_grad(x))
 
     def pull(g):
-        ge = np.expand_dims(g, axes) if g.ndim else g.reshape((1,) * len(x_shape))
-        _accum(sx, np.broadcast_to(ge / count, x_shape).copy())
+        _accum(sx, np.broadcast_to(np.expand_dims(g, axes) / count, x_shape).copy())
 
     _record(out, pull)
     return out

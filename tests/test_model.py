@@ -61,6 +61,15 @@ class TestShapeSchedule:
         with pytest.raises(ConfigurationError):
             ModelConfig(input_dims=(30, 64, 64), scaling=4).validate()
 
+    def test_heads_checked_against_each_stage_width(self):
+        """Stage widths 4, 8, 16, 32 take heads (1, 2, 4, 8); 3 heads at width 8 do not."""
+        ModelConfig(base_width=4).validate()
+        cfg = ModelConfig(**{**TINY, "heads_per_stage": ModelConfig.heads_per_stage}).validate()
+        x = Tensor(np.random.default_rng(0).standard_normal((1, 3, 8, 32, 32)))
+        assert MultiscaleVideoTransformer(cfg, seed=0).forward(x).shape == (1, 8)
+        with pytest.raises(ConfigurationError, match="stage-2 width 8 not divisible .* heads 3"):
+            ModelConfig(**{**TINY, "heads_per_stage": (1, 3, 4, 8)}).validate()
+
     def test_scaling_labels(self):
         assert scaling_label(3) == "Scale-3"
         assert parse_scaling("Scale-5") == 5

@@ -1,5 +1,6 @@
 """Forward-path tests for the tensor core against independent oracles."""
 
+import asyncio
 import contextlib
 import math
 import threading
@@ -22,7 +23,7 @@ from pulseformer.training import AdamW
 def scale(x: Tensor, s: float) -> Tensor:
     """x times a constant, recorded on the tape (turns a mean into a sum)."""
     out = Tensor(x.data * s, requires_grad=T._needs_grad(x))
-    T._record(out, lambda g: T._accum(x, g * s))
+    T._record(out, lambda g: T._accum(x.slot, g * s))
     return out
 
 
@@ -722,7 +723,7 @@ class TestMseAndBackward:
 
             def pull(g):
                 tape_in_first_pull.append(len(T._tape))
-                T._accum(x, 2.0 * g)
+                T._accum(x.slot, 2.0 * g)
 
             T._record(y, pull)
             s = T.add(y, w)
@@ -788,6 +789,35 @@ class TestMseAndBackward:
         assert T.compute_dtype() is np.float32
         assert not T._tape
 
+    def test_tapes_are_per_asyncio_task(self):
+        """Task B leaving its own record() leaves task A's tape whole: A's backward fills x.grad."""
+        x = Tensor(np.ones(3), requires_grad=True)
+        seen = {}
+
+        async def task_a(opened, b_left):
+            with T.record():
+                loss = T.mean(T.elu(x))
+                opened.set()
+                await b_left.wait()
+                seen["a"] = len(T._tape)
+                T.backward(loss)
+
+        async def task_b(opened, b_left):
+            await opened.wait()
+            with T.record():
+                T.elu(Tensor(np.ones(2), requires_grad=True))
+                seen["b"] = len(T._tape)
+            b_left.set()
+
+        async def main():
+            opened, b_left = asyncio.Event(), asyncio.Event()
+            await asyncio.gather(task_a(opened, b_left), task_b(opened, b_left))
+
+        asyncio.run(main())
+        assert seen == {"a": 2, "b": 1}
+        np.testing.assert_allclose(x.grad, np.full(3, 1 / 3), rtol=1e-6)
+        assert not T._tape
+
 
 class TestRecord:
     def test_nothing_recorded_outside_record(self):
@@ -804,6 +834,22 @@ class TestRecord:
             T.add(x, Tensor(np.ones(2)))
         assert not T._tape
         assert not T.elu(x).requires_grad
+
+    def test_failed_backward_keeps_no_entry_alive(self):
+        """A kept exception from a pull holds none of the entries left on the dropped tape."""
+        x = Tensor(np.ones(3), requires_grad=True)
+
+        def fail(g):
+            raise DimensionError("pull failed")
+
+        with pytest.raises(DimensionError) as info, T.record():
+            h = T.elu(x)
+            first_pull = weakref.ref(T._tape.entries[0][1])
+            out = Tensor(np.ones(3), requires_grad=True)
+            T._record(out, fail)
+            T.backward(T.mean(T.add(out, h)))
+        assert info.value.__traceback__ is not None
+        assert first_pull() is None
 
     def test_nested_scope_keeps_outer_tape(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -829,21 +875,21 @@ class TestRecord:
 
 class TestTapeSlots:
     def test_tape_holds_slots_and_iterates_live_outputs(self):
-        """len and indexing see every entry; iteration yields the outputs still alive."""
+        """len and entries see every entry; iteration yields the outputs still alive."""
         x = Tensor(np.ones(3), requires_grad=True)
         with T.record():
             kept = T.elu(x)
             T.elu(kept)   # its output is dropped at once
 
             def pull(g):
-                T._accum(x, g)
+                T._accum(x.slot, g)
 
             last = Tensor(np.ones(3), requires_grad=True)
             T._record(last, pull)
             assert len(T._tape) == 3
             assert [out for out, _ in T._tape] == [kept, last]
-            assert T._tape[-1][1] is pull
-            assert T._tape[-1][0] is last.slot
+            assert T._tape.entries[-1][1] is pull
+            assert T._tape.entries[-1][0] is last.slot
 
     def test_promoted_tensor_gets_a_float64_grad(self):
         """A float32 tensor promoted to float64 takes float64 gradients: its slot follows."""
@@ -1135,7 +1181,7 @@ def test_chunked_gelu_matches_whole_array_formulas(n, wide, g_wide, seed, specia
         with T.float64() if wide else contextlib.nullcontext(), T.record():
             x = Tensor(v, requires_grad=True)
             y = T.gelu(x)
-            T._tape[-1][1](g.copy())
+            T._tape.entries[-1][1](g.copy())
         want_y, want_g = _gelu_whole(v, g)
     assert y.data.tobytes() == want_y.tobytes()
     assert x.grad.tobytes() == want_g.astype(dtype).tobytes()
@@ -1175,7 +1221,7 @@ class TestRetainedMemory:
 
             def pull(g):
                 freed.append(ref() is None)
-                T._accum(x, g)
+                T._accum(x.slot, g)
 
             T._record(out, pull)
             loss = T.mean(out)
@@ -1190,7 +1236,7 @@ class TestRetainedMemory:
         g = np.ones_like(x.data)
         with T.record():
             T.gelu(x)
-            pull = T._tape[-1][1]
+            pull = T._tape.entries[-1][1]
             tracemalloc.start()
             try:
                 pull(g)
