@@ -75,6 +75,9 @@ class ModelConfig:
 
     def validate(self) -> "ModelConfig":
         """Check every field and return self; a ``"Scale-N"`` label becomes its id."""
+        for name in ("input_dims", "base_width", "stage_depths", "heads_per_stage"):
+            if not all(isinstance(v, int) for v in np.ravel(getattr(self, name)).tolist()):
+                raise ConfigurationError(f"{name} {getattr(self, name)} must be integers")
         t, h, w = self.input_dims
         if min(t, h, w) < 1:
             raise ConfigurationError(f"input dims {self.input_dims} must be positive")

@@ -3,12 +3,11 @@
 ``VideoClip`` and ``SignalTrace`` wrap a clip or trace only where it enters
 (a file, the synthesiser, ``make_example``'s arguments); the functions here
 take and return plain arrays. Frames are T x H x W x C floats in [0, 1],
-float32 from a clip file or float64 as synthesised; waveforms are float64 at
-the clip frame rate. ``make_example`` widens each window to float64 for
-resizing and normalisation and stores the model input in float32, the dtype
-the model computes in. The normalised-difference frame format divides each
-successive-frame difference by its sum per pixel, which cancels any static
-multiplicative illumination exactly.
+float32 from a clip file or the synthesiser; waveforms are float64 at the
+clip frame rate. ``make_example`` resizes and normalises each window in
+float64 and stores the model input in float32, the dtype the model computes
+in. The normalised-difference frame format divides each successive-frame
+difference by its sum per pixel, which cancels static illumination exactly.
 """
 
 from __future__ import annotations
@@ -185,7 +184,7 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     out = []
     for wi in range(n_win):
         sl = slice(wi * t_cfg, (wi + 1) * t_cfg)
-        win = resize_bilinear(clip.frames[sl].astype(np.float64, copy=False), h_cfg, w_cfg)
+        win = resize_bilinear(clip.frames[sl], h_cfg, w_cfg)
         if cfg.frame_format == "DiffNorm":
             win = diffnorm_frames(win)
         else:

@@ -3,8 +3,9 @@
 Each clip is a smooth random "skin" image modulated by a pulse waveform
 (fundamental plus half-amplitude second harmonic), an optional per-frame
 illumination random walk, per-pixel Gaussian noise, and an optional linear
-integer-pixel drift. The noise-free waveform is kept as ground truth, so
-training and evaluation are verifiable without any recorded data.
+integer-pixel drift. The noise-free waveform is kept as ground truth. Frames
+and trace are the float32 values ``gen`` writes; file headers store fps as
+float32, so the round trip is exact at rates it holds exactly (30, 50 fps).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def pulse_waveform(t_seconds: np.ndarray, hr_bpm: float, phase: float) -> np.nda
 
 def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarray,
                   hr: float, subject_id: str, clip_id: str) -> LabeledClip:
-    """One clip of the H x W x 3 ``base`` pulsing at ``hr`` bpm; same seed, same bits."""
+    """``base`` pulsing at ``hr`` bpm in the float32 that ``gen`` writes; same seed, same bits."""
     check_fps(fps)
     if t < 2 * fps:
         raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
@@ -93,9 +94,9 @@ def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarra
 
     if preset.noise_std > 0:
         frames += rng.normal(0.0, preset.noise_std, size=frames.shape)
-    np.clip(frames, 0.0, 1.0, out=frames)
+    frames = np.clip(frames, 0.0, 1.0, out=frames).astype(np.float32)
 
-    return LabeledClip(clip=VideoClip(frames, fps), trace=SignalTrace(g, fps),
+    return LabeledClip(clip=VideoClip(frames, fps), trace=SignalTrace(g.astype(np.float32), fps),
                        planted_hr=hr, subject_id=subject_id, clip_id=clip_id)
 
 

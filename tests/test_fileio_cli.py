@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pulseformer import cli, fileio, model, training
+from pulseformer import cli, fileio, model, synth, training
 from pulseformer.cli import main
 from pulseformer.errors import InputError, PulseformerError
 from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
-from pulseformer.preprocess import SignalTrace, VideoClip
+from pulseformer.preprocess import SignalTrace, VideoClip, make_example
 from pulseformer.training import TrainConfig
 
 MICRO_CONFIG = {
@@ -184,6 +184,26 @@ class TestBinaryFormats:
         fileio.write_trace(path, SignalTrace(samples, 30.0))
         again = fileio.read_trace(path)
         np.testing.assert_array_equal(again.samples, samples)
+
+    @pytest.mark.parametrize("fps", [30.0, 50.0])
+    @pytest.mark.parametrize("preset", [synth.SIMPLE, synth.HARD], ids=["simple", "hard"])
+    @pytest.mark.parametrize("hw", [32, 24], ids=["same-size", "resized"])
+    def test_synthesised_clip_windows_as_its_files_do(self, tmp_path, fps, preset, hw):
+        """``make_example`` gives the same bytes in-process and from the written files."""
+        (lc,) = synth.generate_dataset(preset, 1, 1, (120, hw, hw), fps, seed=5)
+        assert lc.clip.frames.dtype == np.float32
+        fileio.write_clip(tmp_path / "c.gvtc", lc.clip)
+        fileio.write_trace(tmp_path / "c.gvts", lc.trace)
+        clip, trace = fileio.read_clip(tmp_path / "c.gvtc"), fileio.read_trace(tmp_path / "c.gvts")
+        for frame_format in ("DiffNorm", "Raw"):
+            cfg = ModelConfig(input_dims=(60, 32, 32), frame_format=frame_format)
+            pairs = zip(make_example(lc.clip, lc.trace, cfg), make_example(clip, trace, cfg),
+                        strict=True)
+            for a, b in pairs:
+                assert a.x.tobytes() == b.x.tobytes()
+                assert a.target.tobytes() == b.target.tobytes()
+                assert a.trace_window.tobytes() == b.trace_window.tobytes()
+                assert a.fps == b.fps
 
     def test_checkpoint_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)

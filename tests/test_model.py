@@ -93,6 +93,17 @@ class TestShapeSchedule:
         with pytest.raises(ConfigurationError, match="positive"):
             ModelConfig(input_dims=dims).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("input_dims", (8, 32.0, 32)), ("base_width", 4.0),
+        ("stage_depths", (1, 1.0, 1, 1)), ("heads_per_stage", (1, 2, 4.0, 8))])
+    def test_float_int_fields_rejected(self, field, value):
+        """A float, integral or not, is a configuration error naming its field."""
+        cfg = ModelConfig(**{**TINY, field: value})
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            cfg.validate()
+        with pytest.raises(ConfigurationError, match=f"^{field} "):
+            MultiscaleVideoTransformer(cfg)
+
     def test_overflowing_mlp_width_rejected(self):
         with pytest.raises(ConfigurationError, match="overflows"):
             ModelConfig(mlp_ratio=1e308).validate()
