@@ -3,11 +3,8 @@
 Each check builds a scalar loss from seeded random inputs, runs one
 backward pass, then compares against central differences with the spec'd
 reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|). Float32
-rounding would swamp the differences, so a check raises the storage of each
-parameter it probes to float64 in place (exact from float32) and runs with
-the compute dtype raised to float64. Tensors it does not probe keep their
-dtype; ops compute in the result dtype of their inputs, so a float32 input
-meeting a float64 parameter is computed in float64.
+rounding would swamp the differences, so every check makes its tensors and
+its model inside ``float64()``, and its whole graph is float64.
 """
 
 from __future__ import annotations
@@ -17,17 +14,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nn_ops, tensor as T
+from .errors import PulseformerError
 from .model import ModelConfig, MultiscaleVideoTransformer
 from .tensor import Tensor, float64, record
 
 FD_STEP = 1e-5
 SEEDS = (0, 1, 2)   # of the op suite and the end-to-end check
-
-
-def promote(params: Sequence[Tensor]) -> None:
-    """Raise each tensor's storage to float64 in place (exact from float32)."""
-    for p in params:
-        p.data = p.data.astype(np.float64)
 
 
 def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor],
@@ -37,12 +29,16 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
 
     ``build_loss`` must rebuild the graph from the current parameter values
     on every call. When ``sample`` is given, only that many randomly chosen
-    elements are probed (for expensive end-to-end graphs). Each param's
-    storage is first raised to float64 in place, and both the autodiff and
-    the finite-difference passes run under ``float64()``; only the autodiff
-    pass records.
+    elements are probed (for expensive end-to-end graphs). Every param must
+    be float64, made inside ``float64()``; both the autodiff and the
+    finite-difference passes run under it, and only the autodiff pass
+    records.
     """
-    promote(params)
+    for p in params:
+        if p.data.dtype != np.float64:
+            raise PulseformerError(
+                f"gradient check needs float64 params, got {p.data.dtype}: "
+                "make them inside tensor.float64()")
     with float64():
         for p in params:
             p.grad = None
@@ -81,6 +77,7 @@ def _rand(rng, *shape, avoid_zero=False):
     return x
 
 
+@float64()
 def op_checks(seed: int) -> list[tuple[str, float]]:
     """Gradient checks for every differentiable operator, one seed."""
     rng = np.random.default_rng(seed)
@@ -184,6 +181,7 @@ def run_op_suite() -> dict[str, float]:
     return worst
 
 
+@float64()
 def model_grad_check(seed: int) -> float:
     """End-to-end finite-difference check of 20 sampled elements on a tiny configuration."""
     cfg = ModelConfig(input_dims=(8, 32, 32), base_width=4, stage_depths=(1, 1, 1, 1),

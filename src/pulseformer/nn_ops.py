@@ -12,10 +12,9 @@ single exp. The decomposed relative position bias of a tile is added from a
 zero-copy strided view of one per-head table, and its gradient is binned per
 axis from the marginals of the score gradient, summed tile by tile.
 
-Every op computes in the result dtype of its inputs, which is the storage
-dtype of ``tensor`` (float32 unless inside ``tensor.float64()``). An op that
-allocates its own output or scratch array gives it that result dtype too, so
-float64 operands are never rounded through a float32 buffer.
+Every op computes in its graph's one dtype, the storage dtype of ``tensor``
+(float32 unless inside ``tensor.float64()``), and gives any output, scratch
+or gradient array it allocates that dtype.
 
 Attention and conv3d split their work into chunks that ``_run_chunks`` hands
 to as many workers as ``one_blas_thread`` holds; its docstring states the
@@ -95,11 +94,9 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     into its worker's zero-bordered buffer, builds the item's columns and
     makes its output with one GEMM. The pull rebuilds those columns rather
     than keeping them on the tape, makes the item's dw partial, then writes
-    w2ᵀ g into the same column buffer and scatters it into dx. The buffer is
-    sized for the result dtype of x, w and g and read as x's dtype for the
-    columns and as w and g's for w2ᵀ g. ``_ChunkSum`` adds the dw partials in
-    item order, so the result does not depend on the worker count, and each
-    worker holds one column buffer.
+    w2ᵀ g into the same column buffer and scatters it into dx. ``_ChunkSum``
+    adds the dw partials in item order, so the result does not depend on the
+    worker count, and each worker holds one column buffer.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -117,16 +114,17 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     interior = _interior(x.shape[2:], pad)
     w2 = w.data.reshape(k, -1)
     col_shape = (w2.shape[1], int(np.prod(out_dims)))
+    dtype = x.data.dtype   # the graph's: w, b and g share it
 
     def item_scratch():
-        """A zero-bordered item buffer and a column buffer, in x's dtype."""
-        return np.zeros(pad_shape, dtype=x.data.dtype), np.empty(col_shape, dtype=x.data.dtype)
+        """A zero-bordered item buffer and a column buffer."""
+        return np.zeros(pad_shape, dtype=dtype), np.empty(col_shape, dtype=dtype)
 
     def item_columns(i, xp, cols):
         xp[interior] = x.data[i]
         return _extract_patches(xp, kernel, stride, out_dims, cols)
 
-    y = np.empty((n, k, col_shape[1]), dtype=np.result_type(x.data, w.data, b.data))
+    y = np.empty((n, k, col_shape[1]), dtype=dtype)
 
     def forward(i, scratch):
         np.dot(w2, item_columns(i, *scratch), out=y[i])
@@ -138,28 +136,24 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     def pull(g):
         g2 = g.reshape(n, k, -1)
         _accum(b.slot, g2.sum(axis=(0, 2)))
-        gdt = np.result_type(w2, g2)
         dw2 = _ChunkSum([np.zeros_like(w2)])
-        dx = np.empty(x.shape, dtype=gdt) if x.requires_grad else None
+        dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
         st, sh, sw = stride
         to, ho, wo = out_dims
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return (np.zeros(pad_shape, dtype=x.data.dtype),
-                    np.empty(col_shape, dtype=np.result_type(x.data, gdt)),
-                    np.zeros(pad_shape, dtype=gdt) if x.requires_grad else None,
-                    [np.empty(w2.shape, dtype=np.result_type(g2, x.data))])
+            return (*item_scratch(),
+                    np.zeros(pad_shape, dtype=dtype) if x.requires_grad else None,
+                    [np.empty_like(w2)])
 
         def backward(i, scratch):
-            xp, buf, dxp, part = scratch
+            xp, cols, dxp, part = scratch
             if w.requires_grad:
-                cols = item_columns(i, xp, np.ndarray(col_shape, x.data.dtype, buf))
-                np.matmul(g2[i], cols.T, out=part[0])
+                np.matmul(g2[i], item_columns(i, xp, cols).T, out=part[0])
                 dw2.add(i, part)
             if x.requires_grad:
-                dcols = np.ndarray(col_shape, gdt, buf)
-                np.dot(w2.T, g2[i], out=dcols)
-                dc = dcols.reshape((c,) + tuple(kernel) + out_dims)
+                np.dot(w2.T, g2[i], out=cols)
+                dc = cols.reshape((c,) + tuple(kernel) + out_dims)
                 dxp.fill(0)
                 for dt, dh, dw_ in np.ndindex(*kernel):
                     dxp[:, dt:dt + st * to:st, dh:dh + sh * ho:sh,
@@ -189,7 +183,7 @@ def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
         raise DimensionError(f"depthwise kernel {w.shape} incompatible with input {x.shape}")
     n, c, t, h, wl = x.shape
     xp = np.pad(x.data, DEPTHWISE_PAD)
-    y = np.zeros(x.shape, dtype=np.result_type(x.data, w.data))
+    y = np.zeros_like(x.data)
     for dt in range(3):
         for dh in range(3):
             for dw_ in range(3):
@@ -243,10 +237,9 @@ def batchnorm3d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
         # in place, so the model's checkpoint buffers see the update
         running_mean[...] = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mu
         running_var[...] = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
-    else:   # the float64 running buffers, in the inputs' dtype
-        dt = np.result_type(x.data, gamma.data, beta.data)
-        mu = running_mean.astype(dt, copy=False)
-        var = running_var.astype(dt, copy=False)
+    else:   # the float64 running buffers, in the graph's dtype
+        mu = running_mean.astype(x.data.dtype, copy=False)
+        var = running_var.astype(x.data.dtype, copy=False)
     mu, inv = mu.reshape(shape), (1.0 / np.sqrt(var + NORM_EPS)).reshape(shape)
     y = gamma.data.reshape(shape) * ((x.data - mu) * inv) + beta.data.reshape(shape)
     out = Tensor(y, requires_grad=_needs_grad(x, gamma, beta))
@@ -590,11 +583,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     [v | 1] for it, and not k or v; the pull builds [q·scl | -lse] and
     [g | -rs] for one query block of one batch item at a time, in its
     worker's scratch, so its score memory stays O(ATTN_BLOCK * KEY_BLOCK)
-    per worker regardless of sequence length. q,
-    k and v share one dtype, and score tiles, ``lse`` and the output are
-    made in it; dS and the q/k/v gradients take the result dtype of it and
-    the incoming gradient, which is the same dtype unless the inputs were
-    made under another compute dtype than the call's.
+    per worker regardless of sequence length. q, k and v share one dtype,
+    their graph's, and score tiles, ``lse``, the output, dS and the
+    gradients are all made in it.
 
     Both passes run as chunks of ``_run_chunks`` over the (head, query
     block) items. The bias views are made on the calling thread. The
@@ -670,15 +661,14 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
     tables, slots = params[3:], [t.slot for t in params]
 
     def pull(g):
-        gdt = np.result_type(g, v1)               # of dS and the q/k/v grads
-        dq = np.zeros(qd.shape, dtype=gdt)
+        dq = np.zeros(qd.shape, dtype=dt)
         biases = block_biases()
         nc = min(CHUNKS, len(work))
         bounds = [len(work) * c // nc for c in range(nc + 1)]
 
         def partials():
             """Zeroed dk, dv and table gradients."""
-            return [np.zeros(qd.shape, dtype=gdt), np.zeros(qd.shape, dtype=gdt),
+            return [np.zeros(qd.shape, dtype=dt), np.zeros(qd.shape, dtype=dt),
                     *(np.zeros_like(t.data) for t in tables)]
 
         sums = _ChunkSum(partials())
@@ -690,8 +680,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             for (hh, i0, i1, block), bias in zip(work[items], biases[items]):
                 if rel is not None:   # dS summed over key t and over key (h, w)
                     gt, gh, gw = rel.grid
-                    sum_t = np.zeros((i1 - i0, gh * gw), dtype=gdt)
-                    sum_hw = np.zeros((i1 - i0, gt), dtype=gdt)
+                    sum_t = np.zeros((i1 - i0, gh * gw), dtype=dt)
+                    sum_hw = np.zeros((i1 - i0, gt), dtype=dt)
                 qb, gb = q_rows[:i1 - i0], g_rows[:i1 - i0]
                 for i in range(n):
                     np.multiply(qd[i, hh, i0:i1], scl, out=qb[:, :d])   # [q·scl | -lse]
@@ -713,9 +703,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor,
             sums.add(chunk, parts)
 
         _run_chunks(backward, nc, lambda: (np.empty(tile_size, dtype=dt),
-                                           np.empty(tile_size, dtype=gdt),
+                                           np.empty(tile_size, dtype=dt),
                                            np.empty((bs, d + 1), dtype=dt),
-                                           np.empty((bs, d + 1), dtype=g.dtype), partials()))
+                                           np.empty((bs, d + 1), dtype=dt), partials()))
         dq *= scl
         for slot, grad in zip(slots, [dq, *sums.total]):
             _accum(slot, grad)

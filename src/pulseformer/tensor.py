@@ -7,8 +7,8 @@ appends a pull-back closure to it; with no tape open, ops record nothing.
 topological order by construction) and accumulates gradients into every
 reachable tensor with ``requires_grad``, releasing each entry and its
 output's gradient as it goes, so only leaf tensors keep a ``.grad``. A
-tensor keeps its gradient state (``grad``, ``requires_grad`` and its dtype)
-in a slot apart from its data. The tape holds each output's slot, and a pull
+tensor keeps its gradient state (``grad`` and ``requires_grad``) in a slot
+apart from its data. The tape holds each output's slot, and a pull
 holds the slots of the inputs it sends gradients to and only the arrays it
 reads (the saved-tensor rule of Paszke et al., arXiv 1912.01703), so an
 array that no pull reads is freed as soon as the program drops its tensor. A
@@ -28,8 +28,9 @@ Storage follows the compute dtype: float32 by default, for train and
 predict, and float64 inside ``float64()``, as finite-difference gradient
 checks need. A tensor is stored in the dtype current when it is made, so a
 model's parameters, and the optimiser moments made from them, keep the dtype
-current when the model was built; a gradient takes its tensor's dtype. Ops
-compute in the result dtype of their inputs.
+current when the model was built. A graph is built in one dtype: every
+tensor it reads is made under the same compute dtype, each op computes in
+it, and every gradient comes back in it.
 
 Broadcasting is deliberately restricted to bias addition and per-channel
 affine terms; everything else requires exact shape agreement.
@@ -115,16 +116,14 @@ def compute_dtype() -> type:
 class _Slot:
     """A tensor's gradient state without its data: what a pull sends gradients to.
 
-    ``dtype`` is the tensor's, which its gradient takes. ``out`` is a weak
-    reference to the tensor, set when its op is recorded.
+    ``out`` is a weak reference to the tensor, set when its op is recorded.
     """
 
-    __slots__ = ("grad", "requires_grad", "dtype", "out")
+    __slots__ = ("grad", "requires_grad", "out")
 
-    def __init__(self, dtype, requires_grad: bool):
+    def __init__(self, requires_grad: bool):
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.dtype = dtype
 
 
 def _slot_attr(name: str) -> property:
@@ -136,11 +135,10 @@ class Tensor:
     """N-dimensional array participating in reverse-mode autodiff.
 
     ``data`` is cast to the compute dtype current when the tensor is made.
-    ``grad`` and ``requires_grad`` live in ``slot``, whose dtype follows a
-    reassigned ``data``.
+    ``grad`` and ``requires_grad`` live in ``slot``.
     """
 
-    __slots__ = ("_data", "slot", "__weakref__")
+    __slots__ = ("data", "slot", "__weakref__")
     grad = _slot_attr("grad")
     requires_grad = _slot_attr("requires_grad")
 
@@ -148,17 +146,8 @@ class Tensor:
         arr = np.asarray(data, dtype=compute_dtype())
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        self.slot = _Slot(arr.dtype, bool(requires_grad))
-        self._data = arr
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    @data.setter
-    def data(self, arr: np.ndarray) -> None:
-        self._data = arr
-        self.slot.dtype = arr.dtype
+        self.slot = _Slot(bool(requires_grad))
+        self.data = arr
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -188,16 +177,15 @@ def _record(out: Tensor, pull: Callable[[np.ndarray], None]) -> None:
 def _accum(s: _Slot, g: np.ndarray) -> None:
     """Accumulate a gradient contribution into a tensor's slot; sums over all uses.
 
-    A first contribution becomes the gradient as it is (cast only if its
-    dtype differs from the slot's), and later ones are added into it in
-    place. So a pull hands over only a writable array that nothing else
-    reads: one it has just made, or a view of its own ``g``, given to one
-    tensor.
+    A first contribution becomes the gradient as it is, and later ones are
+    added into it in place. So a pull hands over only a writable array, in
+    its graph's dtype, that nothing else reads: one it has just made, or a
+    view of its own ``g``, given to one tensor.
     """
     if not s.requires_grad:
         return
     if s.grad is None:
-        s.grad = np.asarray(g, dtype=s.dtype)
+        s.grad = g
     else:
         s.grad += g
 
@@ -365,8 +353,8 @@ def gelu(x: Tensor) -> Tensor:
     Forward and pull run over ``GELU_CHUNK`` elements of the flattened
     arrays at a time, each element in the whole-array formulas' order. The
     pull rebuilds tanh(u) rather than keeping it, and writes the gradient
-    into its own ``g`` (cast to the result dtype of ``g`` and the input), so
-    the op keeps only its output and the pull makes no input-sized array.
+    into its own ``g`` (made contiguous if it is not), so the op keeps only
+    its output and the pull makes no input-sized array.
     """
     v = x.data
     y = np.empty(v.shape, v.dtype)
@@ -377,7 +365,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def pull(g):
         # d = 0.5 (1 + th) + 0.5 v (1 - th^2) du, du = c (1 + 3 * 0.044715 v^2)
-        g = np.asarray(g, dtype=np.result_type(g, v), order="C")
+        g = np.ascontiguousarray(g)
         gf = g.reshape(-1)
         for c in _chunks(v.size):
             vc = vf[c]

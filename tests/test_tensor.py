@@ -2,6 +2,7 @@
 
 import asyncio
 import contextlib
+import copy
 import math
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pulseformer import model, nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import DimensionError, PulseformerError
-from pulseformer.gradcheck import max_relative_error, promote
+from pulseformer.gradcheck import max_relative_error
 from pulseformer.model import _Block, _ParamStore
 from pulseformer.tensor import Tensor
 from pulseformer.training import AdamW
@@ -251,6 +252,19 @@ def loss_grads(loss, params):
     return [p.grad.copy() for p in params]
 
 
+def widen(*ts):
+    """Float64 tensors made inside ``T.float64()`` from the values of ``ts``."""
+    with T.float64():
+        return [Tensor(t.data, requires_grad=t.requires_grad) for t in ts]
+
+
+def widen_rel(rel):
+    """A copy of ``rel`` whose tables are ``widen``ed."""
+    wide = copy.copy(rel)
+    wide.table_t, wide.table_h, wide.table_w = widen(*rel.tables())
+    return wide
+
+
 def assert_float32_grads_close(g32, g64):
     # float32 rounding is relative to a gradient's scale, not to each
     # element, so near-zero elements get the same 1e-4 of the array's max
@@ -307,8 +321,12 @@ class TestAttention:
         np.testing.assert_array_equal(plain.data, biased.data)
 
     @staticmethod
-    def _rel_bias_case(monkeypatch, block, grid, key_block=None):
-        """q, k, v, filled tables, the dense-oracle output and an MSE loss."""
+    def _rel_bias_case(monkeypatch, block, grid, key_block=None, wide=False):
+        """q, k, v, filled tables, the dense-oracle output and an MSE loss.
+
+        With ``wide``, the tensors are ``widen``ed copies of the ones made
+        without it, for a loss run inside ``T.float64()``.
+        """
         monkeypatch.setattr(nn_ops, "ATTN_BLOCK", block)
         if key_block is not None:
             monkeypatch.setattr(nn_ops, "KEY_BLOCK", key_block)
@@ -322,6 +340,9 @@ class TestAttention:
             table.data[:] = rng.standard_normal(table.shape)
         expect = dense_attention(q.data, k.data, v.data, dense_rel_bias(rel))
         target = Tensor(rng.standard_normal(q.shape))
+        if wide:
+            q, k, v, target = widen(q, k, v, target)
+            rel = widen_rel(rel)
 
         def loss():
             return T.mse_loss(nn_ops.attention_core(q, k, v, rel=rel), target)
@@ -359,9 +380,9 @@ class TestAttention:
         np.testing.assert_allclose(y.data, expect, rtol=1e-5, atol=1e-6)
         params = [q, k, v, *rel.tables()]
         g32 = loss_grads(loss, params)
-        promote(params)
+        q, k, v, rel, _, loss = self._rel_bias_case(monkeypatch, block, grid, key_block, wide=True)
         with T.float64():
-            g64 = loss_grads(loss, params)
+            g64 = loss_grads(loss, [q, k, v, *rel.tables()])
         assert_float32_grads_close(g32, g64)
 
     @rel_grids
@@ -417,7 +438,11 @@ class TestAttention:
         expect = dense_attention(q.data, k.data, v.data, bias)
         np.testing.assert_allclose(y, expect, rtol=1e-4, atol=1e-4 * np.abs(expect).max())
         g32 = loss_grads(loss, params)
-        promote(params)
+        q, k, v, target = widen(q, k, v, target)
+        params = [q, k, v]
+        if with_rel:
+            rel = widen_rel(rel)
+            params += rel.tables()
         with T.float64():
             g64 = loss_grads(loss, params)
         assert all(np.isfinite(g).all() for g in g32)
@@ -450,7 +475,7 @@ class TestAttention:
                                    rtol=1e-5, atol=1e-6)
         g32 = loss_grads(loss, [q, k, v])
         monkeypatch.undo()
-        promote([q, k, v])
+        q, k, v, target = widen(q, k, v, target)
         with T.float64():
             g64 = loss_grads(loss, [q, k, v])
         assert_float32_grads_close(g32, g64)
@@ -514,7 +539,9 @@ class TestAttention:
         expect = dense_attention(q.data, k.data, v.data, bias)
         np.testing.assert_allclose(y, expect, rtol=1e-4, atol=1e-4 * np.abs(expect).max())
         assert all(np.isfinite(g).all() for g in loss_grads(loss, params))
-        promote(params)
+        q, k, v = widen(q, k, v)
+        if with_rel:
+            rel = widen_rel(rel)
         with T.float64():
             y64 = nn_ops.attention_core(q, k, v, rel=rel).data
         np.testing.assert_allclose(y64, dense_attention(q.data, k.data, v.data, bias),
@@ -617,21 +644,11 @@ class TestAttention:
         assert not T._tape
 
     def test_inputs_made_under_another_dtype(self):
-        """float32 q, k, v under float64() give a float64 output and float32 leaf grads."""
+        """q, k and v made under different compute dtypes are rejected."""
         rng = np.random.default_rng(16)
         q, k, v = (Tensor(rng.standard_normal((1, 2, 10, 3)), requires_grad=True)
                    for _ in range(3))
-        target = Tensor(rng.standard_normal(q.shape))
-
-        def loss():
-            return T.mse_loss(nn_ops.attention_core(q, k, v), target)
-
-        g32 = loss_grads(loss, [q, k, v])
-        with T.float64():
-            g = loss_grads(loss, [q, k, v])
-            v64 = Tensor(v.data)
-        assert all(a.dtype == np.float32 for a in g)
-        assert_float32_grads_close(g, g32)
+        (v64,) = widen(v)
         with pytest.raises(DimensionError, match="dtypes differ"):
             nn_ops.attention_core(q, k, v64)
 
@@ -891,17 +908,6 @@ class TestTapeSlots:
             assert T._tape.entries[-1][1] is pull
             assert T._tape.entries[-1][0] is last.slot
 
-    def test_promoted_tensor_gets_a_float64_grad(self):
-        """A float32 tensor promoted to float64 takes float64 gradients: its slot follows."""
-        x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-        assert x.data.dtype == np.float32
-        promote([x])
-        with T.float64(), T.record():
-            T.backward(T.mean(T.elu(x)))
-        assert x.grad.dtype == np.float64
-        np.testing.assert_allclose(x.grad, np.where(x.data <= 0, np.exp(x.data), 1.0) / 3,
-                                   rtol=1e-14)   # not rounded through float32
-
 
 class TestGradientOwnership:
     def test_residual_block_grads_alias_nothing(self, monkeypatch):
@@ -1023,10 +1029,11 @@ class TestCheckpoint:
     def test_block_matches_finite_differences(self):
         rng = np.random.default_rng(22)
         store = _ParamStore()
-        block = _Block(store, "b", 8, 2, 4.0, rng)
-        rel = nn_ops.RelativeBias(2, (2, 2, 3))
-        x = Tensor(rng.standard_normal((2, 12, 8)), requires_grad=True)
-        target = Tensor(rng.standard_normal(x.shape))
+        with T.float64():
+            block = _Block(store, "b", 8, 2, 4.0, rng)
+            rel = nn_ops.RelativeBias(2, (2, 2, 3))
+            x = Tensor(rng.standard_normal((2, 12, 8)), requires_grad=True)
+            target = Tensor(rng.standard_normal(x.shape))
         err = max_relative_error(lambda: T.mse_loss(block(x, rel), target),
                                  [x, *store.params.values()], sample=200,
                                  rng=np.random.default_rng(23))
@@ -1165,18 +1172,18 @@ class TestCheckpoint:
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 7, T.GELU_CHUNK - 1, T.GELU_CHUNK, T.GELU_CHUNK + 1,
                           2 * T.GELU_CHUNK + 5]),
-       wide=st.booleans(), g_wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
        specials=st.lists(st.tuples(st.one_of(st.integers(0, 2 ** 31),
                                              st.sampled_from([T.GELU_CHUNK - 1, T.GELU_CHUNK])),
                                    st.sampled_from(GELU_SPECIALS)), max_size=8))
-def test_chunked_gelu_matches_whole_array_formulas(n, wide, g_wide, seed, specials):
+def test_chunked_gelu_matches_whole_array_formulas(n, wide, seed, specials):
     """Forward and pull over chunks give the whole-array bits, specials included."""
     dtype = np.float64 if wide else np.float32
     rng = np.random.default_rng(seed)
     v = (3.0 * rng.standard_normal(n)).astype(dtype)
     for pos, value in specials:
         v[pos % n] = value
-    g = rng.standard_normal(n).astype(np.float64 if g_wide else np.float32)
+    g = rng.standard_normal(n).astype(dtype)
     with np.errstate(invalid="ignore", over="ignore"):   # inf * 0 where tanh saturates
         with T.float64() if wide else contextlib.nullcontext(), T.record():
             x = Tensor(v, requires_grad=True)
@@ -1184,7 +1191,7 @@ def test_chunked_gelu_matches_whole_array_formulas(n, wide, g_wide, seed, specia
             T._tape.entries[-1][1](g.copy())
         want_y, want_g = _gelu_whole(v, g)
     assert y.data.tobytes() == want_y.tobytes()
-    assert x.grad.tobytes() == want_g.astype(dtype).tobytes()
+    assert x.grad.tobytes() == want_g.tobytes()
 
 
 class TestRetainedMemory:
@@ -1287,6 +1294,12 @@ OP_CASES = {
     "mse_loss": ([(4, 5), (4, 5)], T.mse_loss),
     "attention": ([(2, 2, 37, 4)] * 3, nn_ops.attention_core),
     "attention_rel": ([(2, 2, 60, 3)] * 3 + [(2, 7), (2, 5), (2, 9)], _rel_attention),
+    "depthwise_conv3d": ([(2, 3, 4, 5, 5), (3, 3, 3, 3)], nn_ops.depthwise_conv3d),
+    "nearest_upsample3d": ([(2, 3, 3, 4, 4)], nn_ops.nearest_upsample3d),
+    "mean_axes": ([(2, 3, 4, 5)], lambda x: T.mean(x, axes=(0, 2))),
+    "add": ([(3, 4), (3, 4)], T.add),
+    "add_embedding": ([(2, 3, 4), (3, 4)], T.add_embedding),
+    "checkpoint_gelu": ([(3, 4)], lambda x: T.checkpoint(T.gelu, x)),
 }
 
 
@@ -1304,7 +1317,7 @@ def test_float32_op_matches_float64(name):
 
     g32 = loss_grads(loss, params)
     assert y32.dtype == np.float32 and all(g.dtype == np.float32 for g in g32)
-    promote(params)
+    *params, target = widen(*params, target)
     with T.float64():
         y64 = op(*params).data
     with T.float64():
@@ -1312,23 +1325,3 @@ def test_float32_op_matches_float64(name):
     assert y64.dtype == np.float64 and all(g.dtype == np.float64 for g in g64)
     np.testing.assert_allclose(y32, y64, rtol=1e-5, atol=1e-5 * np.abs(y64).max())
     assert_float32_grads_close(g32, g64)
-
-
-def test_float32_input_with_float64_params_is_not_rounded():
-    """conv3d and eval batch norm allocate in the result dtype, not the input's."""
-    rng = np.random.default_rng(15)
-    x = Tensor(rng.standard_normal((2, 3, 6, 5, 5)))
-    assert x.data.dtype == np.float32
-    xd = x.data.astype(np.float64)
-    with T.float64():
-        w, b, gamma, beta = (Tensor(rng.standard_normal(s))
-                             for s in [(4, 3, 3, 3, 3), (4,), (3,), (3,)])
-        y = nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))
-        z = _bn_eval(x, gamma, beta)
-    np.testing.assert_allclose(y.data, conv3d_oracle(xd, w.data, b.data, (2, 2, 1), (1, 1, 1)),
-                               atol=1e-12)
-    mean = np.array([0.3, -0.2, 0.1]).reshape(1, 3, 1, 1, 1)
-    var = np.array([1.5, 0.7, 1.1]).reshape(1, 3, 1, 1, 1)
-    expect = gamma.data.reshape(mean.shape) * (xd - mean) / np.sqrt(var + 1e-5) \
-        + beta.data.reshape(mean.shape)
-    np.testing.assert_allclose(z.data, expect, atol=1e-12)
