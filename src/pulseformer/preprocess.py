@@ -6,8 +6,13 @@ take and return plain arrays. Frames are T x H x W x C floats in [0, 1],
 float32 from a clip file or the synthesiser; waveforms are float64 at the
 clip frame rate. ``make_example`` resizes and normalises each window in
 float64 and stores the model input in float32, the dtype the model computes
-in. The normalised-difference frame format divides each successive-frame
-difference by its sum per pixel, which cancels static illumination exactly.
+in. Both frame formats work in slabs of frames (``frame_slabs``): each slab is
+computed in float64 and cast into the float32 window. The one full-size
+float64 array they make is the stack that the window's global mean and
+standard deviation reduce over; it is kept whole so that those reductions
+keep numpy's bits. The normalised-difference frame format divides each
+successive-frame difference by its sum per pixel, which cancels static
+illumination exactly.
 """
 
 from __future__ import annotations
@@ -81,7 +86,68 @@ def standardize(x: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / max(std, EPS)
 
 
-def diffnorm_frames(frames: np.ndarray) -> np.ndarray:
+# elements per slab pass: a slab's float64 temporaries, 768 KiB each, stay near
+# one core's L2, and a 120 x 16 x 16 colour window (the search's clips) is one slab
+SLAB = 3 * 2 ** 15
+
+
+def frame_slabs(n: int, frame_size: int):
+    """Consecutive slices of ``n`` frames, each of at most ``SLAB`` elements or one frame."""
+    step = max(1, SLAB // frame_size)
+    return (slice(s, min(s + step, n)) for s in range(0, n, step))
+
+
+def mean_std(x: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std()`` bit for bit, squaring ``x``'s deviations in place.
+
+    These are the reductions and elementwise ops of numpy's own ``_var``,
+    without its full-size temporary; ``x`` holds the squares afterwards.
+    """
+    mean = np.add.reduce(x, axis=None) / x.size
+    x -= mean
+    x *= x
+    return mean, math.sqrt(np.add.reduce(x, axis=None) / x.size)
+
+
+def _zero_nonfinite(a: np.ndarray) -> None:
+    """Set ``a``'s nan and inf elements to zero, in place."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        a[~finite] = 0.0
+
+
+def _scaled_frames(frames, n, values, scale, dtype):
+    """Shared pass of both frame formats: the global moments, then the write pass.
+
+    ``values(sl, v)`` writes frames ``sl`` of the n-frame float64 stack into
+    ``v``, and ``scale(v, mean, std)`` turns them into output. The stack is
+    the one full-size float64 array: numpy reduces over it whole, so mean and
+    std keep their bits. It is freed before the output is made, and the write
+    pass rebuilds each slab but the last from ``frames``. The output is T x H
+    x W x C in ``dtype``, laid out channel-first, the model's layout; frames
+    past ``n`` stay zero.
+    """
+    if n < 1 or 0 in frames.shape:
+        raise InputError(f"frames of shape {frames.shape} leave no values to normalise")
+    shape = frames.shape[1:]
+    stack = np.empty((n,) + shape)
+    slabs = list(frame_slabs(n, stack[0].size))
+    for sl in slabs:
+        values(sl, stack[sl])
+    last = stack[slabs[-1]].copy()   # kept, so the write pass need not rebuild it
+    mean, std = mean_std(stack)
+    del stack
+    t, h, w, c = frames.shape
+    out = np.moveaxis(np.zeros((c, t, h, w), dtype), 0, 3)
+    out[slabs[-1]] = scale(last, mean, std)
+    for sl in slabs[:-1]:
+        v = np.empty((sl.stop - sl.start,) + shape)
+        values(sl, v)
+        out[sl] = scale(v, mean, std)
+    return out
+
+
+def diffnorm_frames(frames: np.ndarray, dtype=np.float64) -> np.ndarray:
     """Difference-over-sum format of T >= 2 frames, globally standardised to unit spread.
 
     d_t = (c_{t+1} - c_t) / max(c_{t+1} + c_t, EPS) per pixel and channel;
@@ -89,19 +155,38 @@ def diffnorm_frames(frames: np.ndarray) -> np.ndarray:
     cancels exactly. The stack of T-1 difference frames is divided by its
     global standard deviation, or zeroed if that is below EPS (one element,
     say); non-finite values are zeroed and a zero frame restores length T.
-    Every step writes into the float64 output, whose last frame stays zero.
+    Each slab of frames is widened to float64 and computed there; only the
+    difference stack that the standard deviation reduces over is ever whole
+    in float64. The result is cast to ``dtype``.
     """
-    out = np.zeros(frames.shape)
-    d = out[:-1]
-    np.subtract(frames[1:], frames[:-1], out=d, dtype=np.float64)
-    den = np.add(frames[1:], frames[:-1], dtype=np.float64)
-    d /= np.maximum(den, EPS, out=den)
-    del den   # before std() makes its own full-size temporary
-    d[~np.isfinite(d)] = 0.0
-    std = d.std()
-    d /= std if std >= EPS else math.inf   # no spread to normalise: zeros, not d / EPS
-    d[~np.isfinite(d)] = 0.0
-    return out
+    def values(sl, d):
+        f = np.asarray(frames[sl.start:sl.stop + 1], np.float64)
+        np.subtract(f[1:], f[:-1], out=d)
+        den = np.add(f[1:], f[:-1])
+        d /= np.maximum(den, EPS, out=den)
+        _zero_nonfinite(d)
+
+    def scale(d, mean, std):
+        d /= std if std >= EPS else math.inf   # no spread to normalise: zeros, not d / EPS
+        _zero_nonfinite(d)
+        return d
+
+    return _scaled_frames(frames, len(frames) - 1, values, scale, dtype)
+
+
+def standardize_frames(frames: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``standardize`` of T x H x W x C frames, cast to ``dtype``.
+
+    Computed in float64 slabs like ``diffnorm_frames``; the float64 copy of
+    the frames that mean and std reduce over is the one full-size array.
+    """
+    def scale(x, mean, std):
+        x -= mean
+        x /= max(std, EPS)
+        return x
+
+    return _scaled_frames(frames, len(frames), lambda sl, x: np.copyto(x, frames[sl]),
+                          scale, dtype)
 
 
 def diff_labels(samples: np.ndarray) -> np.ndarray:
@@ -169,7 +254,10 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     """Window, resize, and format one clip/trace pair per the configuration.
 
     Produces floor(T_total / T_cfg) consecutive non-overlapping windows. It
-    reads only the fields in ``window_key(cfg)``.
+    reads only the fields in ``window_key(cfg)``. ``diffnorm_frames`` or
+    ``standardize_frames`` writes each window straight into its float32,
+    channel-first ``x``; besides a resized window's own float64 frames, the
+    only full-size float64 array is their stack for the global moments.
     """
     t_cfg, h_cfg, w_cfg = cfg.input_dims
     if trace.length < clip.length:
@@ -181,14 +269,11 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
         raise InputError(f"clip length {clip.length} shorter than window {t_cfg}")
 
     n_win = clip.length // t_cfg
+    fmt = diffnorm_frames if cfg.frame_format == "DiffNorm" else standardize_frames
     out = []
     for wi in range(n_win):
         sl = slice(wi * t_cfg, (wi + 1) * t_cfg)
-        win = resize_bilinear(clip.frames[sl], h_cfg, w_cfg)
-        if cfg.frame_format == "DiffNorm":
-            win = diffnorm_frames(win)
-        else:
-            win = standardize(win)
+        win = fmt(resize_bilinear(clip.frames[sl], h_cfg, w_cfg), np.float32)
         tr = trace.samples[sl].copy()
 
         if cfg.output_format == "HR":
@@ -201,7 +286,7 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
             if cfg.signal_norm:
                 target = standardize(target)
         out.append(WindowExample(
-            x=np.ascontiguousarray(np.moveaxis(win, 3, 0), dtype=np.float32),
+            x=np.ascontiguousarray(np.moveaxis(win, 3, 0)),   # a view: win is channel-first
             target=target,
             trace_window=tr,
             fps=trace.fps,

@@ -6,6 +6,9 @@ illumination random walk, per-pixel Gaussian noise, and an optional linear
 integer-pixel drift. The noise-free waveform is kept as ground truth. Frames
 and trace are the float32 values ``gen`` writes; file headers store fps as
 float32, so the round trip is exact at rates it holds exactly (30, 50 fps).
+Frames are computed in float64 one slab of frames at a time and cast into
+the float32 clip, so no full-size float64 array is made: nothing is reduced
+over the whole clip.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .preprocess import SignalTrace, VideoClip, check_fps, resize_bilinear
+from .preprocess import SignalTrace, VideoClip, check_fps, frame_slabs, resize_bilinear
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,13 @@ def pulse_waveform(t_seconds: np.ndarray, hr_bpm: float, phase: float) -> np.nda
 
 def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarray,
                   hr: float, subject_id: str, clip_id: str) -> LabeledClip:
-    """``base`` pulsing at ``hr`` bpm in the float32 that ``gen`` writes; same seed, same bits."""
+    """``base`` pulsing at ``hr`` bpm in the float32 that ``gen`` writes; same seed, same bits.
+
+    Each slab of frames is built in float64, gets its noise, is clipped to
+    [0, 1] and is cast into the float32 frames. The slabs draw their noise
+    in turn from the one generator, which gives the stream of one whole-clip
+    draw, so the clip's bits do not depend on the slab size.
+    """
     check_fps(fps)
     if t < 2 * fps:
         raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
@@ -81,20 +90,27 @@ def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarra
     else:
         lum = np.ones(t)
 
-    frames = base[None] * ((1.0 + preset.pulse_amplitude * g) * lum)[:, None, None, None]
+    m = preset.motion_max_px
+    end = rng.integers(-m, m + 1, size=2) if m > 0 else None
 
-    if preset.motion_max_px > 0:
-        m = preset.motion_max_px
-        end = rng.integers(-m, m + 1, size=2)
-        for i in range(t):
-            frac = i / (t - 1) if t > 1 else 0.0
-            sy, sx = np.rint(frac * end).astype(int)
-            if sy or sx:
-                frames[i] = np.roll(frames[i], (sy, sx), axis=(0, 1))
-
-    if preset.noise_std > 0:
-        frames += rng.normal(0.0, preset.noise_std, size=frames.shape)
-    frames = np.clip(frames, 0.0, 1.0, out=frames).astype(np.float32)
+    scale = (1.0 + preset.pulse_amplitude * g) * lum
+    slabs = list(frame_slabs(t, base.size))
+    # every slab is built in one buffer, made before the frames so that it is
+    # not freed above them: glibc would trim that memory and fault it in again
+    # for the next clip
+    buf = np.empty((slabs[0].stop,) + base.shape)
+    frames = np.empty((t,) + base.shape, np.float32)
+    for sl in slabs:
+        f = np.multiply(base[None], scale[sl, None, None, None], out=buf[:sl.stop - sl.start])
+        if end is not None:
+            for j, i in enumerate(range(sl.start, sl.stop)):
+                frac = i / (t - 1) if t > 1 else 0.0
+                sy, sx = np.rint(frac * end).astype(int)
+                if sy or sx:
+                    f[j] = np.roll(f[j], (sy, sx), axis=(0, 1))
+        if preset.noise_std > 0:
+            f += rng.normal(0.0, preset.noise_std, size=f.shape)
+        frames[sl] = np.clip(f, 0.0, 1.0, out=f)
 
     return LabeledClip(clip=VideoClip(frames, fps), trace=SignalTrace(g.astype(np.float32), fps),
                        planted_hr=hr, subject_id=subject_id, clip_id=clip_id)

@@ -1,5 +1,7 @@
 """Preprocessing oracles: frame formats, normalisation, resizing, windowing."""
 
+import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from pulseformer.errors import InputError
 from pulseformer.model import ModelConfig
 from pulseformer.preprocess import (SignalTrace, VideoClip, diff_labels,
-                                    diffnorm_frames, make_example,
-                                    resize_bilinear, standardize, window_key)
+                                    diffnorm_frames, frame_slabs, make_example,
+                                    mean_std, resize_bilinear, standardize,
+                                    standardize_frames, window_key)
 from pulseformer.search import general_config
 
 
@@ -43,6 +46,13 @@ class TestDiffNorm:
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             VideoClip(np.zeros((1, 2, 2, 3)), 30.0)
+
+    @pytest.mark.parametrize("fmt, shape", [
+        (diffnorm_frames, (1, 2, 2, 3)), (diffnorm_frames, (3, 0, 2, 3)),
+        (standardize_frames, (0, 2, 2, 3)), (standardize_frames, (3, 2, 2, 0))])
+    def test_no_values_rejected(self, fmt, shape):
+        with pytest.raises(InputError):
+            fmt(np.zeros(shape))
 
     def test_unit_global_std(self):
         rng = np.random.default_rng(0)
@@ -93,6 +103,15 @@ class TestStandardize:
         np.testing.assert_allclose(standardize(y), y, atol=1e-12)
 
 
+class TestMeanStd:
+    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 5, 7), (119, 13, 11, 3), (1001, 17)])
+    def test_matches_ndarray_bit_for_bit(self, shape):
+        x = np.random.default_rng(sum(shape)).normal(0.4, 0.3, shape)
+        mean, std = mean_std(x.copy())
+        assert (mean, std) == (x.mean(), x.std())
+        assert math.copysign(1.0, std) == 1.0 and isinstance(std, float)
+
+
 class TestDiffLabels:
     def test_constant_trace(self):
         out = diff_labels(np.full(5, 2.0))
@@ -134,33 +153,49 @@ class TestWindowDtype:
     """``x`` is float32 and equals the float64 computation rounded once."""
 
     @staticmethod
-    def _clip(dtype):
+    def _clip(dtype, kind="noise"):
         rng = np.random.default_rng(10)
         frames = rng.random((60, 8, 8, 3))
+        if kind == "flat":           # one value: a zero-spread stack in both formats
+            return VideoClip(np.full(frames.shape, 0.3, dtype), 30.0)
+        if kind == "static":         # equal frames: a zero-spread difference stack
+            frames[:] = frames[0]
         frames[:, :2] = 0.0          # black in every frame: a zero sum
         frames[::7, 5, 5] = 0.0      # black in some frames only
         return VideoClip(frames.astype(dtype), 30.0)
 
+    def test_wide_windows_span_uneven_slabs(self):
+        """The 48 x 48 case below splits both formats' stacks into three or more slabs, the last short."""
+        for n in (29, 30):
+            sizes = [sl.stop - sl.start for sl in frame_slabs(n, 48 * 48 * 3)]
+            assert len(sizes) > 2 and sizes[-1] < sizes[0]
+
     @pytest.mark.parametrize("frame_format", ["DiffNorm", "Raw"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("hw", [(8, 8), (6, 5)])
+    @pytest.mark.parametrize("hw", [(8, 8), (6, 5), (48, 48)])
     def test_x_is_rounded_float64_reference(self, frame_format, dtype, hw):
-        clip = self._clip(dtype)
         cfg = ModelConfig(input_dims=(30,) + hw, frame_format=frame_format)
         trace = SignalTrace(np.sin(np.arange(60) / 3.0), 30.0)
-        examples = make_example(clip, trace, cfg)
-        assert len(examples) == 2
-        for wi, ex in enumerate(examples):
-            f = resize_bilinear(clip.frames[30 * wi:30 * (wi + 1)].astype(np.float64), *hw)
-            ref = _diffnorm_reference(f) if frame_format == "DiffNorm" else standardize(f)
-            ref = np.moveaxis(ref, 3, 0).astype(np.float32)
-            assert (ex.x.dtype, ex.x.shape) == (np.float32, ref.shape)
-            assert ex.x.tobytes() == ref.tobytes()
+        for kind in ("noise", "static", "flat"):
+            clip = self._clip(dtype, kind)
+            examples = make_example(clip, trace, cfg)
+            assert len(examples) == 2
+            for wi, ex in enumerate(examples):
+                f = resize_bilinear(clip.frames[30 * wi:30 * (wi + 1)].astype(np.float64), *hw)
+                ref = _diffnorm_reference(f) if frame_format == "DiffNorm" else standardize(f)
+                ref = np.moveaxis(ref, 3, 0).astype(np.float32)
+                assert (ex.x.dtype, ex.x.shape) == (np.float32, ref.shape)
+                assert ex.x.tobytes() == ref.tobytes(), kind
 
     def test_diffnorm_matches_reference_bit_for_bit(self):
+        """Also across slabs, with non-finite pixels, whose differences are zeroed."""
         frames = self._clip(np.float64).frames
-        got = diffnorm_frames(frames)
-        assert got.tobytes() == _diffnorm_reference(frames).tobytes()
+        wide = resize_bilinear(frames, 48, 48)
+        wide[3, 0, 0] = np.nan
+        wide[40, 5, 5, 1] = np.inf
+        with np.errstate(invalid="ignore"):   # the nan and inf / inf that zeroing removes
+            for f in (frames, wide):
+                assert diffnorm_frames(f).tobytes() == _diffnorm_reference(f).tobytes()
 
 
 class TestResize:
@@ -215,6 +250,22 @@ class TestMakeExample:
         np.testing.assert_array_equal(ex.target, tr)
         ref = np.moveaxis(standardize(clip.frames), 3, 0).astype(np.float32)
         assert (ex.x.dtype, ex.x.tobytes()) == (ref.dtype, ref.tobytes())
+
+    @pytest.mark.parametrize("frame_format", ["DiffNorm", "Raw"])
+    def test_peak_memory_below_two_float64_windows(self, frame_format):
+        """One float64 stack and slabs: a 120 x 64 x 64 window peaks under 18 MiB, not 22.5."""
+        rng = np.random.default_rng(9)
+        clip = VideoClip(rng.random((120, 64, 64, 3), dtype=np.float32), 30.0)
+        trace = SignalTrace(np.zeros(120), 30.0)
+        cfg = ModelConfig(input_dims=(120, 64, 64), frame_format=frame_format)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            make_example(clip, trace, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 18 * 2 ** 20
 
     def test_short_trace_rejected(self):
         cfg = general_config(simple=True)

@@ -1,13 +1,15 @@
 """Planted-signal generator tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pulseformer.errors import InputError
 from pulseformer.metrics import DEFAULT_BAND, hr_from_signal, power_spectrum
-from pulseformer.preprocess import diffnorm_frames, standardize
-from pulseformer.synth import (HARD, SIMPLE, SynthPreset, _base_image, generate_clip,
-                               generate_dataset)
+from pulseformer.preprocess import diffnorm_frames, frame_slabs, standardize
+from pulseformer.synth import (DRIFT_CLAMP, HARD, SIMPLE, SynthPreset, _base_image,
+                               generate_clip, generate_dataset, pulse_waveform)
 
 
 def one_clip(preset, t, seed, hr, hw=8):
@@ -44,6 +46,59 @@ class TestGenerateClip:
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             generate_dataset(SIMPLE, 1, 1, (30, 8, 8), 30.0, seed=0)
+
+
+def _clip_reference(preset, t, fps, seed, base, hr):
+    """``generate_clip``'s frames and trace built whole in float64, then cast once."""
+    rng = np.random.default_rng(seed)
+    ts = np.arange(t) / fps
+    phase = float(rng.uniform(0, 2 * np.pi))
+    g = pulse_waveform(ts, hr, phase)
+    if preset.illumination_drift_std > 0:
+        steps = rng.normal(0.0, preset.illumination_drift_std, size=t)
+        steps[0] = 0.0
+        lum = np.clip(1.0 + np.cumsum(steps), *DRIFT_CLAMP)
+    else:
+        lum = np.ones(t)
+    frames = base[None] * ((1.0 + preset.pulse_amplitude * g) * lum)[:, None, None, None]
+    if preset.motion_max_px > 0:
+        m = preset.motion_max_px
+        end = rng.integers(-m, m + 1, size=2)
+        for i in range(t):
+            frac = i / (t - 1) if t > 1 else 0.0
+            sy, sx = np.rint(frac * end).astype(int)
+            if sy or sx:
+                frames[i] = np.roll(frames[i], (sy, sx), axis=(0, 1))
+    if preset.noise_std > 0:
+        frames += rng.normal(0.0, preset.noise_std, size=frames.shape)
+    return np.clip(frames, 0.0, 1.0, out=frames).astype(np.float32), g.astype(np.float32)
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("preset", [SIMPLE, HARD], ids=["simple", "hard"])
+    def test_clip_matches_whole_array_reference(self, preset):
+        """61 frames of 40 x 40 span several slabs, the last short: bytes equal the one-array build."""
+        t, hw = 61, 40
+        sizes = [sl.stop - sl.start for sl in frame_slabs(t, hw * hw * 3)]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        base = _base_image(np.random.default_rng([4, 1]), hw, hw)
+        lc = generate_clip(preset, t, 30.0, [4, 2], base, 77.0, "s000", "s000c00")
+        frames, trace = _clip_reference(preset, t, 30.0, [4, 2], base, 77.0)
+        assert lc.clip.frames.dtype == np.float32
+        assert lc.clip.frames.tobytes() == frames.tobytes()
+        assert lc.trace.samples.tobytes() == trace.astype(np.float64).tobytes()
+
+    def test_peak_memory_one_float32_clip(self):
+        """A 120 x 64 x 64 clip peaks under 8 MiB: its float32 frames and one slab, not 22.5."""
+        base = _base_image(np.random.default_rng(0), 64, 64)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            generate_clip(HARD, 120, 30.0, 0, base, 80.0, "s000", "s000c00")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestGenerateDataset:
