@@ -162,10 +162,9 @@ def cmd_gen(args) -> int:
     if args.subjects < 1 or args.clips_per_subject < 1:
         raise UsageError("subjects and clips-per-subject must be positive")
     out = _writable_dir(args.out)
-    data = generate_dataset(PRESETS[args.preset], args.subjects,
-                            args.clips_per_subject, dims, args.fps, args.seed)
     entries = []
-    for lc in data:
+    for lc in generate_dataset(PRESETS[args.preset], args.subjects,
+                               args.clips_per_subject, dims, args.fps, args.seed):
         clip_path = f"{lc.clip_id}.gvtc"
         trace_path = f"{lc.clip_id}.gvts"
         fileio.write_clip(out / clip_path, lc.clip)

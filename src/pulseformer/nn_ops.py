@@ -1,16 +1,18 @@
 """Neural-network operators on the autodiff tape.
 
-The three-dimensional convolution is evaluated as one GEMM per batch item
-over the item's columns, copied from a strided patch view (column layout
-chosen so the backward scatter adds along aligned axes). Attention is
-evaluated in two-dimensional tiles, ATTN_BLOCK query rows by KEY_BLOCK keys,
-so every score tile stays in a core's L2 cache however long the token
-sequence is. The forward sweeps a query block over its key tiles with a
-running row max, as FlashAttention does, and saves one log-sum-exp per query
-row; the backward rebuilds each tile's softmax probabilities from it with a
-single exp. The decomposed relative position bias of a tile is added from a
-zero-copy strided view of one per-head table, and its gradient is binned per
-axis from the marginals of the score gradient, summed tile by tile.
+The three-dimensional convolution is evaluated as GEMMs over each batch
+item's columns, copied from a strided patch view (column layout chosen so
+the backward scatter adds along aligned axes). An unrecorded forward makes
+the columns in slabs of whole output frames; a recorded one and its pull
+make the whole item's columns. Attention is evaluated in two-dimensional
+tiles, ATTN_BLOCK query rows by KEY_BLOCK keys, so every score tile stays in
+a core's L2 cache however long the token sequence is. The forward sweeps a
+query block over its key tiles with a running row max, as FlashAttention
+does, and saves one log-sum-exp per query row; the backward rebuilds each
+tile's softmax probabilities from it with a single exp. The decomposed
+relative position bias of a tile is added from a zero-copy strided view of
+one per-head table, and its gradient is binned per axis from the marginals
+of the score gradient, summed tile by tile.
 
 Every op computes in its graph's one dtype, the storage dtype of ``tensor``
 (float32 unless inside ``tensor.float64()``), and gives any output, scratch
@@ -43,6 +45,10 @@ from .tensor import Tensor, _accum, _needs_grad, _record
 # may reach the grid width when that exceeds it.
 ATTN_BLOCK = 256
 KEY_BLOCK = 1024
+# output columns per GEMM in an unrecorded conv3d forward, rounded down to
+# whole output frames (at least one): the stem's 441 x 1024 float32 column
+# slab is 1.7 MiB, where its whole item's columns are 25.8 MiB
+CONV_SLAB = 1024
 # contiguous chunks of (head, query block) items in one attention backward;
 # fixed, so the chunk-order sums of dk, dv and the tables are too
 CHUNKS = 8
@@ -91,12 +97,24 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
 
     Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis. Each
     batch item is one chunk of ``_run_chunks``: the forward copies the item
-    into its worker's zero-bordered buffer, builds the item's columns and
-    makes its output with one GEMM. The pull rebuilds those columns rather
-    than keeping them on the tape, makes the item's dw partial, then writes
-    w2ᵀ g into the same column buffer and scatters it into dx. ``_ChunkSum``
-    adds the dw partials in item order, so the result does not depend on the
+    into its worker's zero-bordered buffer, builds its columns in slabs of
+    whole output frames (``CONV_SLAB`` columns, or one frame if a frame is
+    wider) and makes each slab's outputs with one GEMM. A recorded forward
+    takes the whole item as one slab: its pull rebuilds those columns anyway,
+    and slabs there raised training's peak RSS, because with no full-size
+    buffer freed in the forward glibc's mmap threshold stays low and the
+    pull's buffer is mapped afresh on top of the heap the backward keeps.
+    The pull makes the whole item's columns (dw sums over them, so slabs
+    would change its bits), makes the item's dw partial, then writes w2ᵀ g
+    into the same column buffer and scatters it into dx. ``_ChunkSum`` adds
+    the dw partials in item order, so the result does not depend on the
     worker count, and each worker holds one column buffer.
+
+    A slab's outputs are the same dot products as the whole GEMM's, and at
+    the model's shapes OpenBLAS gives them the same bits (the tests check
+    this). Its small-matrix kernel, taken below about 10^6 multiply-adds,
+    and its edge kernels for slabs off a multiple of 16 columns can differ
+    in the last bit.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -113,25 +131,34 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     pad_shape = (c,) + tuple(d + 2 * p for d, p in zip(x.shape[2:], pad))
     interior = _interior(x.shape[2:], pad)
     w2 = w.data.reshape(k, -1)
-    col_shape = (w2.shape[1], int(np.prod(out_dims)))
+    rows = w2.shape[1]
+    to, frame = out_dims[0], out_dims[1] * out_dims[2]
     dtype = x.data.dtype   # the graph's: w, b and g share it
+    recorded = _needs_grad(x, w, b)
+    slab = to if recorded else max(1, CONV_SLAB // frame)
 
-    def item_scratch():
-        """A zero-bordered item buffer and a column buffer."""
-        return np.zeros(pad_shape, dtype=dtype), np.empty(col_shape, dtype=dtype)
+    def item_scratch(frames):
+        """A zero-bordered item buffer and a column buffer for ``frames`` output frames."""
+        return np.zeros(pad_shape, dtype=dtype), np.empty(rows * frames * frame, dtype=dtype)
 
-    def item_columns(i, xp, cols):
-        xp[interior] = x.data[i]
-        return _extract_patches(xp, kernel, stride, out_dims, cols)
+    def item_columns(xp, buf, t0, t1):
+        """The columns of output frames t0:t1 of the item in ``xp``, at the front of ``buf``."""
+        cols = buf[:rows * (t1 - t0) * frame].reshape(rows, -1)
+        return _extract_patches(xp[:, t0 * stride[0]:], kernel, stride,
+                                (t1 - t0,) + out_dims[1:], cols)
 
-    y = np.empty((n, k, col_shape[1]), dtype=dtype)
+    y = np.empty((n, k, to * frame), dtype=dtype)
 
     def forward(i, scratch):
-        np.dot(w2, item_columns(i, *scratch), out=y[i])
+        xp, buf = scratch
+        xp[interior] = x.data[i]
+        for t0 in range(0, to, slab):
+            t1 = min(t0 + slab, to)
+            np.matmul(w2, item_columns(xp, buf, t0, t1), out=y[i][:, t0 * frame:t1 * frame])
         y[i] += b.data[:, None]
 
-    _run_chunks(forward, n, item_scratch)
-    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=_needs_grad(x, w, b))
+    _run_chunks(forward, n, lambda: item_scratch(slab))
+    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=recorded)
 
     def pull(g):
         g2 = g.reshape(n, k, -1)
@@ -139,19 +166,21 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
         dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
         st, sh, sw = stride
-        to, ho, wo = out_dims
+        ho, wo = out_dims[1:]
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return (*item_scratch(),
+            return (*item_scratch(to),
                     np.zeros(pad_shape, dtype=dtype) if x.requires_grad else None,
                     [np.empty_like(w2)])
 
         def backward(i, scratch):
-            xp, cols, dxp, part = scratch
+            xp, buf, dxp, part = scratch
             if w.requires_grad:
-                np.matmul(g2[i], item_columns(i, xp, cols).T, out=part[0])
+                xp[interior] = x.data[i]
+                np.matmul(g2[i], item_columns(xp, buf, 0, to).T, out=part[0])
                 dw2.add(i, part)
             if x.requires_grad:
+                cols = buf.reshape(rows, -1)
                 np.dot(w2.T, g2[i], out=cols)
                 dc = cols.reshape((c,) + tuple(kernel) + out_dims)
                 dxp.fill(0)

@@ -8,11 +8,14 @@ and trace are the float32 values ``gen`` writes; file headers store fps as
 float32, so the round trip is exact at rates it holds exactly (30, 50 fps).
 Frames are computed in float64 one slab of frames at a time and cast into
 the float32 clip, so no full-size float64 array is made: nothing is reduced
-over the whole clip.
+over the whole clip. ``generate_dataset`` yields its clips one at a time, so a
+caller that writes or windows each clip as it comes holds one clip, not the
+dataset; its arguments are checked at the call, before the first clip.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +69,12 @@ def pulse_waveform(t_seconds: np.ndarray, hr_bpm: float, phase: float) -> np.nda
     return np.sin(2 * np.pi * f * t_seconds) + 0.5 * np.sin(4 * np.pi * f * t_seconds + phase)
 
 
+def _check_length(t: int, fps: float) -> None:
+    check_fps(fps)
+    if t < 2 * fps:
+        raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
+
+
 def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarray,
                   hr: float, subject_id: str, clip_id: str) -> LabeledClip:
     """``base`` pulsing at ``hr`` bpm in the float32 that ``gen`` writes; same seed, same bits.
@@ -75,9 +84,7 @@ def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarra
     in turn from the one generator, which gives the stream of one whole-clip
     draw, so the clip's bits do not depend on the slab size.
     """
-    check_fps(fps)
-    if t < 2 * fps:
-        raise InputError(f"clip length {t} shorter than 2 seconds at {fps} Hz")
+    _check_length(t, fps)
     rng = np.random.default_rng(seed)
     ts = np.arange(t) / fps
     phase = float(rng.uniform(0, 2 * np.pi))
@@ -117,18 +124,27 @@ def generate_clip(preset: SynthPreset, t: int, fps: float, seed, base: np.ndarra
 
 
 def generate_dataset(preset: SynthPreset, n_subjects: int, clips_per_subject: int,
-                     dims: tuple[int, int, int], fps: float, seed: int) -> list[LabeledClip]:
-    """Per-subject base image and HR drawn once; phase/noise resampled per clip."""
-    if n_subjects < 1:
-        raise InputError("need at least one subject")
+                     dims: tuple[int, int, int], fps: float, seed: int) -> Iterator[LabeledClip]:
+    """Yield each subject's clips in turn; per-subject base image and HR drawn once.
+
+    Clip ``ci`` of subject ``si`` is ``generate_clip`` at seed ``[seed, si,
+    ci]``, with phase and noise resampled per clip. The counts, the rate and
+    the clip length are checked here, so a bad argument raises ``InputError``
+    at the call, not at the first ``next()``.
+    """
+    if n_subjects < 1 or clips_per_subject < 1:
+        raise InputError(
+            f"need at least one subject and one clip each, got {n_subjects} x {clips_per_subject}")
+    _check_length(dims[0], fps)
+    return _clips(preset, n_subjects, clips_per_subject, dims, fps, seed)
+
+
+def _clips(preset, n_subjects, clips_per_subject, dims, fps, seed) -> Iterator[LabeledClip]:
     t, h, w = dims
-    out = []
     for si in range(n_subjects):
         srng = np.random.default_rng([seed, si])
         base = _base_image(srng, h, w)
         hr = float(srng.uniform(*preset.hr_range))
         for ci in range(clips_per_subject):
-            out.append(generate_clip(
-                preset, t, fps, seed=[seed, si, ci], base=base, hr=hr,
-                subject_id=f"s{si:03d}", clip_id=f"s{si:03d}c{ci:02d}"))
-    return out
+            yield generate_clip(preset, t, fps, seed=[seed, si, ci], base=base, hr=hr,
+                                subject_id=f"s{si:03d}", clip_id=f"s{si:03d}c{ci:02d}")

@@ -4,6 +4,7 @@ import json
 import shutil
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -421,6 +422,22 @@ class TestCliGen:
         entries, metadata = fileio.read_manifest(out / "manifest.json")
         assert len(entries) == 16
         assert metadata["preset"] == "simple"
+
+    def test_gen_peak_does_not_grow_with_clip_count(self, tmp_path):
+        """``gen`` writes each clip as it is made: 8 clips peak within one clip of 2."""
+        peaks = []
+        for clips in (2, 8):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                rc = main(["gen", "--preset", "simple", "--subjects", "1",
+                           "--clips-per-subject", str(clips), "--dims", "120x32x32",
+                           "--out", str(tmp_path / str(clips))])
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert abs(peaks[1] - peaks[0]) < 120 * 32 * 32 * 3 * 4
 
     def test_gen_byte_identical_same_seed(self, tmp_path):
         for name in ("a", "b"):

@@ -69,7 +69,13 @@ class TestDiffNorm:
     @given(st.data())
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     def test_global_scale_property(self, data):
-        """A power-of-two scale gives the same bits; any scale in [0.25, 4] agrees to 1e-12."""
+        """A power-of-two scale gives the same bits; any scale in [0.25, 4] agrees to 1e-12.
+
+        The 1e-12 is relative to the outputs' size, floored at 1: a stack
+        whose two differences nearly coincide has a small spread, so its
+        outputs reach the hundreds, and one ulp of the ratio moves them by
+        more than 1e-12.
+        """
         shape = [data.draw(st.integers(2, 6)), data.draw(st.integers(1, 4)),
                  data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))]
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -80,7 +86,8 @@ class TestDiffNorm:
         assert exact.tobytes() == base.tobytes()
         s = data.draw(st.floats(0.25, 4.0))
         scaled = diffnorm_frames(frames * s)
-        np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scaled, base, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(base).max()))
 
 
 class TestStandardize:

@@ -102,8 +102,34 @@ class TestSlabs:
 
 
 class TestGenerateDataset:
+    def test_yields_generate_clip_at_the_documented_seeds(self):
+        """Clip ``ci`` of subject ``si`` is ``generate_clip`` at ``[seed, si, ci]``, byte for byte."""
+        seed, t, hw = 6, 60, 8
+        yielded = generate_dataset(HARD, 2, 3, (t, hw, hw), 30.0, seed)
+        for si in range(2):
+            srng = np.random.default_rng([seed, si])
+            base = _base_image(srng, hw, hw)
+            hr = float(srng.uniform(*HARD.hr_range))
+            for ci in range(3):
+                want = generate_clip(HARD, t, 30.0, [seed, si, ci], base, hr,
+                                     f"s{si:03d}", f"s{si:03d}c{ci:02d}")
+                got = next(yielded)
+                assert got.clip.frames.tobytes() == want.clip.frames.tobytes()
+                assert got.trace.samples.tobytes() == want.trace.samples.tobytes()
+                assert (got.planted_hr, got.subject_id, got.clip_id) == \
+                    (want.planted_hr, want.subject_id, want.clip_id)
+        assert next(yielded, None) is None
+
+    @pytest.mark.parametrize("subjects, clips, fps", [
+        (0, 1, 30.0), (1, 0, 30.0), (1, 1, float("nan")), (1, 1, 0.0)],
+        ids=["no-subjects", "no-clips", "nan-fps", "zero-fps"])
+    def test_bad_arguments_raise_at_the_call(self, subjects, clips, fps):
+        """Validation is eager: the call raises, before any ``next()`` (as for a short clip)."""
+        with pytest.raises(InputError):
+            generate_dataset(SIMPLE, subjects, clips, (90, 8, 8), fps, seed=0)
+
     def test_counts_and_distinct_bases(self):
-        data = generate_dataset(SIMPLE, 4, 4, (90, 8, 8), 30.0, seed=0)
+        data = list(generate_dataset(SIMPLE, 4, 4, (90, 8, 8), 30.0, seed=0))
         assert len(data) == 16
         assert len({lc.subject_id for lc in data}) == 4
         first_frames = {lc.subject_id: lc.clip.frames[0].tobytes() for lc in data[::4]}
@@ -115,7 +141,7 @@ class TestGenerateDataset:
             assert 45.0 <= lc.planted_hr <= 150.0
 
     def test_subject_shares_rate_clips_differ(self):
-        data = generate_dataset(SIMPLE, 1, 3, (90, 8, 8), 30.0, seed=5)
+        data = list(generate_dataset(SIMPLE, 1, 3, (90, 8, 8), 30.0, seed=5))
         assert len({lc.planted_hr for lc in data}) == 1
         assert data[0].clip.frames.tobytes() != data[1].clip.frames.tobytes()
 

@@ -128,6 +128,50 @@ class TestConv3d:
             results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
         assert results[1] == results[0] and results[2] == results[0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("x_shape, w_shape, stride, pad", [
+        ((1, 3, 120, 64, 64), (32, 3, 3, 7, 7), (2, 4, 4), (1, 3, 3)),   # stem: 15 whole slabs
+        ((1, 32, 60, 16, 16), (64, 32, 3, 3, 3), (1, 2, 2), (1, 1, 1)),  # transition-1
+        ((1, 32, 60, 16, 16), (64, 32, 3, 3, 3), (2, 2, 2), (1, 1, 1)),  # temporal stride
+        ((1, 64, 80, 8, 8), (64, 64, 3, 1, 1), (1, 1, 1), (1, 0, 0)),    # head conv
+        ((1, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1)),  # slabs of 10, 10, 5
+        ((1, 8, 4, 36, 36), (16, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),     # frame wider than a slab
+        ((8, 3, 40, 32, 32), (8, 3, 3, 7, 7), (2, 4, 4), (1, 3, 3)),     # the search's batch 8
+    ], ids=["stem", "transition1", "transition1-temporal", "head", "ragged", "wide-frame",
+            "batch8"])
+    def test_slabs_match_the_recorded_forward(self, monkeypatch, workers, x_shape, w_shape,
+                                              stride, pad):
+        """An unrecorded forward, made in slabs of output frames, has the recorded one's bytes."""
+        monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
+        rng = np.random.default_rng(5)
+        x, w = (rng.standard_normal(s, dtype=np.float32) for s in (x_shape, w_shape))
+        b = rng.standard_normal(w_shape[0], dtype=np.float32)
+        y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+        with T.record():
+            yr = nn_ops.conv3d(Tensor(x), Tensor(w, requires_grad=True), Tensor(b),
+                               stride=stride, pad=pad)
+        assert yr.requires_grad and not y.requires_grad
+        assert y.data.tobytes() == yr.data.tobytes()
+
+    def test_unrecorded_stem_peak_memory(self):
+        """A 1 x 3 x 120 x 64 x 64 stem forward peaks under 13 MiB: one 1.7-MiB column slab.
+
+        Its padded input copy is 6.8 MiB and its output 1.9 MiB; the whole
+        item's 441 x 15 360 columns would add 25.8 MiB.
+        """
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((1, 3, 120, 64, 64), dtype=np.float32))
+        w = Tensor(rng.standard_normal((32, 3, 3, 7, 7), dtype=np.float32))
+        b = Tensor(np.zeros(32, np.float32))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            nn_ops.conv3d(x, w, b, stride=(2, 4, 4), pad=(1, 3, 3))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2 ** 20
+
     def test_kernel_too_large(self):
         x = Tensor(np.zeros((1, 1, 2, 2, 2)))
         w = Tensor(np.zeros((1, 1, 5, 1, 1)))
