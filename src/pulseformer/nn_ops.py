@@ -2,17 +2,16 @@
 
 The three-dimensional convolution is evaluated as GEMMs over each batch
 item's columns, copied from a strided patch view (column layout chosen so
-the backward scatter adds along aligned axes). An unrecorded forward makes
-the columns in slabs of whole output frames; a recorded one and its pull
-make the whole item's columns. Attention is evaluated in two-dimensional
-tiles, ATTN_BLOCK query rows by KEY_BLOCK keys, so every score tile stays in
-a core's L2 cache however long the token sequence is. The forward sweeps a
-query block over its key tiles with a running row max, as FlashAttention
-does, and saves one log-sum-exp per query row; the backward rebuilds each
-tile's softmax probabilities from it with a single exp. The decomposed
-relative position bias of a tile is added from a zero-copy strided view of
-one per-head table, and its gradient is binned per axis from the marginals
-of the score gradient, summed tile by tile.
+the backward scatter adds along aligned axes). Its forward and its pull make
+the columns in the same slabs of whole output frames. Attention is evaluated
+in two-dimensional tiles, ATTN_BLOCK query rows by KEY_BLOCK keys, so every
+score tile stays in a core's L2 cache however long the token sequence is.
+The forward sweeps a query block over its key tiles with a running row max,
+as FlashAttention does, and saves one log-sum-exp per query row; the
+backward rebuilds each tile's softmax probabilities from it with a single
+exp. The decomposed relative position bias of a tile is added from a
+zero-copy strided view of one per-head table, and its gradient is binned per
+axis from the marginals of the score gradient, summed tile by tile.
 
 Every op computes in its graph's one dtype, the storage dtype of ``tensor``
 (float32 unless inside ``tensor.float64()``), and gives any output, scratch
@@ -45,9 +44,9 @@ from .tensor import Tensor, _accum, _needs_grad, _record
 # may reach the grid width when that exceeds it.
 ATTN_BLOCK = 256
 KEY_BLOCK = 1024
-# output columns per GEMM in an unrecorded conv3d forward, rounded down to
-# whole output frames (at least one): the stem's 441 x 1024 float32 column
-# slab is 1.7 MiB, where its whole item's columns are 25.8 MiB
+# output columns per conv3d GEMM, in every pass, rounded down to whole output
+# frames (at least one): the stem's 441 x 1024 float32 column slab is
+# 1.7 MiB, where its whole item's columns are 25.8 MiB
 CONV_SLAB = 1024
 # contiguous chunks of (head, query block) items in one attention backward;
 # fixed, so the chunk-order sums of dk, dv and the tables are too
@@ -96,25 +95,15 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     """3-D convolution of x[N,C,T,H,W] with w[K,C,kT,kH,kW] plus bias b[K], zero padding.
 
     Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis. Each
-    batch item is one chunk of ``_run_chunks``: the forward copies the item
-    into its worker's zero-bordered buffer, builds its columns in slabs of
-    whole output frames (``CONV_SLAB`` columns, or one frame if a frame is
-    wider) and makes each slab's outputs with one GEMM. A recorded forward
-    takes the whole item as one slab: its pull rebuilds those columns anyway,
-    and slabs there raised training's peak RSS, because with no full-size
-    buffer freed in the forward glibc's mmap threshold stays low and the
-    pull's buffer is mapped afresh on top of the heap the backward keeps.
-    The pull makes the whole item's columns (dw sums over them, so slabs
-    would change its bits), makes the item's dw partial, then writes w2ᵀ g
-    into the same column buffer and scatters it into dx. ``_ChunkSum`` adds
-    the dw partials in item order, so the result does not depend on the
-    worker count, and each worker holds one column buffer.
-
-    A slab's outputs are the same dot products as the whole GEMM's, and at
-    the model's shapes OpenBLAS gives them the same bits (the tests check
-    this). Its small-matrix kernel, taken below about 10^6 multiply-adds,
-    and its edge kernels for slabs off a multiple of 16 columns can differ
-    in the last bit.
+    batch item is one chunk of ``_run_chunks``, and every pass walks it in
+    the same slabs of whole output frames (``CONV_SLAB`` columns, or one
+    frame if a frame is wider), so no pass holds more than one slab's
+    columns. The forward copies the item into its worker's zero-bordered
+    buffer and makes each slab's outputs with one GEMM. The pull rebuilds
+    each slab's columns, adds g·colsᵀ into the item's dw partial in slab
+    order, then writes w2ᵀ g into the same column buffer and scatters it
+    into the zero-bordered dx. ``_ChunkSum`` adds the dw partials in item
+    order, so the result does not depend on the worker count.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
@@ -134,12 +123,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     rows = w2.shape[1]
     to, frame = out_dims[0], out_dims[1] * out_dims[2]
     dtype = x.data.dtype   # the graph's: w, b and g share it
-    recorded = _needs_grad(x, w, b)
-    slab = to if recorded else max(1, CONV_SLAB // frame)
+    slab = max(1, CONV_SLAB // frame)
+    slabs = [(t0, min(t0 + slab, to)) for t0 in range(0, to, slab)]
 
-    def item_scratch(frames):
-        """A zero-bordered item buffer and a column buffer for ``frames`` output frames."""
-        return np.zeros(pad_shape, dtype=dtype), np.empty(rows * frames * frame, dtype=dtype)
+    def item_scratch():
+        """A zero-bordered item buffer and a column buffer for one slab."""
+        return np.zeros(pad_shape, dtype=dtype), np.empty(rows * slab * frame, dtype=dtype)
 
     def item_columns(xp, buf, t0, t1):
         """The columns of output frames t0:t1 of the item in ``xp``, at the front of ``buf``."""
@@ -152,13 +141,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     def forward(i, scratch):
         xp, buf = scratch
         xp[interior] = x.data[i]
-        for t0 in range(0, to, slab):
-            t1 = min(t0 + slab, to)
+        for t0, t1 in slabs:
             np.matmul(w2, item_columns(xp, buf, t0, t1), out=y[i][:, t0 * frame:t1 * frame])
         y[i] += b.data[:, None]
 
-    _run_chunks(forward, n, lambda: item_scratch(slab))
-    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=recorded)
+    _run_chunks(forward, n, item_scratch)
+    out = Tensor(y.reshape((n, k) + out_dims), requires_grad=_needs_grad(x, w, b))
 
     def pull(g):
         g2 = g.reshape(n, k, -1)
@@ -169,24 +157,30 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
         ho, wo = out_dims[1:]
 
         def scratch():   # pages of a buffer that is never written are never touched
-            return (*item_scratch(to),
+            return (*item_scratch(),
                     np.zeros(pad_shape, dtype=dtype) if x.requires_grad else None,
-                    [np.empty_like(w2)])
+                    [np.zeros_like(w2)])
 
         def backward(i, scratch):
             xp, buf, dxp, part = scratch
             if w.requires_grad:
                 xp[interior] = x.data[i]
-                np.matmul(g2[i], item_columns(xp, buf, 0, to).T, out=part[0])
+            if x.requires_grad:
+                dxp.fill(0)
+            for t0, t1 in slabs:
+                gs = g2[i][:, t0 * frame:t1 * frame]
+                if w.requires_grad:
+                    part[0] += gs @ item_columns(xp, buf, t0, t1).T
+                if x.requires_grad:
+                    cols = np.matmul(w2.T, gs, out=buf[:rows * gs.shape[1]].reshape(rows, -1))
+                    dc = cols.reshape((c,) + tuple(kernel) + (t1 - t0, ho, wo))
+                    span = dxp[:, t0 * st:]
+                    for dt, dh, dw_ in np.ndindex(*kernel):
+                        span[:, dt:dt + st * (t1 - t0):st, dh:dh + sh * ho:sh,
+                             dw_:dw_ + sw * wo:sw] += dc[:, dt, dh, dw_]
+            if w.requires_grad:
                 dw2.add(i, part)
             if x.requires_grad:
-                cols = buf.reshape(rows, -1)
-                np.dot(w2.T, g2[i], out=cols)
-                dc = cols.reshape((c,) + tuple(kernel) + out_dims)
-                dxp.fill(0)
-                for dt, dh, dw_ in np.ndindex(*kernel):
-                    dxp[:, dt:dt + st * to:st, dh:dh + sh * ho:sh,
-                        dw_:dw_ + sw * wo:sw] += dc[:, dt, dh, dw_]
                 dx[i] = dxp[interior]
 
         _run_chunks(backward, n, scratch)

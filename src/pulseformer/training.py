@@ -32,6 +32,9 @@ class TrainConfig:
     fold: int = 0
 
     def validate(self) -> "TrainConfig":
+        for name in ("batch_size", "epochs", "seed", "fold"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InputError(f"{name} {getattr(self, name)!r} must be an integer")
         if self.batch_size < 1 or self.epochs < 1:
             raise InputError("batch size and epochs must be positive")
         if self.seed < 0:

@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulseformer import model, nn_ops
 from pulseformer import tensor as T
@@ -50,6 +50,18 @@ def conv3d_oracle(x, w, b, stride, pad):
     return y
 
 
+@st.composite
+def conv_cases(draw):
+    """(x shape, w shape, stride, pad, seed) of a conv3d whose kernel fits its padded input."""
+    axis = st.integers(1, 3)
+    kernel = [draw(axis) for _ in range(3)]
+    stride = tuple(draw(axis) for _ in range(3))
+    pad = tuple(draw(st.integers(0, kk - 1)) for kk in kernel)
+    dims = [draw(st.integers(max(1, kk - 2 * pp), 6)) for kk, pp in zip(kernel, pad)]
+    n, c, k = (draw(st.integers(1, 2)) for _ in range(3))
+    return [n, c] + dims, [k, c] + kernel, stride, pad, draw(st.integers(0, 2 ** 32 - 1))
+
+
 class TestConv3d:
     def test_output_size_formula(self):
         x = Tensor(np.zeros((1, 1, 120, 64, 64)))
@@ -86,19 +98,21 @@ class TestConv3d:
         expect = conv3d_oracle(x, w, b, (2, 2, 1), (1, 1, 1))
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
-    @given(st.data())
+    @given(conv_cases())
+    @example(((1, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1), 0))   # slabs 10, 10, 5
+    @example(((1, 32, 60, 16, 16), (64, 32, 3, 3, 3), (2, 2, 2), (1, 1, 1), 0))   # slabs 16, 14
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    def test_any_stride_and_pad_match_oracle(self, data):
-        """Forward equals the oracle; the backward obeys <dx, x> = <dw, w> = <g, y - b>."""
-        axis = st.integers(1, 3)
-        kernel = [data.draw(axis) for _ in range(3)]
-        stride = tuple(data.draw(axis) for _ in range(3))
-        pad = tuple(data.draw(st.integers(0, kk - 1)) for kk in kernel)
-        dims = [data.draw(st.integers(max(1, kk - 2 * pp), 6)) for kk, pp in zip(kernel, pad)]
-        n, c, k = (data.draw(st.integers(1, 2)) for _ in range(3))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        x = rng.standard_normal([n, c] + dims)
-        w = rng.standard_normal([k, c] + kernel)
+    def test_any_stride_and_pad_match_oracle(self, case):
+        """Forward equals the oracle; the backward obeys <dx, x> = <dw, w> = <g, y - b>.
+
+        The drawn shapes fit one slab; the two examples take several, and the
+        temporal kernel of the second overlaps input frames across slab bounds.
+        """
+        x_shape, w_shape, stride, pad, seed = case
+        k = w_shape[0]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
         b = rng.standard_normal(k)
         with T.float64():
             y = nn_ops.conv3d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
@@ -113,17 +127,23 @@ class TestConv3d:
         np.testing.assert_allclose([(xt.grad * x).sum(), (wt.grad * w).sum()], [gy, gy],
                                    rtol=1e-10, atol=1e-10)
 
-    @pytest.mark.parametrize("batch", [1, 2, 3])
-    def test_workers_match_one_worker(self, monkeypatch, batch):
+    @pytest.mark.parametrize("x_shape, w_shape, stride", [
+        ((1, 3, 6, 5, 5), (4, 3, 3, 3, 3), (2, 2, 1)),
+        ((2, 3, 6, 5, 5), (4, 3, 3, 3, 3), (2, 2, 1)),
+        ((3, 3, 6, 5, 5), (4, 3, 3, 3, 3), (2, 2, 1)),
+        ((3, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1)),   # slabs of 10, 10, 5
+        ((3, 32, 60, 16, 16), (64, 32, 3, 3, 3), (2, 2, 2)),   # slabs of 16, 14
+    ], ids=["1", "2", "3", "ragged", "transition1-temporal"])
+    def test_workers_match_one_worker(self, monkeypatch, x_shape, w_shape, stride):
         """Output and all gradients bit-identical for 1, 2 and 3 workers."""
-        rng = np.random.default_rng(batch)
-        arrays = [rng.standard_normal(s) for s in ((batch, 3, 6, 5, 5), (4, 3, 3, 3, 3), (4,))]
+        rng = np.random.default_rng(x_shape[0])
+        arrays = [rng.standard_normal(s) for s in (x_shape, w_shape, w_shape[:1])]
         results = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
             x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
             with T.record():
-                y = nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))
+                y = nn_ops.conv3d(x, w, b, stride=stride, pad=(1, 1, 1))
                 T.backward(T.mse_loss(y, Tensor(np.ones(y.shape))))
             results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
         assert results[1] == results[0] and results[2] == results[0]
@@ -137,11 +157,15 @@ class TestConv3d:
         ((1, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1)),  # slabs of 10, 10, 5
         ((1, 8, 4, 36, 36), (16, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),     # frame wider than a slab
         ((8, 3, 40, 32, 32), (8, 3, 3, 7, 7), (2, 4, 4), (1, 3, 3)),     # the search's batch 8
+        ((1, 3, 9, 13, 13), (12, 3, 3, 3, 3), (1, 1, 1), (1, 1, 1)),     # slabs of 6, 3
     ], ids=["stem", "transition1", "transition1-temporal", "head", "ragged", "wide-frame",
-            "batch8"])
+            "batch8", "small-gemm"])
     def test_slabs_match_the_recorded_forward(self, monkeypatch, workers, x_shape, w_shape,
                                               stride, pad):
-        """An unrecorded forward, made in slabs of output frames, has the recorded one's bytes."""
+        """An unrecorded forward has the recorded one's bytes: both take the same slabs.
+
+        At small-gemm, a whole-item GEMM and its slabs differ in the last bit.
+        """
         monkeypatch.setattr(nn_ops, "_workers", lambda: workers)
         rng = np.random.default_rng(5)
         x, w = (rng.standard_normal(s, dtype=np.float32) for s in (x_shape, w_shape))
@@ -153,24 +177,35 @@ class TestConv3d:
         assert yr.requires_grad and not y.requires_grad
         assert y.data.tobytes() == yr.data.tobytes()
 
-    def test_unrecorded_stem_peak_memory(self):
-        """A 1 x 3 x 120 x 64 x 64 stem forward peaks under 13 MiB: one 1.7-MiB column slab.
+    @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+    def test_stem_peak_memory(self, recorded):
+        """A 1 x 3 x 120 x 64 x 64 stem forward, and its pull, each peak under 13 MiB.
 
-        Its padded input copy is 6.8 MiB and its output 1.9 MiB; the whole
+        Each holds one 1.7-MiB column slab beside the 6.8-MiB padded input
+        copy and the 1.9-MiB output (in the pull, its gradient); the whole
         item's 441 x 15 360 columns would add 25.8 MiB.
         """
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((1, 3, 120, 64, 64), dtype=np.float32))
-        w = Tensor(rng.standard_normal((32, 3, 3, 7, 7), dtype=np.float32))
+        w = Tensor(rng.standard_normal((32, 3, 3, 7, 7), dtype=np.float32),
+                   requires_grad=recorded)
         b = Tensor(np.zeros(32, np.float32))
+        peaks = []
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            nn_ops.conv3d(x, w, b, stride=(2, 4, 4), pad=(1, 3, 3))
-            peak = tracemalloc.get_traced_memory()[1] - start
+            with T.record():
+                start = tracemalloc.get_traced_memory()[0]
+                y = nn_ops.conv3d(x, w, b, stride=(2, 4, 4), pad=(1, 3, 3))
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+                if recorded:
+                    tracemalloc.reset_peak()
+                    start = tracemalloc.get_traced_memory()[0]
+                    T.backward(T.mean(y))
+                    peaks.append(tracemalloc.get_traced_memory()[1] - start)
         finally:
             tracemalloc.stop()
-        assert peak < 13 * 2 ** 20
+        assert y.requires_grad == recorded and (w.grad is not None) == recorded
+        assert max(peaks) < 13 * 2 ** 20
 
     def test_kernel_too_large(self):
         x = Tensor(np.zeros((1, 1, 2, 2, 2)))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pulseformer import tensor as T
+from pulseformer import nn_ops, tensor as T
 from pulseformer.tensor import Tensor
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -38,3 +38,23 @@ def test_sample_tape_reads_the_open_tape():
     assert tr.samples["tensor.tape_entries"] == [1, 0]
     inside, outside = tr.samples["tensor.tape_mb"]
     assert inside > 0 and outside == 0
+
+
+def test_conv3d_and_attention_pulls_keep_their_spans():
+    """The tracer names a backward span from ``pull.__qualname__``; both ops' pulls keep theirs.
+
+    A pull moved into a helper would land on ``tensor.other_ops.bwd``. No
+    model forward ran, so the attention's tokens map to no stage.
+    """
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3, 8, 6, 6), dtype=np.float32))
+    w = Tensor(rng.standard_normal((4, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
+    q = Tensor(rng.standard_normal((1, 2, 16, 4), dtype=np.float32), requires_grad=True)
+    tr = Tracer()
+    with tr.patched("op"), T.record():
+        y = nn_ops.conv3d(x, w, Tensor(np.zeros(4, np.float32)), pad=(1, 1, 1))
+        a = nn_ops.attention_core(q, q, q)
+        T.backward(T.add(T.mean(y), T.mean(a)))
+    for span in ("nn_ops.conv3d.bwd", "nn_ops.attention_core.stage_other.bwd"):
+        assert tr.calls[("op", span)] == 1 and tr.self_s[("op", span)] > 0
+    assert w.grad is not None and q.grad is not None

@@ -379,6 +379,14 @@ class TestTrainModel:
         with pytest.raises(InputError):
             train_model(TINY_CFG, TrainConfig(), [])
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 1.5), ("epochs", 2.0), ("seed", 1.5), ("fold", "0")])
+    def test_non_integer_counts_rejected(self, field, value):
+        """A library caller's non-integer count raises InputError, not a TypeError mid-run."""
+        tcfg = TrainConfig(**{"epochs": 1, field: value})
+        with pytest.raises(InputError, match=f"{field} .* must be an integer"):
+            train_model(TINY_CFG, tcfg, window_examples(TINY_CFG, 1, seed=3))
+
     def test_non_finite_loss_diagnostic(self):
         cfg = TINY_CFG.copy(base_width=8)
         train = window_examples(cfg, 4, seed=3)
