@@ -14,7 +14,6 @@ import json
 import math
 import os
 import struct
-import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .metrics import ExperimentResult
-from .model import ModelConfig, parse_scaling, scaling_label
+from .model import ModelConfig, config_field, parse_scaling, scaling_label
 from .preprocess import SignalTrace, VideoClip
 from .training import TrainConfig
 
@@ -172,23 +171,13 @@ def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
 
 
 def _typed(key: str, value, default):
-    """``value`` checked against the JSON type of the field default ``default``."""
-    if isinstance(default, tuple):
-        if isinstance(value, list) and len(value) == len(default):
-            return tuple(_typed(key, v, 0) for v in value)
-    elif isinstance(value, bool) or isinstance(default, (bool, str)):
-        if type(value) is type(default):
-            return value
-    elif isinstance(default, int):
-        if isinstance(value, int) or isinstance(value, float) and value.is_integer():
-            return int(value)
-    elif isinstance(value, float):   # a float field; inf and nan are left to validate()
-        return value
-    elif isinstance(value, int) and abs(value) <= sys.float_info.max:
-        return float(value)
-    want = (f"a list of {len(default)} integers" if isinstance(default, tuple)
-            else type(default).__name__)
-    raise InputError(f"config key {key!r} must be {want}, got {value!r}")
+    """A JSON value as its field's ``config_field`` value; an integral float may be an int."""
+    def whole(v):
+        return int(v) if isinstance(v, float) and v.is_integer() else v
+
+    if type(default) is not float:
+        value = [*map(whole, value)] if isinstance(value, list) else whole(value)
+    return config_field(key, value, default, InputError)
 
 
 def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig]:
@@ -196,11 +185,9 @@ def config_from_dict(doc: dict) -> tuple[ModelConfig, TrainConfig]:
 
     Missing keys keep their defaults; an unknown key or a value of the wrong
     JSON type is an ``InputError`` naming the key. Each value must have its
-    default's type: an int field takes an integer or an integral float (made
-    int), a float field any number, a bool field only ``true``/``false``, a
-    str field only a string, and a tuple field a list of the default's length
-    whose elements follow the int rule. A bool is never a number. ``scaling``
-    takes an int or a ``"Scale-N"`` label. Both configs are then validated.
+    default's type as ``model.config_field`` states, but an integer may be
+    written as an integral float. ``scaling`` takes an int or a ``"Scale-N"``
+    label. Both configs are then validated.
     """
     if not isinstance(doc, dict):
         raise InputError(f"config must be a JSON object, got {type(doc).__name__}")

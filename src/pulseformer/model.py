@@ -11,7 +11,8 @@ halve the temporal extent. Prediction is either a full-length waveform
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,6 +56,36 @@ def parse_scaling(label) -> int:
     return sid
 
 
+def config_field(key: str, value, default, error: type[Exception]):
+    """``value`` as config field ``key``, in its ``default``'s type, or ``error``.
+
+    A bool is never a number. An int field takes numpy integers too, a float
+    field integers too, and a tuple field a tuple or list of as many integers.
+    """
+    def integer(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if isinstance(default, tuple):
+        want = f"{len(default)} integers"
+        if isinstance(value, (tuple, list)) and len(value) == len(default) and all(
+                map(integer, value)):
+            return tuple(map(int, value))
+    elif isinstance(default, (bool, str)):
+        want = f"a {type(default).__name__}"
+        if type(value) is type(default):
+            return value
+    elif isinstance(default, int):
+        want = "an integer"
+        if integer(value):
+            return int(value)
+    else:
+        want = "a number"
+        if isinstance(value, (float, np.floating)) or (
+                integer(value) and abs(value) <= sys.float_info.max):
+            return float(value)
+    raise error(f"{key} {value!r} must be {want}")
+
+
 @dataclass
 class ModelConfig:
     """One point of the preprocessing/architecture design space."""
@@ -74,10 +105,12 @@ class ModelConfig:
         return replace(self, **changes)
 
     def validate(self) -> "ModelConfig":
-        """Check every field and return self; a ``"Scale-N"`` label becomes its id."""
-        for name in ("input_dims", "base_width", "stage_depths", "heads_per_stage"):
-            if not all(isinstance(v, int) for v in np.ravel(getattr(self, name)).tolist()):
-                raise ConfigurationError(f"{name} {getattr(self, name)} must be integers")
+        """Check every field and return self; a ``"Scale-N"`` label becomes its id, and
+        every other field its ``config_field`` value."""
+        for f in fields(self):
+            if f.name != "scaling":
+                setattr(self, f.name, config_field(f.name, getattr(self, f.name), f.default,
+                                                   ConfigurationError))
         t, h, w = self.input_dims
         if min(t, h, w) < 1:
             raise ConfigurationError(f"input dims {self.input_dims} must be positive")
@@ -95,10 +128,8 @@ class ModelConfig:
                 f"temporal extent {t} must be divisible by {t_div} for {scaling_label(self.scaling)}")
         if h % 32 != 0 or w % 32 != 0:
             raise ConfigurationError(f"spatial extents {h}x{w} must be divisible by 32")
-        if len(self.stage_depths) != 4 or any(d < 0 for d in self.stage_depths):
+        if any(d < 0 for d in self.stage_depths):
             raise ConfigurationError(f"stage depths {self.stage_depths} must be 4 non-negative ints")
-        if len(self.heads_per_stage) != 4:
-            raise ConfigurationError("heads_per_stage must have 4 entries")
         if self.base_width < 1:
             raise ConfigurationError(f"base width {self.base_width} must be positive")
         for i, heads in enumerate(self.heads_per_stage):

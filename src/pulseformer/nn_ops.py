@@ -2,14 +2,15 @@
 
 The three-dimensional convolution is evaluated as GEMMs over each batch
 item's columns, copied from a strided patch view (column layout chosen so
-the backward scatter adds along aligned axes). Its forward and its pull make
-the columns in the same slabs of whole output frames. Attention is evaluated
-in two-dimensional tiles, ATTN_BLOCK query rows by KEY_BLOCK keys, so every
-score tile stays in a core's L2 cache however long the token sequence is.
-The forward sweeps a query block over its key tiles with a running row max,
-as FlashAttention does, and saves one log-sum-exp per query row; the
-backward rebuilds each tile's softmax probabilities from it with a single
-exp. The decomposed relative position bias of a tile is added from a
+the backward scatter adds along aligned axes), one GEMM per channel group,
+in the same slabs of whole output frames in its forward and its pull; CPE's
+depthwise convolution is the case of one group per channel. Attention is
+evaluated in two-dimensional tiles, ATTN_BLOCK query rows by KEY_BLOCK keys,
+so every score tile stays in a core's L2 cache however long the token
+sequence is. The forward sweeps a query block over its key tiles with a
+running row max, as FlashAttention does, and saves one log-sum-exp per query
+row; the backward rebuilds each tile's softmax probabilities from it with a
+single exp. The decomposed relative position bias of a tile is added from a
 zero-copy strided view of one per-head table, and its gradient is binned per
 axis from the marginals of the score gradient, summed tile by tile.
 
@@ -68,60 +69,43 @@ def _conv3d_out_dims(dims, kernel, stride, pad):
     return tuple(out)
 
 
-def _interior(dims, pad) -> tuple:
-    """Index of the ``dims`` interior of an array padded by ``pad`` on its last three axes."""
-    return (Ellipsis,) + tuple(slice(p, p + d) for d, p in zip(dims, pad))
-
-
-def _extract_patches(xp: np.ndarray, kernel, stride, out_dims, out: np.ndarray) -> np.ndarray:
-    """Copy the columns of one padded item (C, T, H, W) into ``out`` (C*kT*kH*kW, T'*H'*W')."""
-    kt, kh, kw = kernel
-    st, sh, sw = stride
-    to, ho, wo = out_dims
-    sc, s0, s1, s2 = xp.strides
-    view = as_strided(
-        xp,
-        shape=(xp.shape[0], kt, kh, kw, to, ho, wo),
-        strides=(sc, s0, s1, s2, s0 * st, s1 * sh, s2 * sw),
-        writeable=False,
-    )
-    out.reshape(view.shape)[...] = view
-    return out
-
-
 def conv3d(x: Tensor, w: Tensor, b: Tensor,
            stride: tuple[int, int, int] = (1, 1, 1),
            pad: tuple[int, int, int] = (0, 0, 0)) -> Tensor:
-    """3-D convolution of x[N,C,T,H,W] with w[K,C,kT,kH,kW] plus bias b[K], zero padding.
+    """3-D convolution of x[N,C,T,H,W] with w[K,C/G,kT,kH,kW] plus bias b[K], zero padding.
 
-    Output extents follow floor((D + 2p - k)/s) + 1 per spatial axis. Each
-    batch item is one chunk of ``_run_chunks``, and every pass walks it in
-    the same slabs of whole output frames (``CONV_SLAB`` columns, or one
-    frame if a frame is wider), so no pass holds more than one slab's
-    columns. The forward copies the item into its worker's zero-bordered
-    buffer and makes each slab's outputs with one GEMM. The pull rebuilds
-    each slab's columns, adds g·colsᵀ into the item's dw partial in slab
-    order, then writes w2ᵀ g into the same column buffer and scatters it
-    into the zero-bordered dx. ``_ChunkSum`` adds the dw partials in item
-    order, so the result does not depend on the worker count.
+    The G = C / w.shape[1] groups are read off the shapes: group g's K/G
+    filters see only its C/G channels. Output extents follow floor((D + 2p -
+    k)/s) + 1 per spatial axis. Each batch item is one chunk of
+    ``_run_chunks``, and every pass walks it in the same slabs of whole
+    output frames (``CONV_SLAB`` columns, or one frame if a frame is wider),
+    so no pass holds more than one slab's columns. The forward copies the
+    item into its worker's zero-bordered buffer and makes each slab's
+    outputs with one GEMM per group. The pull rebuilds each slab's columns,
+    adds g·colsᵀ into the item's dw partial in slab order, then writes w2ᵀ g
+    into the same column buffer and scatters it into the zero-bordered dx.
+    ``_ChunkSum`` adds the dw partials in item order, so the result does not
+    depend on the worker count.
     """
     if x.ndim != 5 or w.ndim != 5:
         raise DimensionError(f"conv3d expects 5-D input/kernel, got {x.shape}, {w.shape}")
-    if w.shape[1] != x.shape[1]:
-        raise DimensionError(f"conv3d channel mismatch: input {x.shape[1]}, kernel {w.shape[1]}")
-    if any(s < 1 for s in stride):
-        raise DimensionError(f"conv3d strides must be >= 1, got {stride}")
     n, c = x.shape[:2]
     k = w.shape[0]
+    if not 0 < w.shape[1] <= c or c % w.shape[1] or k % (c // w.shape[1]):
+        raise DimensionError(f"conv3d channel mismatch: input {x.shape[1]}, kernel {w.shape[:2]}")
+    groups = c // w.shape[1]
+    if any(s < 1 for s in stride):
+        raise DimensionError(f"conv3d strides must be >= 1, got {stride}")
     if b.shape != (k,):
         raise DimensionError(f"conv3d bias {b.shape} incompatible with {k} filters")
     kernel = w.shape[2:]
     out_dims = _conv3d_out_dims(x.shape[2:], kernel, stride, pad)
     pad_shape = (c,) + tuple(d + 2 * p for d, p in zip(x.shape[2:], pad))
-    interior = _interior(x.shape[2:], pad)
-    w2 = w.data.reshape(k, -1)
-    rows = w2.shape[1]
-    to, frame = out_dims[0], out_dims[1] * out_dims[2]
+    interior = (Ellipsis,) + tuple(slice(p, p + d) for d, p in zip(x.shape[2:], pad))
+    w2 = w.data.reshape(groups, k // groups, -1)
+    rows = groups * w2.shape[2]
+    (st, sh, sw), (to, ho, wo) = stride, out_dims
+    frame = ho * wo
     dtype = x.data.dtype   # the graph's: w, b and g share it
     slab = max(1, CONV_SLAB // frame)
     slabs = [(t0, min(t0 + slab, to)) for t0 in range(0, to, slab)]
@@ -131,30 +115,32 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
         return np.zeros(pad_shape, dtype=dtype), np.empty(rows * slab * frame, dtype=dtype)
 
     def item_columns(xp, buf, t0, t1):
-        """The columns of output frames t0:t1 of the item in ``xp``, at the front of ``buf``."""
-        cols = buf[:rows * (t1 - t0) * frame].reshape(rows, -1)
-        return _extract_patches(xp[:, t0 * stride[0]:], kernel, stride,
-                                (t1 - t0,) + out_dims[1:], cols)
+        """The columns of output frames t0:t1 of the item in ``xp``, (G, rows/G, ·) in ``buf``."""
+        cols = buf[:rows * (t1 - t0) * frame].reshape(groups, rows // groups, -1)
+        s = xp.strides   # a (C, kT, kH, kW, T', H', W') view; sliding_window_view costs 50 µs more
+        patches = as_strided(xp[:, t0 * st:], (c,) + kernel + (t1 - t0, ho, wo),
+                             s + (s[1] * st, s[2] * sh, s[3] * sw), writeable=False)
+        cols.reshape(patches.shape)[...] = patches
+        return cols
 
-    y = np.empty((n, k, to * frame), dtype=dtype)
+    y = np.empty((n, groups, k // groups, to * frame), dtype=dtype)
 
     def forward(i, scratch):
         xp, buf = scratch
         xp[interior] = x.data[i]
         for t0, t1 in slabs:
-            np.matmul(w2, item_columns(xp, buf, t0, t1), out=y[i][:, t0 * frame:t1 * frame])
-        y[i] += b.data[:, None]
+            np.matmul(w2, item_columns(xp, buf, t0, t1), out=y[i][..., t0 * frame:t1 * frame])
+        y[i] += b.data.reshape(groups, -1, 1)
 
     _run_chunks(forward, n, item_scratch)
     out = Tensor(y.reshape((n, k) + out_dims), requires_grad=_needs_grad(x, w, b))
 
     def pull(g):
-        g2 = g.reshape(n, k, -1)
-        _accum(b.slot, g2.sum(axis=(0, 2)))
+        if b.requires_grad:   # depthwise_conv3d's zero bias needs none
+            _accum(b.slot, g.reshape(n, k, -1).sum(axis=(0, 2)))
+        g2 = g.reshape(n, groups, k // groups, -1)
         dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
-        st, sh, sw = stride
-        ho, wo = out_dims[1:]
 
         def scratch():   # pages of a buffer that is never written are never touched
             return (*item_scratch(),
@@ -168,12 +154,13 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
             if x.requires_grad:
                 dxp.fill(0)
             for t0, t1 in slabs:
-                gs = g2[i][:, t0 * frame:t1 * frame]
+                gs = g2[i][..., t0 * frame:t1 * frame]
                 if w.requires_grad:
-                    part[0] += gs @ item_columns(xp, buf, t0, t1).T
+                    part[0] += gs @ item_columns(xp, buf, t0, t1).transpose(0, 2, 1)
                 if x.requires_grad:
-                    cols = np.matmul(w2.T, gs, out=buf[:rows * gs.shape[1]].reshape(rows, -1))
-                    dc = cols.reshape((c,) + tuple(kernel) + (t1 - t0, ho, wo))
+                    cols = np.matmul(w2.transpose(0, 2, 1), gs,
+                                     out=buf[:rows * gs.shape[2]].reshape(groups, -1, gs.shape[2]))
+                    dc = cols.reshape((c,) + kernel + (t1 - t0, ho, wo))
                     span = dxp[:, t0 * st:]
                     for dt, dh, dw_ in np.ndindex(*kernel):
                         span[:, dt:dt + st * (t1 - t0):st, dh:dh + sh * ho:sh,
@@ -193,43 +180,16 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     return out
 
 
-# depthwise_conv3d's zero border: one sample on each side of T, H and W
-DEPTHWISE_PAD = ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1))
-
-
 def depthwise_conv3d(x: Tensor, w: Tensor) -> Tensor:
     """Per-channel 3x3x3 convolution with padding 1 and stride 1.
 
     Kernel shape (C, 3, 3, 3); each channel is convolved with its own filter.
+    It is ``conv3d`` with one group per channel and no bias.
     """
-    if w.ndim != 4 or w.shape[0] != x.shape[1] or w.shape[1:] != (3, 3, 3):
+    if x.ndim != 5 or w.shape != (x.shape[1], 3, 3, 3):
         raise DimensionError(f"depthwise kernel {w.shape} incompatible with input {x.shape}")
-    n, c, t, h, wl = x.shape
-    xp = np.pad(x.data, DEPTHWISE_PAD)
-    y = np.zeros_like(x.data)
-    for dt in range(3):
-        for dh in range(3):
-            for dw_ in range(3):
-                y += w.data[None, :, dt, dh, dw_, None, None, None] * \
-                    xp[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl]
-    out = Tensor(y, requires_grad=_needs_grad(x, w))
-
-    def pull(g):
-        xpb = np.pad(x.data, DEPTHWISE_PAD)
-        dw = np.zeros_like(w.data)
-        dxp = np.zeros_like(xpb)
-        for dt in range(3):
-            for dh in range(3):
-                for dw_ in range(3):
-                    sl = xpb[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl]
-                    dw[:, dt, dh, dw_] = np.einsum("ncthw,ncthw->c", g, sl)
-                    dxp[:, :, dt:dt + t, dh:dh + h, dw_:dw_ + wl] += \
-                        w.data[None, :, dt, dh, dw_, None, None, None] * g
-        _accum(w.slot, dw)
-        _accum(x.slot, dxp[:, :, 1:1 + t, 1:1 + h, 1:1 + wl])
-
-    _record(out, pull)
-    return out
+    c = x.shape[1]
+    return conv3d(x, T.reshape(w, (c, 1, 3, 3, 3)), Tensor(np.zeros(c)), pad=(1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ from __future__ import annotations
 import math
 import resource
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import nn_ops, tensor as T
 from .errors import EstimationError, InputError, NumericError
 from .metrics import ExperimentResult, compute_metrics, hr_from_signal, integrate_diff
-from .model import ModelConfig, MultiscaleVideoTransformer
+from .model import ModelConfig, MultiscaleVideoTransformer, config_field
 from .preprocess import WindowExample
 from .tensor import Tensor
 
@@ -32,9 +32,10 @@ class TrainConfig:
     fold: int = 0
 
     def validate(self) -> "TrainConfig":
-        for name in ("batch_size", "epochs", "seed", "fold"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InputError(f"{name} {getattr(self, name)!r} must be an integer")
+        """Check every field and return self; each field becomes its ``config_field`` value."""
+        for f in fields(self):
+            setattr(self, f.name, config_field(f.name, getattr(self, f.name), f.default,
+                                               InputError))
         if self.batch_size < 1 or self.epochs < 1:
             raise InputError("batch size and epochs must be positive")
         if self.seed < 0:

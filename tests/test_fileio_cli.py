@@ -5,6 +5,7 @@ import shutil
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pulseformer import cli, fileio, model, synth, training
 from pulseformer.cli import main
-from pulseformer.errors import InputError, PulseformerError
+from pulseformer.errors import ConfigurationError, InputError, PulseformerError
 from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, VideoClip, make_example
 from pulseformer.training import TrainConfig
@@ -68,6 +69,28 @@ JSON_VALUES = st.recursive(
     max_leaves=8)
 EXTREMES = st.sampled_from([-1, 0, 0.5, 2 ** 64, 10 ** 400, 1e308, float("inf"), float("nan")])
 VALID_DOCS = st.fixed_dictionaries({}, optional=VALID_VALUES)
+FIELD_DEFAULTS = fileio.config_to_dict(ModelConfig(), TrainConfig())
+
+
+def _as_library(key, value, numpy):
+    """A valid document value as a library caller passes it: integral floats of int
+    fields as ints, lists as tuples, and ints as numpy ints if ``numpy``."""
+    if isinstance(value, list):
+        return tuple(_as_library(key, v, numpy) for v in value)
+    if isinstance(FIELD_DEFAULTS[key], (int, list)) and isinstance(value, float):
+        value = int(value)
+    return np.int64(value) if numpy and type(value) is int and abs(value) < 2 ** 63 else value
+
+
+# keyword arguments of the two configs, valid in type in most draws, with at
+# most one key of any type
+LIBRARY_KWARGS = st.tuples(
+    st.fixed_dictionaries({}, optional={
+        key: st.builds(_as_library, st.just(key), values, st.booleans())
+        for key, values in VALID_VALUES.items()}),
+    st.just({}) | st.sampled_from(sorted(VALID_VALUES)).flatmap(
+        lambda key: st.fixed_dictionaries({key: EXTREMES | JSON_VALUES})),
+).map(lambda kws: {**kws[0], **kws[1]})
 ANY_DOCS = st.fixed_dictionaries({}, optional={
     key: values | EXTREMES | JSON_VALUES for key, values in VALID_VALUES.items()})
 
@@ -395,6 +418,39 @@ class TestConfigDocuments:
             return
         echo = json.loads(json.dumps(fileio.config_to_dict(*parsed)))
         assert fileio.config_from_dict(echo) == parsed
+
+    @pytest.mark.parametrize("cls, key, value", [
+        (ModelConfig, "input_dims", (120, 64)), (ModelConfig, "input_dims", 120),
+        (ModelConfig, "stage_depths", 5), (ModelConfig, "mlp_ratio", "4"),
+        (ModelConfig, "mlp_ratio", True), (ModelConfig, "signal_norm", "yes"),
+        (TrainConfig, "learning_rate", "0.1"), (TrainConfig, "weight_decay", None),
+        (TrainConfig, "batch_size", True),
+    ], ids=["dims_short", "dims_int", "depths_int", "mlp_str", "mlp_bool", "norm_str",
+            "lr_str", "decay_none", "batch_bool"])
+    def test_wrongly_typed_field_raises_its_class_error(self, cls, key, value):
+        """A library caller's wrongly typed field is the class's typed error naming it."""
+        error = ConfigurationError if cls is ModelConfig else InputError
+        with pytest.raises(error, match=f"^{key} "):
+            cls(**{key: value}).validate()
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(LIBRARY_KWARGS)
+    @example({"signal_norm": "yes"})
+    @example({"mlp_ratio": True, "batch_size": True})
+    @example({"input_dims": (np.int64(120), 64, 64), "learning_rate": 1, "seed": np.int64(3)})
+    def test_validated_config_round_trips(self, kwargs):
+        """Any pair of configs ``validate`` accepts reads back equal from its run config."""
+        model_fields = asdict(ModelConfig())
+        try:
+            mc = ModelConfig(**{k: v for k, v in kwargs.items() if k in model_fields}).validate()
+            tc = TrainConfig(**{k: v for k, v in kwargs.items()
+                                if k not in model_fields}).validate()
+        except PulseformerError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            fileio.write_run_config(tmp, mc, tc)
+            doc = json.loads((Path(tmp) / "config.json").read_text())
+        assert fileio.config_from_dict(doc) == (mc, tc)
 
     @settings(derandomize=True, max_examples=50, deadline=None, database=None)
     @given(st.binary(max_size=64) | ANY_DOCS.map(lambda d: json.dumps(d).encode()))

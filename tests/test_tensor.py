@@ -29,9 +29,14 @@ def scale(x: Tensor, s: float) -> Tensor:
 
 
 def conv3d_oracle(x, w, b, stride, pad):
-    """Direct six-loop 3-D convolution, independent of the GEMM path."""
+    """Direct six-loop 3-D convolution, independent of the GEMM path.
+
+    A kernel of C/G input channels makes G groups: filter k sees the input
+    channels of group k // (K/G) only.
+    """
     n, c, t, h, wl = x.shape
-    k, _, kt, kh, kw = w.shape
+    k, cg, kt, kh, kw = w.shape
+    kg = k // (c // cg)   # filters per group
     st, sh, sw = stride
     pt, ph, pw = pad
     xp = np.pad(x, ((0, 0), (0, 0), (pt, pt), (ph, ph), (pw, pw)))
@@ -41,10 +46,11 @@ def conv3d_oracle(x, w, b, stride, pad):
     y = np.zeros((n, k, to, ho, wo))
     for ni in range(n):
         for ki in range(k):
+            c0 = ki // kg * cg
             for ti in range(to):
                 for hi in range(ho):
                     for wi in range(wo):
-                        patch = xp[ni, :, ti * st:ti * st + kt,
+                        patch = xp[ni, c0:c0 + cg, ti * st:ti * st + kt,
                                    hi * sh:hi * sh + kh, wi * sw:wi * sw + kw]
                         y[ni, ki, ti, hi, wi] = (patch * w[ki]).sum() + b[ki]
     return y
@@ -52,14 +58,19 @@ def conv3d_oracle(x, w, b, stride, pad):
 
 @st.composite
 def conv_cases(draw):
-    """(x shape, w shape, stride, pad, seed) of a conv3d whose kernel fits its padded input."""
+    """(x shape, w shape, stride, pad, seed) of a conv3d whose kernel fits its padded input.
+
+    The G groups divide both the C input channels and the K filters.
+    """
     axis = st.integers(1, 3)
     kernel = [draw(axis) for _ in range(3)]
     stride = tuple(draw(axis) for _ in range(3))
     pad = tuple(draw(st.integers(0, kk - 1)) for kk in kernel)
     dims = [draw(st.integers(max(1, kk - 2 * pp), 6)) for kk, pp in zip(kernel, pad)]
-    n, c, k = (draw(st.integers(1, 2)) for _ in range(3))
-    return [n, c] + dims, [k, c] + kernel, stride, pad, draw(st.integers(0, 2 ** 32 - 1))
+    n, cg, kg = (draw(st.integers(1, 2)) for _ in range(3))
+    groups = draw(st.integers(1, 3))
+    return ([n, groups * cg] + dims, [groups * kg, cg] + kernel, stride, pad,
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 class TestConv3d:
@@ -101,12 +112,14 @@ class TestConv3d:
     @given(conv_cases())
     @example(((1, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1), (1, 1, 1), 0))   # slabs 10, 10, 5
     @example(((1, 32, 60, 16, 16), (64, 32, 3, 3, 3), (2, 2, 2), (1, 1, 1), 0))   # slabs 16, 14
+    @example(((1, 4, 5, 5, 5), (4, 1, 3, 3, 3), (1, 1, 1), (1, 1, 1), 0))         # depthwise
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     def test_any_stride_and_pad_match_oracle(self, case):
         """Forward equals the oracle; the backward obeys <dx, x> = <dw, w> = <g, y - b>.
 
-        The drawn shapes fit one slab; the two examples take several, and the
-        temporal kernel of the second overlaps input frames across slab bounds.
+        The drawn shapes fit one slab and may have several channel groups;
+        the first two examples take several slabs, and the temporal kernel of
+        the second overlaps input frames across slab bounds.
         """
         x_shape, w_shape, stride, pad, seed = case
         k = w_shape[0]
@@ -133,7 +146,8 @@ class TestConv3d:
         ((3, 3, 6, 5, 5), (4, 3, 3, 3, 3), (2, 2, 1)),
         ((3, 16, 25, 10, 10), (32, 16, 3, 3, 3), (1, 1, 1)),   # slabs of 10, 10, 5
         ((3, 32, 60, 16, 16), (64, 32, 3, 3, 3), (2, 2, 2)),   # slabs of 16, 14
-    ], ids=["1", "2", "3", "ragged", "transition1-temporal"])
+        ((3, 32, 60, 16, 16), (32, 1, 3, 3, 3), (1, 1, 1)),    # CPE: 15 slabs of 4
+    ], ids=["1", "2", "3", "ragged", "transition1-temporal", "cpe"])
     def test_workers_match_one_worker(self, monkeypatch, x_shape, w_shape, stride):
         """Output and all gradients bit-identical for 1, 2 and 3 workers."""
         rng = np.random.default_rng(x_shape[0])
@@ -158,8 +172,9 @@ class TestConv3d:
         ((1, 8, 4, 36, 36), (16, 8, 3, 3, 3), (1, 1, 1), (1, 1, 1)),     # frame wider than a slab
         ((8, 3, 40, 32, 32), (8, 3, 3, 7, 7), (2, 4, 4), (1, 3, 3)),     # the search's batch 8
         ((1, 3, 9, 13, 13), (12, 3, 3, 3, 3), (1, 1, 1), (1, 1, 1)),     # slabs of 6, 3
+        ((1, 32, 60, 16, 16), (32, 1, 3, 3, 3), (1, 1, 1), (1, 1, 1)),   # CPE: 15 slabs of 4
     ], ids=["stem", "transition1", "transition1-temporal", "head", "ragged", "wide-frame",
-            "batch8", "small-gemm"])
+            "batch8", "small-gemm", "cpe"])
     def test_slabs_match_the_recorded_forward(self, monkeypatch, workers, x_shape, w_shape,
                                               stride, pad):
         """An unrecorded forward has the recorded one's bytes: both take the same slabs.
@@ -212,6 +227,30 @@ class TestConv3d:
         w = Tensor(np.zeros((1, 1, 5, 1, 1)))
         with pytest.raises(DimensionError):
             nn_ops.conv3d(x, w, Tensor(np.zeros(1)))
+
+    def test_depthwise_matches_oracle(self):
+        """depthwise_conv3d is the oracle's convolution with one group per channel, pad 1."""
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 3, 5, 4, 6))
+        w = rng.standard_normal((3, 3, 3, 3))
+        with T.float64():
+            y = nn_ops.depthwise_conv3d(Tensor(x), Tensor(w))
+        expect = conv3d_oracle(x, w[:, None], np.zeros(3), (1, 1, 1), (1, 1, 1))
+        np.testing.assert_allclose(y.data, expect, atol=1e-12)
+
+    @pytest.mark.parametrize("x_shape, w_shape", [
+        ((1, 4, 3, 3, 3), (2, 3, 1, 1, 1)),   # 4 channels are not groups of 3
+        ((1, 4, 3, 3, 3), (3, 2, 1, 1, 1)),   # 3 filters are not split over 2 groups
+        ((1, 4, 3, 3, 3), (2, 0, 1, 1, 1)),   # a kernel of no channels makes no groups
+        ((1, 3, 5, 5), (3, 3, 3, 3)),         # depthwise on a 4-D input
+    ], ids=["channels", "filters", "no-channels", "depthwise-4d"])
+    def test_mismatched_shapes_rejected(self, x_shape, w_shape):
+        x, w = Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape))
+        with pytest.raises(DimensionError):
+            if len(w_shape) == 4:
+                nn_ops.depthwise_conv3d(x, w)
+            else:
+                nn_ops.conv3d(x, w, Tensor(np.zeros(w_shape[0])))
 
 
 class TestLinear:

@@ -45,16 +45,26 @@ def test_conv3d_and_attention_pulls_keep_their_spans():
 
     A pull moved into a helper would land on ``tensor.other_ops.bwd``. No
     model forward ran, so the attention's tokens map to no stage.
+    ``depthwise_conv3d`` is a grouped ``conv3d``: its forward span holds a
+    ``conv3d`` span, and its pull is ``conv3d``'s.
     """
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((2, 3, 8, 6, 6), dtype=np.float32))
     w = Tensor(rng.standard_normal((4, 3, 3, 3, 3), dtype=np.float32), requires_grad=True)
+    wd = Tensor(rng.standard_normal((3, 3, 3, 3), dtype=np.float32), requires_grad=True)
     q = Tensor(rng.standard_normal((1, 2, 16, 4), dtype=np.float32), requires_grad=True)
     tr = Tracer()
     with tr.patched("op"), T.record():
         y = nn_ops.conv3d(x, w, Tensor(np.zeros(4, np.float32)), pad=(1, 1, 1))
+        d = nn_ops.depthwise_conv3d(x, wd)
         a = nn_ops.attention_core(q, q, q)
-        T.backward(T.add(T.mean(y), T.mean(a)))
+        T.backward(T.add(T.add(T.mean(y), T.mean(d)), T.mean(a)))
+    calls = {span: tr.calls[("op", span)] for span in (
+        "nn_ops.conv3d.fwd", "nn_ops.depthwise_conv3d.fwd", "nn_ops.conv3d.bwd",
+        "nn_ops.depthwise_conv3d.bwd", "nn_ops.attention_core.stage_other.bwd")}
+    assert calls == {"nn_ops.conv3d.fwd": 2, "nn_ops.depthwise_conv3d.fwd": 1,
+                     "nn_ops.conv3d.bwd": 2, "nn_ops.depthwise_conv3d.bwd": 0,
+                     "nn_ops.attention_core.stage_other.bwd": 1}
     for span in ("nn_ops.conv3d.bwd", "nn_ops.attention_core.stage_other.bwd"):
-        assert tr.calls[("op", span)] == 1 and tr.self_s[("op", span)] > 0
-    assert w.grad is not None and q.grad is not None
+        assert tr.self_s[("op", span)] > 0
+    assert w.grad is not None and wd.grad is not None and q.grad is not None
