@@ -5,6 +5,13 @@ backward pass, then compares against central differences with the spec'd
 reporting: max over elements of |g_ad - g_fd| / max(1, |g_fd|). Float32
 rounding would swamp the differences, so every check makes its tensors and
 its model inside ``float64()``, and its whole graph is float64.
+
+``OP_CASES`` is the one table of differentiable ops, which the float32
+storage tests read too: one entry per op that records a pull, as its input
+shapes and the op applied to tensors of them. Every op check is the mse loss
+of the op's output against a drawn target, with every input standard
+normal; unlike a plain mean, that loss gives a normalised output's input a
+gradient.
 """
 
 from __future__ import annotations
@@ -69,106 +76,54 @@ def max_relative_error(build_loss: Callable[[], Tensor], params: Sequence[Tensor
         return worst
 
 
-def _rand(rng, *shape, avoid_zero=False):
-    x = rng.standard_normal(shape)
-    if avoid_zero:
-        # keep ELU inputs away from the kink so central differences are valid
-        x = np.where(np.abs(x) < 1e-3, x + np.sign(x + 0.5) * 2e-3, x)
-    return x
+def _bn_eval(x, gamma, beta):
+    return nn_ops.batchnorm3d(x, gamma, beta, np.array([0.3, -0.2, 0.1]),
+                              np.array([1.5, 0.7, 1.1]), training=False)
+
+
+def _rel_attention(q, k, v, table_t, table_h, table_w):
+    rel = nn_ops.RelativeBias(2, (4, 3, 2))   # three extents: a swapped axis shows
+    rel.table_t, rel.table_h, rel.table_w = table_t, table_h, table_w
+    return nn_ops.attention_core(q, k, v, rel=rel)
+
+
+# every op that records a pull: its input shapes, and the op applied to tensors of them;
+# the shapes are small, as the check runs two forwards per input element
+OP_CASES: dict[str, tuple[list[tuple[int, ...]], Callable[..., Tensor]]] = {
+    "linear": ([(2, 5, 3), (4, 3), (4,)], T.linear),
+    "conv3d": ([(2, 2, 3, 3, 2), (2, 2, 2, 3, 2), (2,)],
+               lambda x, w, b: nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))),
+    "depthwise_conv3d": ([(2, 2, 2, 3, 3), (2, 3, 3, 3)], nn_ops.depthwise_conv3d),
+    "batchnorm3d_train": ([(2, 3, 2, 2, 2), (3,), (3,)],
+                          lambda x, g, b: nn_ops.batchnorm3d(x, g, b, np.zeros(3), np.ones(3),
+                                                             training=True)),
+    "batchnorm3d_eval": ([(2, 3, 2, 2, 2), (3,), (3,)], _bn_eval),
+    "layernorm": ([(2, 3, 4), (4,), (4,)], nn_ops.layernorm),
+    "elu": ([(3, 4)], T.elu),
+    "gelu": ([(3, 4)], T.gelu),
+    "mean_axes": ([(2, 3, 4, 5)], lambda x: T.mean(x, axes=(0, 2))),
+    "nearest_upsample3d": ([(2, 3, 3, 4, 4)], nn_ops.nearest_upsample3d),
+    "mse_loss": ([(4, 5), (4, 5)], T.mse_loss),
+    "add": ([(3, 4), (3, 4)], T.add),
+    "add_embedding": ([(2, 3, 4), (3, 4)], T.add_embedding),
+    "reshape": ([(2, 3, 4)], lambda x: T.reshape(x, (4, 6))),
+    "transpose": ([(2, 3, 4)], lambda x: T.transpose(x, (2, 0, 1))),
+    "checkpoint_gelu": ([(3, 4)], lambda x: T.checkpoint(T.gelu, x)),
+    "attention": ([(2, 2, 3, 2)] * 3, nn_ops.attention_core),
+    "attention_rel": ([(1, 2, 24, 1)] * 3 + [(2, 7), (2, 5), (2, 3)], _rel_attention),
+}
 
 
 @float64()
 def op_checks(seed: int) -> list[tuple[str, float]]:
-    """Gradient checks for every differentiable operator, one seed."""
+    """Gradient check of every ``OP_CASES`` entry, one seed, in table order."""
     rng = np.random.default_rng(seed)
     results = []
-
-    def check(name, build, params):
-        results.append((name, max_relative_error(build, params)))
-
-    x = Tensor(_rand(rng, 2, 3), requires_grad=True)
-    w = Tensor(_rand(rng, 2, 3), requires_grad=True)
-    b = Tensor(_rand(rng, 2), requires_grad=True)
-    check("linear", lambda: T.mean(T.linear(x, w, b)), [x, w, b])
-
-    xc = Tensor(_rand(rng, 1, 2, 4, 4, 4), requires_grad=True)
-    wc = Tensor(0.3 * _rand(rng, 3, 2, 3, 3, 3), requires_grad=True)
-    bc = Tensor(_rand(rng, 3), requires_grad=True)
-    check("conv3d",
-          lambda: T.mean(nn_ops.conv3d(xc, wc, bc, stride=(2, 1, 2), pad=(1, 1, 0))),
-          [xc, wc, bc])
-
-    xd = Tensor(_rand(rng, 1, 3, 3, 4, 4), requires_grad=True)
-    wd = Tensor(0.3 * _rand(rng, 3, 3, 3, 3), requires_grad=True)
-    check("depthwise_conv3d", lambda: T.mean(nn_ops.depthwise_conv3d(xd, wd)), [xd, wd])
-
-    xb = Tensor(_rand(rng, 2, 3, 2, 2, 2), requires_grad=True)
-    gb = Tensor(1.0 + 0.1 * _rand(rng, 3), requires_grad=True)
-    bb = Tensor(0.1 * _rand(rng, 3), requires_grad=True)
-
-    check("batchnorm3d_train",
-          lambda: T.mean(T.elu(nn_ops.batchnorm3d(xb, gb, bb, np.zeros(3), np.ones(3),
-                                                  training=True))),
-          [xb, gb, bb])
-
-    mean_eval = 0.3 * _rand(rng, 3)
-    var_eval = 1.0 + 0.2 * np.abs(_rand(rng, 3))
-    check("batchnorm3d_eval",
-          lambda: T.mean(nn_ops.batchnorm3d(xb, gb, bb, mean_eval, var_eval, training=False)),
-          [xb, gb, bb])
-
-    xl = Tensor(_rand(rng, 2, 3, 4), requires_grad=True)
-    gl = Tensor(1.0 + 0.1 * _rand(rng, 4), requires_grad=True)
-    bl = Tensor(0.1 * _rand(rng, 4), requires_grad=True)
-    check("layernorm", lambda: T.mean(nn_ops.layernorm(xl, gl, bl)), [xl, gl, bl])
-
-    xe = Tensor(_rand(rng, 3, 4, avoid_zero=True), requires_grad=True)
-    check("elu", lambda: T.mean(T.elu(xe)), [xe])
-    check("gelu", lambda: T.mean(T.gelu(xe)), [xe])
-
-    xm = Tensor(_rand(rng, 2, 3, 4), requires_grad=True)
-    tm = Tensor(_rand(rng, 3))
-    check("mean_axes", lambda: T.mse_loss(T.mean(xm, axes=(0, 2)), tm), [xm])
-
-    xu = Tensor(_rand(rng, 1, 2, 2, 2, 2), requires_grad=True)
-    tu = Tensor(_rand(rng, 1, 2, 4, 2, 2))
-    check("nearest_upsample3d",
-          lambda: T.mse_loss(nn_ops.nearest_upsample3d(xu), tu),
-          [xu])
-
-    xp_ = Tensor(_rand(rng, 4), requires_grad=True)
-    tp = Tensor(_rand(rng, 4))
-    check("mse_loss", lambda: T.mse_loss(xp_, tp), [xp_])
-
-    grid = (2, 2, 2)
-    ln = grid[0] * grid[1] * grid[2]
-    dm, heads = 4, 2
-    xa = Tensor(_rand(rng, 1, ln, dm), requires_grad=True)
-    proj = {nm: (Tensor(0.5 * _rand(rng, dm, dm), requires_grad=True),
-                 Tensor(0.1 * _rand(rng, dm), requires_grad=True))
-            for nm in ("q", "k", "v", "o")}
-
-    def attn_plain():
-        return T.mean(nn_ops.attention(
-            xa, proj["q"][0], proj["q"][1], proj["k"][0], proj["k"][1],
-            proj["v"][0], proj["v"][1], proj["o"][0], proj["o"][1], heads))
-
-    check("attention", attn_plain, [xa] + [t for pair in proj.values() for t in pair])
-
-    rel = nn_ops.RelativeBias(heads, grid)
-    rel.table_t.data[:] = 0.3 * _rand(rng, *rel.table_t.shape)
-    rel.table_h.data[:] = 0.3 * _rand(rng, *rel.table_h.shape)
-    rel.table_w.data[:] = 0.3 * _rand(rng, *rel.table_w.shape)
-
-    def attn_rel():
-        return T.mean(nn_ops.attention(
-            xa, proj["q"][0], proj["q"][1], proj["k"][0], proj["k"][1],
-            proj["v"][0], proj["v"][1], proj["o"][0], proj["o"][1], heads, rel=rel))
-
-    check("attention_rel_bias", attn_rel,
-          [xa, rel.table_t, rel.table_h, rel.table_w] +
-          [t for pair in proj.values() for t in pair])
-
+    for name, (shapes, op) in OP_CASES.items():
+        inputs = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        target = Tensor(rng.standard_normal(op(*inputs).shape))
+        results.append((name, max_relative_error(lambda: T.mse_loss(op(*inputs), target),
+                                                 inputs)))
     return results
 
 

@@ -164,7 +164,7 @@ def stage_grids(cfg: ModelConfig) -> list[tuple[int, int, int]]:
 
 def head_upsample_count(cfg: ModelConfig) -> int:
     """Temporal x2 upsamplings that restore T: the stem and each temporal transition halve it."""
-    return 1 + len(TEMPORAL_SCHEDULE[cfg.scaling])
+    return 1 + len(TEMPORAL_SCHEDULE[parse_scaling(cfg.scaling)])
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:

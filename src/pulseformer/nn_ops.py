@@ -136,8 +136,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
     out = Tensor(y.reshape((n, k) + out_dims), requires_grad=_needs_grad(x, w, b))
 
     def pull(g):
-        if b.requires_grad:   # depthwise_conv3d's zero bias needs none
-            _accum(b.slot, g.reshape(n, k, -1).sum(axis=(0, 2)))
+        _accum(b.slot, g.reshape(n, k, -1).sum(axis=(0, 2)))
         g2 = g.reshape(n, groups, k // groups, -1)
         dw2 = _ChunkSum([np.zeros_like(w2)])
         dx = np.empty(x.shape, dtype=dtype) if x.requires_grad else None
@@ -149,14 +148,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
 
         def backward(i, scratch):
             xp, buf, dxp, part = scratch
-            if w.requires_grad:
-                xp[interior] = x.data[i]
+            xp[interior] = x.data[i]
             if x.requires_grad:
                 dxp.fill(0)
             for t0, t1 in slabs:
                 gs = g2[i][..., t0 * frame:t1 * frame]
-                if w.requires_grad:
-                    part[0] += gs @ item_columns(xp, buf, t0, t1).transpose(0, 2, 1)
+                part[0] += gs @ item_columns(xp, buf, t0, t1).transpose(0, 2, 1)
                 if x.requires_grad:
                     cols = np.matmul(w2.transpose(0, 2, 1), gs,
                                      out=buf[:rows * gs.shape[2]].reshape(groups, -1, gs.shape[2]))
@@ -165,14 +162,12 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor,
                     for dt, dh, dw_ in np.ndindex(*kernel):
                         span[:, dt:dt + st * (t1 - t0):st, dh:dh + sh * ho:sh,
                              dw_:dw_ + sw * wo:sw] += dc[:, dt, dh, dw_]
-            if w.requires_grad:
-                dw2.add(i, part)
+            dw2.add(i, part)
             if x.requires_grad:
                 dx[i] = dxp[interior]
 
         _run_chunks(backward, n, scratch)
-        if w.requires_grad:
-            _accum(w.slot, dw2.total[0].reshape(w.shape))
+        _accum(w.slot, dw2.total[0].reshape(w.shape))
         if x.requires_grad:
             _accum(x.slot, dx)
 

@@ -218,7 +218,6 @@ def evaluate(predictor, cfg: ModelConfig, examples: list[WindowExample]) -> Expe
 @dataclass
 class TrainHistory:
     epochs: list[dict] = field(default_factory=list)
-    best_epoch: int = -1
 
 
 def _batch(examples: list[WindowExample], idx) -> tuple[Tensor, Tensor]:
@@ -308,7 +307,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 if val_mae < best_mae:
                     best_mae = val_mae
                     best_state = {k: v.copy() for k, v in model.named_arrays().items()}
-                    history.best_epoch = epoch
             row = {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae}
             history.epochs.append(row)
             if log:
@@ -317,6 +315,4 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                      "peak_rss_mb": rss_kib / 1024})
     if best_state is not None:
         model.load_arrays(best_state)
-    else:
-        history.best_epoch = train_cfg.epochs - 1
     return model, history

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from pulseformer import cli, fileio, model, synth, training
 from pulseformer.cli import main
 from pulseformer.errors import ConfigurationError, InputError, PulseformerError
+from pulseformer.gradcheck import OP_CASES
 from pulseformer.model import ModelConfig, MultiscaleVideoTransformer
 from pulseformer.preprocess import SignalTrace, VideoClip, make_example
 from pulseformer.training import TrainConfig
@@ -797,8 +798,10 @@ class TestCliTrainEval:
 
 class TestCliGradcheck:
     def test_gradcheck_passes(self, capsys):
+        """One line per op case, in table order, then the end-to-end line."""
         rc = main(["gradcheck"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "model_end_to_end" in out
+        assert [line.split()[0] for line in out.splitlines()[1:]] == [
+            *OP_CASES, "model_end_to_end"]
         assert "FAIL" not in out

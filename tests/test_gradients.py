@@ -1,11 +1,21 @@
-"""Finite-difference gradient checks across seeds for every operator."""
+"""Finite-difference gradient checks across seeds for every operator.
+
+The op cases are ``gradcheck.OP_CASES``, the table the float32 storage tests
+read too: each is the mse loss of one op's output against a drawn target.
+The suite must pass every case, fail a wrong pull, and have a case for every
+function that records a pull.
+"""
+
+import inspect
+import re
 
 import numpy as np
 import pytest
 
-from pulseformer import tensor as T
+from pulseformer import nn_ops, tensor as T
+from pulseformer.cli import main
 from pulseformer.errors import PulseformerError
-from pulseformer.gradcheck import max_relative_error, op_checks
+from pulseformer.gradcheck import OP_CASES, max_relative_error, op_checks
 from pulseformer.tensor import Tensor
 
 TOL = 1e-5
@@ -42,3 +52,55 @@ def test_grad_check_refuses_float32_params():
     with pytest.raises(PulseformerError, match=r"float64\(\)"):
         max_relative_error(lambda: T.mean(T.elu(x)), [x])
     assert x.data.dtype == np.float32
+
+
+def _wrong_add_embedding(x, e):
+    """``add_embedding`` whose pull doubles the embedding's gradient."""
+    out = Tensor(x.data + e.data[None], requires_grad=T._needs_grad(x, e))
+
+    def pull(g):
+        T._accum(x.slot, g)
+        T._accum(e.slot, 2 * g.sum(axis=0))
+
+    T._record(out, pull)
+    return out
+
+
+def test_suite_fails_a_wrong_pull(monkeypatch, capsys):
+    """A case with a wrong pull reads above the tolerance, and the CLI exits 3 naming it."""
+    monkeypatch.setitem(OP_CASES, "add_embedding_wrong",
+                        ([(2, 3, 4), (3, 4)], _wrong_add_embedding))
+    assert dict(op_checks(0))["add_embedding_wrong"] > TOL
+    assert main(["gradcheck"]) == 3
+    assert re.search(r"^add_embedding_wrong .* FAIL$", capsys.readouterr().out, re.M)
+
+
+def _recording_functions() -> set[str]:
+    """The functions of ``tensor`` and ``nn_ops`` whose source records a pull."""
+    return {name for mod in (T, nn_ops)
+            for name, fn in inspect.getmembers(mod, inspect.isfunction)
+            if fn.__module__ == mod.__name__ and "_record(out, pull)" in inspect.getsource(fn)}
+
+
+def test_op_table_has_a_case_for_every_recorded_pull(monkeypatch):
+    """The pulls the table's cases record last are those of every function that records one.
+
+    The last pull is the case's own op, so an op met only inside another
+    case (as ``reshape`` in ``depthwise_conv3d``) still needs its own.
+    """
+    pulls = []
+    record = T._record
+
+    def collect(out, pull):
+        pulls.append(pull.__qualname__.split(".")[0])
+        record(out, pull)
+
+    monkeypatch.setattr(T, "_record", collect)
+    monkeypatch.setattr(nn_ops, "_record", collect)
+    rng = np.random.default_rng(0)
+    own = set()
+    with T.record():
+        for shapes, op in OP_CASES.values():
+            op(*(Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes))
+            own.add(pulls[-1])
+    assert own == _recording_functions()

@@ -36,10 +36,15 @@ class TestShapeSchedule:
         cfg = ModelConfig(input_dims=(120, 64, 64), scaling=sid).validate()
         assert stage_grids(cfg) == SCHEDULE_120_64[sid]
 
-    @pytest.mark.parametrize("sid", range(7))
+    @pytest.mark.parametrize("sid", [*range(7), "Scale-4", "Scale-9"])
     def test_head_upsample_count(self, sid):
+        """An id or its "Scale-N" label gives the count; an unknown label is a typed error."""
         cfg = ModelConfig(input_dims=(120, 64, 64), scaling=sid)
-        assert head_upsample_count(cfg) == HEAD_K_120[sid]
+        if sid == "Scale-9":
+            with pytest.raises(ConfigurationError, match="Scale-9"):
+                head_upsample_count(cfg)
+        else:
+            assert head_upsample_count(cfg) == HEAD_K_120[parse_scaling(sid)]
 
     def test_channels_double_per_transition(self):
         cfg = ModelConfig(**TINY)

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from pulseformer import model, nn_ops
 from pulseformer import tensor as T
 from pulseformer.errors import DimensionError, PulseformerError
-from pulseformer.gradcheck import max_relative_error
+from pulseformer.gradcheck import OP_CASES, max_relative_error
 from pulseformer.model import _Block, _ParamStore
 from pulseformer.tensor import Tensor
 from pulseformer.training import AdamW
@@ -1386,42 +1386,7 @@ class TestRetainedMemory:
         assert opt.m["w"].shape == opt.v["w"].shape == params["w"].shape
 
 
-def _bn_eval(x, gamma, beta):
-    return nn_ops.batchnorm3d(x, gamma, beta, np.array([0.3, -0.2, 0.1]),
-                              np.array([1.5, 0.7, 1.1]), training=False)
-
-
-def _rel_attention(q, k, v, table_t, table_h, table_w):
-    rel = nn_ops.RelativeBias(2, (4, 3, 5))
-    rel.table_t, rel.table_h, rel.table_w = table_t, table_h, table_w
-    return nn_ops.attention_core(q, k, v, rel=rel)
-
-
-# per op: input shapes and the op applied to tensors of them
-OP_CASES = {
-    "linear": ([(2, 5, 3), (4, 3), (4,)], T.linear),
-    "conv3d": ([(2, 3, 6, 5, 5), (4, 3, 3, 3, 3), (4,)],
-               lambda x, w, b: nn_ops.conv3d(x, w, b, stride=(2, 2, 1), pad=(1, 1, 1))),
-    "layernorm": ([(2, 3, 4), (4,), (4,)], nn_ops.layernorm),
-    "batchnorm3d_train": ([(2, 3, 2, 2, 2), (3,), (3,)],
-                          lambda x, g, b: nn_ops.batchnorm3d(x, g, b, np.zeros(3), np.ones(3),
-                                                             training=True)),
-    "batchnorm3d_eval": ([(2, 3, 2, 2, 2), (3,), (3,)], _bn_eval),
-    "gelu": ([(3, 4)], T.gelu),
-    "elu": ([(3, 4)], T.elu),
-    "mse_loss": ([(4, 5), (4, 5)], T.mse_loss),
-    "attention": ([(2, 2, 37, 4)] * 3, nn_ops.attention_core),
-    "attention_rel": ([(2, 2, 60, 3)] * 3 + [(2, 7), (2, 5), (2, 9)], _rel_attention),
-    "depthwise_conv3d": ([(2, 3, 4, 5, 5), (3, 3, 3, 3)], nn_ops.depthwise_conv3d),
-    "nearest_upsample3d": ([(2, 3, 3, 4, 4)], nn_ops.nearest_upsample3d),
-    "mean_axes": ([(2, 3, 4, 5)], lambda x: T.mean(x, axes=(0, 2))),
-    "add": ([(3, 4), (3, 4)], T.add),
-    "add_embedding": ([(2, 3, 4), (3, 4)], T.add_embedding),
-    "checkpoint_gelu": ([(3, 4)], lambda x: T.checkpoint(T.gelu, x)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(OP_CASES))
+@pytest.mark.parametrize("name", OP_CASES)
 def test_float32_op_matches_float64(name):
     """Float32 storage: output and grads in float32, close to the same op in float64."""
     shapes, op = OP_CASES[name]

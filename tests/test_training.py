@@ -310,12 +310,17 @@ class TestTrainModel:
         assert losses[-1] < 0.5 * losses[0]
         assert all(np.isfinite(l) for l in losses)
 
-    def test_empty_val_best_epoch_is_last(self):
+    def test_empty_val_best_epoch_is_last(self, monkeypatch):
+        """With no validation set the last epoch's parameters are kept: none is loaded back."""
+        loaded = []
+        monkeypatch.setattr(MultiscaleVideoTransformer, "load_arrays",
+                            lambda self, arrays: loaded.append(arrays))
         cfg = TINY_CFG.copy(base_width=8)
         train = window_examples(cfg, 4, seed=1)
         tcfg = TrainConfig(epochs=2, seed=0)
         _, hist = train_model(cfg, tcfg, train)
-        assert hist.best_epoch == 1
+        assert len(hist.epochs) == 2
+        assert loaded == []
 
     def test_same_seed_bit_identical_history(self):
         cfg = TINY_CFG.copy(base_width=8)
@@ -418,10 +423,11 @@ class TestTrainModel:
         cfg = TINY_CFG.copy(base_width=8)
         train = window_examples(cfg, 6, seed=4)
         val = window_examples(cfg, 2, seed=5)
-        tcfg = TrainConfig(epochs=3, seed=0)
+        tcfg = TrainConfig(epochs=3, seed=2)   # its first epoch scores best
         model, hist = train_model(cfg, tcfg, train, val_examples=val)
-        maes = [row["val_mae"] for row in hist.epochs]
-        assert hist.best_epoch == int(np.argmin(maes))
+        best = min(row["val_mae"] for row in hist.epochs)
+        assert best < hist.epochs[-1]["val_mae"]
+        assert evaluate(ModelPredictor(model), cfg, val).mae == best
 
 
 class FakeBlas:
