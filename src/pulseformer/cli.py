@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
@@ -23,7 +24,7 @@ from .errors import (ConfigurationError, EstimationError, InputError,
                      NumericError, PulseformerError)
 from .gradcheck import SEEDS, model_grad_check, run_op_suite
 from .model import ModelConfig, MultiscaleVideoTransformer, stage_grids
-from .preprocess import make_example, window_key
+from .preprocess import make_example, window_key, window_target
 from .search import greedy_adapt
 from .synth import PRESETS, generate_dataset
 from .training import (ModelPredictor, PerfectStub, evaluate, split_dataset,
@@ -235,7 +236,8 @@ def cmd_search(args) -> int:
     train_subj, val_subj, _ = split_dataset(
         (entry["subject_id"] for entry, _, _ in loaded), "cross", train_cfg.seed)
     # the (train, val) windows of the last windowing key; consecutive
-    # candidates mostly differ only in architecture, so they reuse it
+    # candidates mostly differ only in architecture, so they reuse them, and
+    # a candidate that changes only the target's fields keeps their x arrays
     windows: dict[tuple, tuple[list, list]] = {}
 
     def evaluator(cfg: ModelConfig) -> float:
@@ -246,8 +248,14 @@ def cmd_search(args) -> int:
                 f"stem grid {grid} exceeds --max-tokens {args.max_tokens}")
         key = window_key(cfg)
         if key not in windows:
+            same_x = next((parts for k, parts in windows.items() if k[:2] == key[:2]), None)
             windows.clear()   # drop the old windows before building new ones
-            windows[key] = (_windows(loaded, cfg, train_subj), _windows(loaded, cfg, val_subj))
+            if same_x is not None:
+                windows[key] = tuple(
+                    [replace(ex, target=window_target(ex.trace_window, ex.fps, cfg)) for ex in part]
+                    for part in same_x)
+            else:
+                windows[key] = (_windows(loaded, cfg, train_subj), _windows(loaded, cfg, val_subj))
         train_ex, val_ex = windows[key]
         model, _ = train_model(cfg, train_cfg, train_ex)
         return evaluate(ModelPredictor(model), cfg, val_ex).mae

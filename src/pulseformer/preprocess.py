@@ -7,11 +7,11 @@ float32 from a clip file or the synthesiser; waveforms are float64 at the
 clip frame rate. ``make_example`` resizes and normalises each window in
 float64 and stores the model input in float32, the dtype the model computes
 in. Both frame formats work in slabs of frames (``frame_slabs``): each slab is
-computed in float64 and cast into the float32 window. The one full-size
-float64 array they make is the stack that the window's global mean and
-standard deviation reduce over; it is kept whole so that those reductions
-keep numpy's bits. The normalised-difference frame format divides each
-successive-frame difference by its sum per pixel, which cancels static
+computed in float64 and cast into the float32 window. No float64 array of the
+whole window is made: ``pairwise_sum`` replays numpy's summation tree over
+slabs of at most ``SLAB`` elements, so the window's global mean and standard
+deviation keep numpy's bits. The normalised-difference frame format divides
+each successive-frame difference by its sum per pixel, which cancels static
 illumination exactly.
 """
 
@@ -97,16 +97,21 @@ def frame_slabs(n: int, frame_size: int):
     return (slice(s, min(s + step, n)) for s in range(0, n, step))
 
 
-def mean_std(x: np.ndarray) -> tuple[float, float]:
-    """``x.mean()`` and ``x.std()`` bit for bit, squaring ``x``'s deviations in place.
+def pairwise_sum(node, lo: int, hi: int):
+    """``np.add.reduce`` of elements ``lo:hi`` of a flat float64 array, bit for bit.
 
-    These are the reductions and elementwise ops of numpy's own ``_var``,
-    without its full-size temporary; ``x`` holds the squares afterwards.
+    numpy sums a contiguous float64 array by a fixed pairwise tree (Higham,
+    SIAM J. Sci. Comput. 14(4), 1993): a node of more than 128 elements
+    splits after half its length, rounded down to a multiple of 8. This
+    replays the splits down to nodes of at most ``SLAB`` elements, whose sum
+    ``node(lo, hi)`` returns from ``np.add.reduce``, and adds them up in
+    numpy's order, so the array need never be whole.
     """
-    mean = np.add.reduce(x, axis=None) / x.size
-    x -= mean
-    x *= x
-    return mean, math.sqrt(np.add.reduce(x, axis=None) / x.size)
+    if hi - lo <= SLAB:
+        return node(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return pairwise_sum(node, lo, lo + half) + pairwise_sum(node, lo + half, hi)
 
 
 def _zero_nonfinite(a: np.ndarray) -> None:
@@ -121,27 +126,43 @@ def _scaled_frames(frames, n, values, scale, dtype):
 
     ``values(sl, v)`` writes frames ``sl`` of the n-frame float64 stack into
     ``v``, and ``scale(v, mean, std)`` turns them into output. The stack is
-    the one full-size float64 array: numpy reduces over it whole, so mean and
-    std keep their bits. It is freed before the output is made, and the write
-    pass rebuilds each slab but the last from ``frames``. The output is T x H
-    x W x C in ``dtype``, laid out channel-first, the model's layout; frames
-    past ``n`` stay zero.
+    never whole: each pass rebuilds it slab by slab in one buffer, and
+    ``pairwise_sum`` gives the mean and then the squared deviations' mean
+    with the bits of ``stack.mean()`` and ``stack.std()``. The output is T x
+    H x W x C in ``dtype``, laid out channel-first, the model's layout;
+    frames past ``n`` stay zero.
     """
     if n < 1 or 0 in frames.shape:
         raise InputError(f"frames of shape {frames.shape} leave no values to normalise")
     shape = frames.shape[1:]
-    stack = np.empty((n,) + shape)
-    slabs = list(frame_slabs(n, stack[0].size))
-    for sl in slabs:
-        values(sl, stack[sl])
-    last = stack[slabs[-1]].copy()   # kept, so the write pass need not rebuild it
-    mean, std = mean_std(stack)
-    del stack
+    size = math.prod(shape)
+    count = n * size
+    # a frame slab, or a node of at most SLAB elements, spans at most this many frames
+    buf = np.empty((min(n, (SLAB - 1) // size + 2),) + shape)
+    last = (-1, 0)   # the last frame a node wrote, and its row in buf
+
+    def node(lo, hi, mean=None):
+        nonlocal last
+        f0, f1 = lo // size, -(-hi // size)
+        # a frame two nodes share is computed once: a node changes only its
+        # own elements, so the frame's later elements are still its values
+        shared = last[0] == f0
+        if shared:
+            buf[0] = buf[last[1]]
+        values(slice(f0 + shared, f1), buf[shared:f1 - f0])
+        last = (f1 - 1, f1 - f0 - 1)
+        v = buf.reshape(-1)[lo - f0 * size:hi - f0 * size]
+        if mean is not None:   # numpy's _var: the deviations, squared in place
+            v -= mean
+            v *= v
+        return np.add.reduce(v)
+
+    mean = pairwise_sum(node, 0, count) / count
+    std = math.sqrt(pairwise_sum(lambda lo, hi: node(lo, hi, mean), 0, count) / count)
     t, h, w, c = frames.shape
     out = np.moveaxis(np.zeros((c, t, h, w), dtype), 0, 3)
-    out[slabs[-1]] = scale(last, mean, std)
-    for sl in slabs[:-1]:
-        v = np.empty((sl.stop - sl.start,) + shape)
+    for sl in frame_slabs(n, size):
+        v = buf[:sl.stop - sl.start]
         values(sl, v)
         out[sl] = scale(v, mean, std)
     return out
@@ -155,20 +176,31 @@ def diffnorm_frames(frames: np.ndarray, dtype=np.float64) -> np.ndarray:
     cancels exactly. The stack of T-1 difference frames is divided by its
     global standard deviation, or zeroed if that is below EPS (one element,
     say); non-finite values are zeroed and a zero frame restores length T.
-    Each slab of frames is widened to float64 and computed there; only the
-    difference stack that the standard deviation reduces over is ever whole
-    in float64. The result is cast to ``dtype``.
+    Each slab of frames is widened to float64 and computed there; no float64
+    array of the whole stack is made. The result is cast to ``dtype``.
     """
+    # frames under 1e30 in magnitude (nan fails the test) keep |d| below 2e37
+    # and |d / std| below 2e44: nothing is left to zero
+    bounded = bool(frames.size and -1e30 < frames.min() and frames.max() < 1e30)
+
+    wide = np.empty(0)   # a slab's frames in float64, reused by every slab
+
     def values(sl, d):
-        f = np.asarray(frames[sl.start:sl.stop + 1], np.float64)
+        nonlocal wide
+        if len(wide) <= len(d):
+            wide = np.empty((len(d) + 1,) + d.shape[1:])
+        f = wide[:len(d) + 1]
+        np.copyto(f, frames[sl.start:sl.stop + 1])
         np.subtract(f[1:], f[:-1], out=d)
-        den = np.add(f[1:], f[:-1])
+        den = np.add(f[1:], f[:-1], out=f[:-1])   # reads ahead of its writes: no copy
         d /= np.maximum(den, EPS, out=den)
-        _zero_nonfinite(d)
+        if not bounded:
+            _zero_nonfinite(d)
 
     def scale(d, mean, std):
         d /= std if std >= EPS else math.inf   # no spread to normalise: zeros, not d / EPS
-        _zero_nonfinite(d)
+        if not bounded:
+            _zero_nonfinite(d)
         return d
 
     return _scaled_frames(frames, len(frames) - 1, values, scale, dtype)
@@ -177,8 +209,8 @@ def diffnorm_frames(frames: np.ndarray, dtype=np.float64) -> np.ndarray:
 def standardize_frames(frames: np.ndarray, dtype=np.float64) -> np.ndarray:
     """``standardize`` of T x H x W x C frames, cast to ``dtype``.
 
-    Computed in float64 slabs like ``diffnorm_frames``; the float64 copy of
-    the frames that mean and std reduce over is the one full-size array.
+    Computed in float64 slabs like ``diffnorm_frames``, with no float64
+    copy of all the frames.
     """
     def scale(x, mean, std):
         x -= mean
@@ -219,12 +251,15 @@ def resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
     y0, y1, fy = axis_weights(h, out_h)
     x0, x1, fx = axis_weights(w, out_w)
+    # W is blended once per input row, then each output row blends its two
+    # input rows: per output value, a W blend then an H blend, in float64.
     # np.take, unlike fancy indexing, gathers into C order, so the output is C-contiguous
-    f0, f1 = np.take(frames, y0, axis=1), np.take(frames, y1, axis=1)
-    wx0, wx1 = (1 - fx)[None, None, :, None], fx[None, None, :, None]
-    top = np.take(f0, x0, axis=2) * wx0 + np.take(f0, x1, axis=2) * wx1
-    bot = np.take(f1, x0, axis=2) * wx0 + np.take(f1, x1, axis=2) * wx1
-    return top * (1 - fy)[None, :, None, None] + bot * fy[None, :, None, None]
+    rows = np.take(frames, x0, axis=2) * (1 - fx)[None, None, :, None]
+    rows += np.take(frames, x1, axis=2) * fx[None, None, :, None]
+    out = np.take(rows, y0, axis=1)
+    out *= (1 - fy)[None, :, None, None]
+    out += np.take(rows, y1, axis=1) * fy[None, :, None, None]
+    return out
 
 
 @dataclass
@@ -246,8 +281,23 @@ class WindowExample:
 
 
 def window_key(cfg) -> tuple:
-    """The configuration fields ``make_example`` reads: equal keys, identical windows."""
+    """The configuration fields ``make_example`` reads: equal keys, identical windows.
+
+    ``x`` depends only on the first two, the input dims and the frame format.
+    """
     return (tuple(cfg.input_dims), cfg.frame_format, cfg.output_format, cfg.signal_norm)
+
+
+def window_target(tr: np.ndarray, fps: float, cfg) -> np.ndarray:
+    """The target of one window's float64 trace samples ``tr``: its rate, or its waveform.
+
+    A Signal target is the waveform's difference for DiffNorm frames, and is
+    standardised when ``cfg.signal_norm`` is set.
+    """
+    if cfg.output_format == "HR":
+        return np.asarray(metrics.hr_from_signal(tr, fps))
+    target = diff_labels(tr) if cfg.frame_format == "DiffNorm" else tr.copy()
+    return standardize(target) if cfg.signal_norm else target
 
 
 def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample]:
@@ -256,8 +306,8 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
     Produces floor(T_total / T_cfg) consecutive non-overlapping windows. It
     reads only the fields in ``window_key(cfg)``. ``diffnorm_frames`` or
     ``standardize_frames`` writes each window straight into its float32,
-    channel-first ``x``; besides a resized window's own float64 frames, the
-    only full-size float64 array is their stack for the global moments.
+    channel-first ``x``; only ``resize_bilinear`` makes float64 arrays of a
+    whole window, and only when the frame size changes.
     """
     t_cfg, h_cfg, w_cfg = cfg.input_dims
     if trace.length < clip.length:
@@ -275,19 +325,9 @@ def make_example(clip: VideoClip, trace: SignalTrace, cfg) -> list[WindowExample
         sl = slice(wi * t_cfg, (wi + 1) * t_cfg)
         win = fmt(resize_bilinear(clip.frames[sl], h_cfg, w_cfg), np.float32)
         tr = trace.samples[sl].copy()
-
-        if cfg.output_format == "HR":
-            target = np.asarray(metrics.hr_from_signal(tr, trace.fps))
-        else:
-            if cfg.frame_format == "DiffNorm":
-                target = diff_labels(tr)
-            else:
-                target = tr.copy()
-            if cfg.signal_norm:
-                target = standardize(target)
         out.append(WindowExample(
             x=np.ascontiguousarray(np.moveaxis(win, 3, 0)),   # a view: win is channel-first
-            target=target,
+            target=window_target(tr, trace.fps, cfg),
             trace_window=tr,
             fps=trace.fps,
             window_index=wi,

@@ -221,7 +221,8 @@ class TrainHistory:
 
 
 def _batch(examples: list[WindowExample], idx) -> tuple[Tensor, Tensor]:
-    xs = np.stack([examples[i].x for i in idx])
+    """The batch's inputs and targets; a batch of one takes its window's ``x`` as a view."""
+    xs = examples[idx[0]].x[None] if len(idx) == 1 else np.stack([examples[i].x for i in idx])
     ts = np.stack([examples[i].target for i in idx])
     return Tensor(xs), Tensor(ts)
 

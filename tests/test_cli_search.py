@@ -17,6 +17,7 @@ from pulseformer import cli, fileio
 from pulseformer.cli import main
 from pulseformer.errors import ConfigurationError
 from pulseformer.model import stage_grids
+from pulseformer.preprocess import window_key
 from pulseformer.search import greedy_adapt
 from pulseformer.training import ModelPredictor, evaluate, split_dataset, train_model
 
@@ -94,7 +95,7 @@ def _gen(out, subjects):
 
 
 def test_search_reuses_windows(tmp_path, monkeypatch):
-    """Windows are rebuilt only when a windowing field changes; the trace is the same."""
+    """Windows are rebuilt only when a field of ``x`` changes; the trace is the same."""
     data = tmp_path / "d"
     _gen(data, 10)
     cfg = tmp_path / "cfg.json"
@@ -104,15 +105,17 @@ def test_search_reuses_windows(tmp_path, monkeypatch):
     calls = []
     real = cli.make_example
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(clip, trace, c):
+        calls.append(window_key(c))
+        return real(clip, trace, c)
 
     monkeypatch.setattr(cli, "make_example", counting)
     run = tmp_path / "r"
     assert main(["search", "--data", str(data), "--config", str(cfg),
                  "--out", str(run), "--max-tokens", "4000"]) == 0
     cached_calls = len(calls)
+    # a candidate that changes only the target's fields remakes no window
+    assert all(a == b for a, b in zip(calls, calls[1:]) if a[:2] == b[:2])
 
     # the same search with every candidate windowed afresh
     model_cfg, train_cfg = cli._read_config(str(cfg))

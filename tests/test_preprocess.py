@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from pulseformer.errors import InputError
 from pulseformer.model import ModelConfig
-from pulseformer.preprocess import (SignalTrace, VideoClip, diff_labels,
+from pulseformer import preprocess
+from pulseformer.preprocess import (SLAB, SignalTrace, VideoClip, diff_labels,
                                     diffnorm_frames, frame_slabs, make_example,
-                                    mean_std, resize_bilinear, standardize,
+                                    pairwise_sum, resize_bilinear, standardize,
                                     standardize_frames, window_key)
 from pulseformer.search import general_config
 
@@ -111,12 +112,25 @@ class TestStandardize:
 
 
 class TestMeanStd:
-    @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (2, 3, 5, 7), (119, 13, 11, 3), (1001, 17)])
-    def test_matches_ndarray_bit_for_bit(self, shape):
+    """``pairwise_sum`` replays numpy's summation tree, so the window moments keep their bits.
+
+    With nodes of at most 128 elements (numpy's own leaf size) every split
+    of the tree is replayed, so sizes next to multiples of 8 and of 128 check
+    the split rule; the sizes next to ``SLAB`` check it where windows use it.
+    """
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (7,), (3, 5), (2, 3, 5, 7), (119, 13, 11, 3), (1001, 17),
+        (129,), (136,), (137,), (263,), (1023,),
+        (SLAB,), (SLAB + 1,), (2 * SLAB + 17,), (3 * SLAB - 9,), (119, 64, 64, 3)])
+    def test_matches_ndarray_bit_for_bit(self, shape, monkeypatch):
         x = np.random.default_rng(sum(shape)).normal(0.4, 0.3, shape)
-        mean, std = mean_std(x.copy())
-        assert (mean, std) == (x.mean(), x.std())
-        assert math.copysign(1.0, std) == 1.0 and isinstance(std, float)
+        flat = x.reshape(-1)
+        for slab in (128, SLAB):
+            monkeypatch.setattr(preprocess, "SLAB", slab)
+            mean = pairwise_sum(lambda lo, hi: np.add.reduce(flat[lo:hi]), 0, x.size) / x.size
+            sq = pairwise_sum(lambda lo, hi: np.add.reduce((flat[lo:hi] - mean) ** 2), 0, x.size)
+            assert (mean, math.sqrt(sq / x.size)) == (x.mean(), x.std()), slab
 
 
 class TestDiffLabels:
@@ -194,18 +208,48 @@ class TestWindowDtype:
                 assert (ex.x.dtype, ex.x.shape) == (np.float32, ref.shape)
                 assert ex.x.tobytes() == ref.tobytes(), kind
 
-    def test_diffnorm_matches_reference_bit_for_bit(self):
-        """Also across slabs, with non-finite pixels, whose differences are zeroed."""
+    def test_diffnorm_matches_reference_bit_for_bit(self, monkeypatch):
+        """Also across slabs, with non-finite pixels, whose differences are zeroed.
+
+        At a 128-element ``SLAB`` a summation node is smaller than a frame,
+        and most frames are shared between nodes.
+        """
         frames = self._clip(np.float64).frames
         wide = resize_bilinear(frames, 48, 48)
         wide[3, 0, 0] = np.nan
         wide[40, 5, 5, 1] = np.inf
-        with np.errstate(invalid="ignore"):   # the nan and inf / inf that zeroing removes
-            for f in (frames, wide):
-                assert diffnorm_frames(f).tobytes() == _diffnorm_reference(f).tobytes()
+        for slab in (SLAB, 128):
+            monkeypatch.setattr(preprocess, "SLAB", slab)
+            with np.errstate(invalid="ignore"):   # the nan and inf / inf that zeroing removes
+                for f in (frames, wide):
+                    assert diffnorm_frames(f).tobytes() == _diffnorm_reference(f).tobytes(), slab
+
+
+def _resize_two_gathers(frames, out_h, out_w):
+    """Bilinear resize that gathers both input rows of each output row, then blends W and H."""
+    def axis_weights(n_in, n_out):
+        centers = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
+        lo = np.floor(centers).astype(np.int64)
+        return np.clip(lo, 0, n_in - 1), np.clip(lo + 1, 0, n_in - 1), centers - lo
+
+    y0, y1, fy = axis_weights(frames.shape[1], out_h)
+    x0, x1, fx = axis_weights(frames.shape[2], out_w)
+    f0, f1 = frames[:, y0], frames[:, y1]
+    wx0, wx1 = (1 - fx)[None, None, :, None], fx[None, None, :, None]
+    top = f0[:, :, x0] * wx0 + f0[:, :, x1] * wx1
+    bot = f1[:, :, x0] * wx0 + f1[:, :, x1] * wx1
+    return top * (1 - fy)[None, :, None, None] + bot * fy[None, :, None, None]
 
 
 class TestResize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(32, 32), (24, 40), (16, 5), (7, 5), (1, 1)])
+    def test_matches_two_gather_reference_bit_for_bit(self, hw, dtype):
+        frames = np.random.default_rng(11).random((4, 16, 12, 3)).astype(dtype)
+        out = resize_bilinear(frames, *hw)
+        ref = _resize_two_gathers(frames, *hw)
+        assert (out.dtype, out.shape, out.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+
     def test_same_size_identity(self):
         rng = np.random.default_rng(4)
         frames = rng.random((3, 4, 5, 3))
@@ -260,7 +304,7 @@ class TestMakeExample:
 
     @pytest.mark.parametrize("frame_format", ["DiffNorm", "Raw"])
     def test_peak_memory_below_two_float64_windows(self, frame_format):
-        """One float64 stack and slabs: a 120 x 64 x 64 window peaks under 18 MiB, not 22.5."""
+        """No float64 array of the whole window: a 120 x 64 x 64 window peaks under x + 4 MiB."""
         rng = np.random.default_rng(9)
         clip = VideoClip(rng.random((120, 64, 64, 3), dtype=np.float32), 30.0)
         trace = SignalTrace(np.zeros(120), 30.0)
@@ -268,11 +312,11 @@ class TestMakeExample:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            make_example(clip, trace, cfg)
+            (ex,) = make_example(clip, trace, cfg)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 18 * 2 ** 20
+        assert peak < ex.x.nbytes + 4 * 2 ** 20
 
     def test_short_trace_rejected(self):
         cfg = general_config(simple=True)

@@ -341,6 +341,14 @@ class TestTrainModel:
             runs.append((hist.epochs, {k: a.tobytes() for k, a in model.named_arrays().items()}))
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_training_leaves_window_inputs_unchanged(self, batch_size):
+        """A batch of one trains on a view of its window's ``x``: no step may write to it."""
+        train = window_examples(TINY_CFG, 3, seed=3)
+        before = [ex.x.tobytes() for ex in train]
+        train_model(TINY_CFG, TrainConfig(epochs=1, batch_size=batch_size, seed=0), train)
+        assert [ex.x.tobytes() for ex in train] == before
+
     def test_two_threads_train_as_one_at_a_time(self):
         """Each thread records on its own tape: two models trained at once match solo runs."""
         train = window_examples(TINY_CFG, 4, seed=6)
